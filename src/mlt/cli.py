@@ -181,7 +181,13 @@ def cmd_run(config: RunConfig) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    results = run_experiment_suite(scenario, spec, jobs=config.jobs)
+    try:
+        results = run_experiment_suite(scenario, spec, jobs=config.jobs)
+    except ValueError as e:
+        # a valid file whose numbers still break a model invariant mid-run,
+        # e.g. a sample that overflows to infinity
+        print(f"scenario invariant violation: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     text = _FORMATTERS[config.output_format](config.experiment, results)
     try:
         if config.out_path is None:

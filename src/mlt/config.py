@@ -4,16 +4,21 @@ Files are self-describing (a schema_version field) and strictly checked:
 unknown fields anywhere in the document are rejected so typos fail loudly
 instead of silently falling back to defaults.
 
-Structural problems (bad JSON, wrong types, unknown or missing fields) raise
-ConfigError.  Structurally sound documents whose contents break a domain
-invariant (a probe schedule past the session end, a zero promise element)
-raise plain ValueError from the model constructors; collect_violations
-gathers those per component instead of stopping at the first.
+One builder serves both parse_scenario and collect_violations.  Structural
+problems (bad JSON, wrong types, unknown or missing fields, numbers that are
+NaN or infinite) raise ConfigError at once.  A structurally sound document
+whose contents break a domain invariant (a probe schedule past the session
+end, a zero promise element) does not stop the build: each component that
+fails to construct is recorded as "<component>: <message>", the
+cross-component rules of simulator.scenario_violations are added, and the
+Scenario is built only when that list is empty.  parse_scenario raises one
+ValueError listing every violation; collect_violations returns the list.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .agents import AttributeGenerator, ProbeSchedule, ProviderProfile, ReporterProfile
 from .evaluation import Thresholds
@@ -30,8 +35,7 @@ from .simulator import (
     Consumer,
     ConsumerUsage,
     Scenario,
-    schedule_violation,
-    usage_violation,
+    scenario_violations,
 )
 from .trust import AggregationParams
 
@@ -53,13 +57,22 @@ def _check_obj(d, path, required=(), optional=()):
         raise ConfigError(f"{path}: missing field(s): {', '.join(missing)}")
 
 
+def _finite(v, path) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal too large for a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return x
+
+
 def _num(d, path, key, default=None):
     if key not in d:
         return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _finite(d[key], f"{path}.{key}")
 
 
 def _int(d, path, key, default=None):
@@ -113,18 +126,19 @@ def _session(d):
         ),
     )
     loc = _list(d, path, "location")
-    if len(loc) != 2 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in loc):
+    if len(loc) != 2:
         raise ConfigError(f"{path}.location: expected [latitude, longitude]")
+    location = tuple(_finite(x, f"{path}.location[{i}]") for i, x in enumerate(loc))
     schema = AttributeSchema(
         tuple(_attribute(a, f"{path}.attributes[{i}]") for i, a in enumerate(_list(d, path, "attributes")))
     )
     promise_raw = _list(d, path, "promise")
     for i, entry in enumerate(promise_raw):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float, str)):
-            raise ConfigError(f"{path}.promise[{i}]: expected a number or level label")
+        if not isinstance(entry, str):
+            _finite(entry, f"{path}.promise[{i}]")
     return ServiceSession(
         id=_str(d, path, "id"),
-        location=(float(loc[0]), float(loc[1])),
+        location=location,
         start_time=_num(d, path, "start_time"),
         end_time=_num(d, path, "end_time"),
         provider_id=_str(d, path, "provider_id"),
@@ -216,10 +230,7 @@ def _thresholds(v):
         return Thresholds()
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError("thresholds: expected [low_cut, high_cut]")
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError("thresholds: expected [low_cut, high_cut] as numbers")
-    return Thresholds(float(v[0]), float(v[1]))
+    return Thresholds(*(_finite(x, f"thresholds[{i}]") for i, x in enumerate(v)))
 
 
 _TOP_REQUIRED = ("schema_version", "session", "provider", "bystanders", "consumers", "query_time", "seed")
@@ -235,108 +246,58 @@ def _check_top(doc):
     _list(doc, "$", "consumers")
 
 
-def parse_scenario(doc) -> tuple[Scenario, Thresholds]:
-    """Build a Scenario (plus classification thresholds) from a parsed document."""
+def _build(doc) -> tuple[Scenario | None, Thresholds | None, list[str]]:
+    """The scenario builder: (scenario, thresholds, []) or (None, None, violations)."""
     _check_top(doc)
-    session = _session(doc["session"])
-    provider = _provider(doc["provider"], session)
-    bystanders = tuple(_bystander(b, i) for i, b in enumerate(doc["bystanders"]))
-    consumers = tuple(_consumer(c, i) for i, c in enumerate(doc["consumers"]))
-    scenario = Scenario(
-        session=session,
-        provider=provider,
-        bystanders=bystanders,
-        consumers=consumers,
-        params=_params(doc.get("params")),
-        query_time=_num(doc, "$", "query_time"),
-        seed=_int(doc, "$", "seed"),
-    )
-    return scenario, _thresholds(doc.get("thresholds"))
+    query_time = _num(doc, "$", "query_time")
+    seed = _int(doc, "$", "seed")
+    violations: list[str] = []
+
+    def build(label, make, *args):
+        # ConfigError is a ValueError too, but a malformed document stops the build
+        try:
+            return make(*args)
+        except ConfigError:
+            raise
+        except ValueError as e:
+            violations.append(f"{label}: {e}")
+            return None
+
+    session = build("session", _session, doc["session"])
+    provider = None if session is None else build("provider", _provider, doc["provider"], session)
+    bystanders = [build(f"bystander {i}", _bystander, b, i) for i, b in enumerate(doc["bystanders"])]
+    consumers = [build(f"consumer {i}", _consumer, c, i) for i, c in enumerate(doc["consumers"])]
+    params = build("params", _params, doc.get("params"))
+    thresholds = build("thresholds", _thresholds, doc.get("thresholds"))
+    bystanders = tuple(b for b in bystanders if b is not None)
+    consumers = tuple(c for c in consumers if c is not None)
+    violations += scenario_violations(session, provider, bystanders, consumers, query_time, seed)
+    if violations:
+        return None, None, violations
+    scenario = Scenario(session, provider, bystanders, consumers, params, query_time, seed)
+    return scenario, thresholds, []
+
+
+def parse_scenario(doc) -> tuple[Scenario, Thresholds]:
+    """Build a Scenario (plus classification thresholds) from a parsed document.
+
+    Raises ConfigError for a malformed document, else one ValueError that
+    lists every domain-invariant violation.
+    """
+    scenario, thresholds, violations = _build(doc)
+    if violations:
+        raise ValueError("; ".join(violations))
+    return scenario, thresholds
 
 
 def collect_violations(doc) -> list[str]:
     """List every domain-invariant violation in a structurally valid document.
 
-    Structural problems still raise ConfigError; this function only softens
-    the domain checks, reporting one message per broken component so a user
-    can fix a file in one pass.
+    Structural problems still raise ConfigError; domain problems come back
+    one message per broken component or rule, so a user can fix a file in
+    one pass.
     """
-    _check_top(doc)
-    violations: list[str] = []
-
-    session = None
-    try:
-        session = _session(doc["session"])
-    except ConfigError:
-        raise
-    except ValueError as e:
-        violations.append(f"session: {e}")
-
-    if session is not None:
-        try:
-            _provider(doc["provider"], session)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            violations.append(f"provider: {e}")
-
-    bystanders = []
-    for i, b in enumerate(doc["bystanders"]):
-        try:
-            bystanders.append(_bystander(b, i))
-        except ConfigError:
-            raise
-        except ValueError as e:
-            violations.append(f"bystander {i}: {e}")
-
-    consumers = []
-    for i, c in enumerate(doc["consumers"]):
-        try:
-            consumers.append(_consumer(c, i))
-        except ConfigError:
-            raise
-        except ValueError as e:
-            violations.append(f"consumer {i}: {e}")
-
-    try:
-        _params(doc.get("params"))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        violations.append(f"params: {e}")
-
-    try:
-        _thresholds(doc.get("thresholds"))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        violations.append(f"thresholds: {e}")
-
-    seed = _int(doc, "$", "seed")
-    if seed < 0:
-        violations.append(f"seed: must be a non-negative integer, got {seed}")
-
-    if session is not None:
-        duration = session.duration
-        query_time = _num(doc, "$", "query_time")
-        if not 0.0 < query_time <= duration:
-            violations.append(
-                f"query_time: must lie in (0, {duration:g}], got {query_time:g}"
-            )
-        for b in bystanders:
-            msg = schedule_violation(duration, b.schedule)
-            if msg:
-                violations.append(f"bystander {b.id!r}: {msg}")
-        for c in consumers:
-            msg = usage_violation(duration, c.usage)
-            if msg:
-                violations.append(f"consumer {c.id!r}: {msg}")
-
-    ids = [b.id for b in bystanders] + [c.id for c in consumers]
-    if len(set(ids)) != len(ids):
-        violations.append("reporters: ids must be unique across the scenario")
-
-    return violations
+    return _build(doc)[2]
 
 
 def load_scenario_file(path) -> tuple[Scenario, Thresholds]:
@@ -351,5 +312,5 @@ def read_document(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({e})") from None

@@ -26,7 +26,7 @@ import numpy as np
 from .agents import HONEST, INVERTED, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
 from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, run_scenario
-from .trust import NORMALIZED, aggregate
+from .trust import aggregate
 
 ABLATION = "ablation"
 COUNT_SWEEP = "count-sweep"
@@ -147,19 +147,19 @@ def _rep_outcome(args) -> tuple[TrustLevel, dict[str, TrustLevel]]:
     trace = run_scenario(scenario)
     th = spec.thresholds
     actual = _classify_clamped(trace.ground_truth_trust, th)
-    pnorm = replace(scenario.params, mode=NORMALIZED)
+    params = scenario.params
     cr, br = trace.consumer_reports, trace.bystander_reports
     preds: dict[str, TrustLevel] = {}
     if kind == ABLATION:
-        preds["on"] = _classify_clamped(aggregate(cr, br, pnorm).overall, th)
+        preds["on"] = _classify_clamped(aggregate(cr, br, params).overall, th)
         preds["off"] = _classify_clamped(
-            aggregate(cr, br, pnorm, use_credibility=False).overall, th
+            aggregate(cr, br, params, use_credibility=False).overall, th
         )
     elif kind == ESTIMATOR_COMPARE:
-        preds["instantaneous"] = _classify_clamped(aggregate((), br, pnorm).overall, th)
-        preds["accumulated"] = _classify_clamped(aggregate(cr, (), pnorm).overall, th)
+        preds["instantaneous"] = _classify_clamped(aggregate((), br, params).overall, th)
+        preds["accumulated"] = _classify_clamped(aggregate(cr, (), params).overall, th)
     else:
-        preds["on"] = _classify_clamped(aggregate(cr, br, pnorm).overall, th)
+        preds["on"] = _classify_clamped(aggregate(cr, br, params).overall, th)
     return actual, preds
 
 

@@ -95,6 +95,40 @@ def usage_violation(duration: float, usage: ConsumerUsage) -> str | None:
     return None
 
 
+def scenario_violations(session: ServiceSession | None, provider: ProviderProfile | None,
+                        bystanders, consumers, query_time: float, seed) -> list[str]:
+    """Every rule that spans a scenario's components, one message per break.
+
+    The rules that need the session or the provider are skipped when that
+    component is None, so a caller can still check the rest of a scenario
+    whose session or provider failed to build.
+    """
+    violations = []
+    if not isinstance(seed, int) or seed < 0:
+        violations.append(f"seed: must be a non-negative integer, got {seed!r}")
+    ids = [b.id for b in bystanders] + [c.id for c in consumers]
+    if not all(ids):
+        violations.append("reporters: ids must be non-empty")
+    if len(set(ids)) != len(ids):
+        violations.append("reporters: ids must be unique across the scenario")
+    if session is None:
+        return violations
+    duration = session.duration
+    if not 0.0 < query_time <= duration + _TIME_EPS:
+        violations.append(f"query_time: must lie in (0, {duration:g}], got {query_time}")
+    if provider is not None and provider.promise != session.promise:
+        violations.append("provider: promise does not match the session promise")
+    for b in bystanders:
+        msg = schedule_violation(duration, b.schedule)
+        if msg:
+            violations.append(f"bystander {b.id!r}: {msg}")
+    for c in consumers:
+        msg = usage_violation(duration, c.usage)
+        if msg:
+            violations.append(f"consumer {c.id!r}: {msg}")
+    return violations
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to run one simulated session, including the seed."""
@@ -110,26 +144,12 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "bystanders", tuple(self.bystanders))
         object.__setattr__(self, "consumers", tuple(self.consumers))
-        duration = self.session.duration
-        if not 0.0 < self.query_time <= duration + _TIME_EPS:
-            raise ValueError(
-                f"query_time must lie in (0, {duration:g}], got {self.query_time}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.provider.promise != self.session.promise:
-            raise ValueError("provider promise does not match the session promise")
-        ids = [b.id for b in self.bystanders] + [c.id for c in self.consumers]
-        if len(set(ids)) != len(ids):
-            raise ValueError("reporter ids must be unique across the scenario")
-        for b in self.bystanders:
-            msg = schedule_violation(duration, b.schedule)
-            if msg:
-                raise ValueError(f"bystander {b.id!r}: {msg}")
-        for c in self.consumers:
-            msg = usage_violation(duration, c.usage)
-            if msg:
-                raise ValueError(f"consumer {c.id!r}: {msg}")
+        violations = scenario_violations(
+            self.session, self.provider, self.bystanders, self.consumers,
+            self.query_time, self.seed,
+        )
+        if violations:
+            raise ValueError("; ".join(violations))
 
 
 @dataclass(frozen=True)

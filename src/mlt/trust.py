@@ -22,6 +22,7 @@ thresholds meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .session import PerformanceVector
@@ -62,9 +63,9 @@ class InstantaneousReport:
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
         _check_unit(f"report from {self.reporter_id!r}: trust", self.trust)
-        if self.timestamp_offset < 0:
+        if not math.isfinite(self.timestamp_offset) or self.timestamp_offset < 0:
             raise ValueError(
-                f"report from {self.reporter_id!r}: timestamp_offset must be >= 0"
+                f"report from {self.reporter_id!r}: timestamp_offset must be finite and >= 0"
             )
 
 
@@ -81,9 +82,9 @@ class AccumulatedReport:
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
         _check_unit(f"report from {self.reporter_id!r}: trust", self.trust)
-        if self.coverage_duration <= 0:
+        if not math.isfinite(self.coverage_duration) or self.coverage_duration <= 0:
             raise ValueError(
-                f"report from {self.reporter_id!r}: coverage_duration must be positive"
+                f"report from {self.reporter_id!r}: coverage_duration must be finite and positive"
             )
         if self.update_count < 1:
             raise ValueError(

@@ -1,6 +1,7 @@
 """Command line behaviour: output formats, seed resolution, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -200,6 +201,20 @@ class TestRunErrors:
         assert main(run_args("ablation", path)) == EXIT_INVARIANT
         assert "scenario invariant violation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "generator",
+        [{"mean": 10, "jitter_stddev": 1e308}, {"mean": 1e308, "drift_per_hour": 1e308}],
+        ids=["huge-jitter", "huge-mean-and-drift"],
+    )
+    def test_overflowing_sample_is_an_invariant_violation(self, tmp_path, capsys, generator):
+        # finite numbers that validate, but whose samples overflow to infinity
+        doc = base_doc()
+        doc["provider"]["attributes"][0] = generator
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == EXIT_OK
+        assert main(run_args("full", path)) == EXIT_INVARIANT
+        assert "scenario invariant violation:" in capsys.readouterr().err
+
     def test_zero_replications(self, capsys):
         assert main(run_args("ablation", BASE, "0")) == EXIT_CONFIG
         assert "--replications" in capsys.readouterr().err
@@ -213,6 +228,29 @@ class TestRunErrors:
         with pytest.raises(SystemExit) as exc:
             main(run_args("drift-sweep"))
         assert exc.value.code == 2
+
+
+class TestValidateAndRunAgree:
+    @pytest.mark.parametrize(
+        "mutate,code",
+        [
+            (lambda d: d.update(query_time=7200 + 5e-10), EXIT_OK),
+            (lambda d: d.update(query_time=9999.0), EXIT_INVARIANT),
+            (lambda d: d["provider"]["attributes"][0].update(drift_per_hour=math.nan), EXIT_CONFIG),
+            (lambda d: d["provider"]["attributes"][0].update(jitter_stddev=math.nan), EXIT_CONFIG),
+            (lambda d: d["provider"]["attributes"][0].update(mean=math.inf), EXIT_CONFIG),
+            (lambda d: d["session"].update(end_time=math.inf), EXIT_CONFIG),
+            (lambda d: d["consumers"][0].update(sample_interval=math.nan), EXIT_CONFIG),
+        ],
+        ids=["query-time-dust", "query-time-late", "nan-drift", "nan-jitter", "inf-mean",
+             "inf-end-time", "nan-sample-interval"],
+    )
+    def test_same_exit_code(self, tmp_path, capsys, mutate, code):
+        doc = base_doc()
+        mutate(doc)
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == code
+        assert main(run_args("full", path)) == code
 
 
 class TestConsoleScript:

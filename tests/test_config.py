@@ -1,8 +1,16 @@
 """Scenario file parsing: strict structure checks and batched domain checks."""
 
+import contextlib
 import copy
+import io
+import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlt.cli import main
 
 from mlt.config import (
     ConfigError,
@@ -136,6 +144,19 @@ class TestStructuralErrors:
              "consumers[0].reporter.kind: expected a string"),
             (lambda d: d.update(thresholds=[0.2]), "thresholds"),
             (lambda d: d.update(thresholds=[0.2, "x"]), "thresholds"),
+            (lambda d: d["provider"]["attributes"][0].update(drift_per_hour=math.nan),
+             "provider.attributes[0].drift_per_hour: expected a finite number"),
+            (lambda d: d["provider"]["attributes"][0].update(mean=math.inf),
+             "provider.attributes[0].mean: expected a finite number"),
+            (lambda d: d["session"].update(end_time=math.inf),
+             "session.end_time: expected a finite number"),
+            (lambda d: d["session"].update(location=[math.nan, 16.37]),
+             "session.location[0]: expected a finite number"),
+            (lambda d: d.update(thresholds=[0.2, math.nan]),
+             "thresholds[1]: expected a finite number"),
+            (lambda d: d["session"]["promise"].__setitem__(0, math.inf),
+             "session.promise[0]: expected a finite number"),
+            (lambda d: d.update(query_time=10**400), "$.query_time: expected a finite number"),
         ],
     )
     def test_malformed_documents_name_the_path(self, mutate, fragment):
@@ -185,6 +206,14 @@ class TestDomainViolations:
         assert len(messages) == 1
         assert "session" in messages[0] and "ratio" in messages[0]
 
+    def test_empty_reporter_id_is_a_violation(self):
+        # the simulator's reports refuse an empty id, so the run would fail
+        doc = base_doc()
+        doc["consumers"][0]["id"] = ""
+        messages = collect_violations(doc)
+        assert len(messages) == 1
+        assert "non-empty" in messages[0]
+
     def test_bad_reporter_profile_is_a_roster_violation(self):
         doc = base_doc()
         doc["bystanders"][0]["reporter"] = {"kind": "malicious"}
@@ -213,10 +242,81 @@ class TestReadDocument:
         with pytest.raises(ConfigError, match="not valid JSON"):
             read_document(path)
 
-    def test_load_scenario_file_wraps_both_steps(self, tmp_path):
-        import json
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"id": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            read_document(path)
 
+    def test_load_scenario_file_wraps_both_steps(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(base_doc()), encoding="utf-8")
         scenario, _ = load_scenario_file(path)
         assert scenario.session.id == "doc-test"
+
+
+def _paths(node, path=()):
+    """(path, value) for every node under a parsed document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+_BASE = base_doc()
+_LEAVES = [p for p, v in _paths(_BASE) if not isinstance(v, (dict, list))]
+_KEYS = [p for p, v in _paths(_BASE) if isinstance(p[-1], str)]
+_UNKNOWN = [("surprise",)] + [p + ("surprise",) for p, v in _paths(_BASE) if isinstance(v, dict)]
+# No value here is a positive sub-second number, and a run stays short with
+# two mutations: lifting end_time, query_time and usage_end to 1e308 together
+# would take three, and only that would let a consumer sample without end.
+_HOSTILE = [math.nan, math.inf, -math.inf, -1, 0, 1e308, "x", True, None, [], {}]
+
+_mutations = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_LEAVES), st.sampled_from(_HOSTILE)),
+    st.tuples(st.just("set"), st.sampled_from(_UNKNOWN), st.just(1)),
+    st.tuples(st.just("drop"), st.sampled_from(_KEYS), st.none()),
+)
+
+
+def _mutate(doc, mutation):
+    op, path, value = mutation
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+def _cli(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_mutations, min_size=1, max_size=2))
+def test_validate_and_run_agree_on_mutated_documents(fuzz_path, mutations):
+    doc = base_doc()
+    for mutation in mutations:
+        try:
+            _mutate(doc, mutation)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    fuzz_path.write_text(json.dumps(doc), encoding="utf-8")
+    path = str(fuzz_path)
+    validated = _cli("validate", "--scenario", path)
+    ran = _cli("run", "--scenario", path, "--experiment", "full", "--seed", "1",
+               "--replications", "2", "--jobs", "1")
+    assert validated in (0, 2, 3)
+    if validated == 0:
+        assert ran in (0, 3)
+    else:
+        assert ran == validated

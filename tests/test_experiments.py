@@ -1,5 +1,7 @@
 """Sweep bookkeeping: composition draws, synthesized rosters, suite structure."""
 
+from dataclasses import replace
+
 import pytest
 
 from mlt.agents import MALICIOUS
@@ -9,11 +11,15 @@ from mlt.experiments import (
     ESTIMATOR_COMPARE,
     FULL,
     ExperimentSpec,
+    _classify_clamped,
     _composition,
+    _rep_outcome,
     _synth_roster,
     _variant,
     run_experiment_suite,
 )
+from mlt.simulator import run_scenario
+from mlt.trust import NORMALIZED, VERBATIM, aggregate
 
 from conftest import make_provider, make_scenario
 
@@ -197,3 +203,23 @@ class TestSuite:
     def test_jobs_must_be_positive(self, base):
         with pytest.raises(ValueError):
             run_experiment_suite(base, ExperimentSpec(ABLATION, replications=1), jobs=0)
+
+    def test_sweep_scores_under_the_scenario_mode(self, base):
+        verbatim = replace(base, params=replace(base.params, mode=VERBATIM))
+        spec = ExperimentSpec(COUNT_SWEEP, replications=REPS)
+        modes_disagree = 0
+        for rep in range(REPS):
+            args = (verbatim, spec, COUNT_SWEEP, spec.reporters, spec.adversary_frac, rep)
+            trace = run_scenario(_variant(*args))
+            cr, br = trace.consumer_reports, trace.bystander_reports
+            level = {
+                mode: _classify_clamped(
+                    aggregate(cr, br, replace(verbatim.params, mode=mode)).overall,
+                    spec.thresholds,
+                )
+                for mode in (VERBATIM, NORMALIZED)
+            }
+            _, preds = _rep_outcome(args)
+            assert preds["on"] == level[VERBATIM]
+            modes_disagree += level[VERBATIM] != level[NORMALIZED]
+        assert modes_disagree > 0  # otherwise the check could not tell the modes apart

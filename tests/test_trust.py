@@ -4,6 +4,8 @@ Expected values here were computed by hand (or with a pocket calculator)
 before the implementation existed; they are oracles, not snapshots.
 """
 
+import math
+
 import pytest
 
 from mlt.golden import GOLDEN_NAMES, run_golden_checks
@@ -70,6 +72,28 @@ class TestAccumulated:
             update_accumulated(1.2, 0.5)
         with pytest.raises(ValueError):
             update_accumulated(0.5, -0.1)
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: InstantaneousReport("", 0.5, 60.0),
+            lambda: InstantaneousReport("b", 1.5, 60.0),
+            lambda: InstantaneousReport("b", 0.5, -1.0),
+            lambda: InstantaneousReport("b", 0.5, math.inf),
+            lambda: InstantaneousReport("b", 0.5, math.nan),
+            lambda: AccumulatedReport("c", 0.5, 0.0),
+            lambda: AccumulatedReport("c", math.nan, 60.0),
+            lambda: AccumulatedReport("c", 0.5, math.nan),
+            lambda: AccumulatedReport("c", 0.5, math.inf),
+            lambda: AccumulatedReport("c", 0.5, 60.0, update_count=0),
+        ],
+    )
+    def test_rejects_invalid_fields(self, make):
+        # a non-finite offset or coverage would make aggregate() return nan
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestWeights:
