@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .session import ORDINAL, PerformanceVector
+from .session import ORDINAL, PerformanceVector, require_finite
 
 HONEST = "honest"
 BIASED = "biased"
@@ -38,6 +38,8 @@ class AttributeGenerator:
     drift_per_hour: float = 0.0
 
     def __post_init__(self):
+        require_finite(mean=self.mean, jitter_stddev=self.jitter_stddev,
+                       drift_per_hour=self.drift_per_hour)
         if self.mean < 0:
             raise ValueError(f"mean must be >= 0, got {self.mean}")
         if self.jitter_stddev < 0:
@@ -100,6 +102,7 @@ class ProbeSchedule:
     count: int
 
     def __post_init__(self):
+        require_finite(first_offset=self.first_offset, interval=self.interval, count=self.count)
         if self.first_offset <= 0:
             raise ValueError(f"first_offset must be positive, got {self.first_offset}")
         if self.interval <= 0:

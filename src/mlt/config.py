@@ -312,5 +312,7 @@ def read_document(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
+    except OSError as e:  # a directory, no permission, a failed read
+        raise ConfigError(f"{path}: cannot read the scenario file ({e.strerror or e})") from None
     except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({e})") from None

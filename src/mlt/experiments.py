@@ -3,13 +3,21 @@
 Each replication draws a fresh provider quality (uniform over a target trust
 range, realized through the honesty gap) and a fresh adversary assignment
 (each reporter slot turns malicious with the sweep's adversary probability),
-then simulates one session and classifies the aggregated trust against the
+then simulates the session and classifies the aggregated trust against the
 ground-truth level.
 
 Replication draws depend only on (scenario seed, replication index), never on
 the sweep point.  Sweep points therefore share providers and adversary flags,
-and the roster for N reporters is a strict prefix of the roster for N+1, which
-keeps count-sweep curves free of between-point sampling noise.
+and the roster for N reporters is a strict prefix of the roster for N+1.
+Agent streams are keyed by identity (see simulator), so a reporter reports
+the same values at every point whose roster holds it, and count-sweep curves
+are free of between-point sampling noise.
+
+That makes one simulation per replication and adversary fraction enough.
+Points that share a fraction share a roster: the largest one is simulated
+once, and each smaller point is scored from the reports of its own roster,
+picked out by reporter id.  One task covers one replication and returns the
+classification of every (point, arm); a sweep starts at most one worker pool.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -91,6 +99,11 @@ def _slot_profile(flag: float, frac: float, strategy: str) -> ReporterProfile:
     return _HONEST_PROFILE
 
 
+def _slot_id(slot: int) -> str:
+    """Reporter id of a synthesized slot: even slots are bystanders, odd ones consumers."""
+    return f"{'bc'[slot % 2]}{slot // 2:02d}"
+
+
 def _synth_roster(kind, query_time, n_slots, flags, frac, strategy):
     """Fixed per-slot rosters; slot i's schedule never depends on n_slots."""
     q = query_time
@@ -105,13 +118,13 @@ def _synth_roster(kind, query_time, n_slots, flags, frac, strategy):
                 sched = ProbeSchedule(q * (0.60 + 0.03 * (j % 6)), q * 0.10, 3)
             else:
                 sched = ProbeSchedule(q * (0.10 + 0.03 * (j % 8)), q * 0.22, 4)
-            bystanders.append(Bystander(f"b{j:02d}", profile, sched))
+            bystanders.append(Bystander(_slot_id(slot), profile, sched))
         else:
             if kind == ESTIMATOR_COMPARE:
                 usage = ConsumerUsage(q * 0.03 * (j % 4), q * (0.45 + 0.03 * (j % 4)), q * 0.05)
             else:
                 usage = ConsumerUsage(q * 0.04 * (j % 4), q * (0.70 + 0.06 * (j % 5)), q * 0.05)
-            consumers.append(Consumer(f"c{j:02d}", profile, usage))
+            consumers.append(Consumer(_slot_id(slot), profile, usage))
     return tuple(bystanders), tuple(consumers)
 
 
@@ -140,35 +153,48 @@ def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
     return classify(min(1.0, max(0.0, overall)), thresholds)
 
 
-def _rep_outcome(args) -> tuple[TrustLevel, dict[str, TrustLevel]]:
-    """Simulate one replication and classify it under every arm of the point."""
-    base, spec, kind, n_reporters, frac, rep = args
-    scenario = _variant(base, spec, kind, n_reporters, frac, rep)
-    trace = run_scenario(scenario)
+# How each arm scores a point's reports
+_ARMS = {
+    "on": lambda cr, br, params: aggregate(cr, br, params),
+    "off": lambda cr, br, params: aggregate(cr, br, params, use_credibility=False),
+    "instantaneous": lambda cr, br, params: aggregate((), br, params),
+    "accumulated": lambda cr, br, params: aggregate(cr, (), params),
+}
+
+
+def _rep_outcomes(args) -> tuple[TrustLevel, ...]:
+    """Classify one replication under every (point, arm): (actual, *predicted).
+
+    Each adversary fraction's largest roster is simulated once.  A smaller
+    point keeps only the reports of its own roster's ids; the full roster's
+    "on" arm reuses the simulator's own aggregate.
+    """
+    base, spec, points, rep = args
+    largest: dict[float, int] = {}
+    for n_reporters, frac, _ in points:
+        largest[frac] = max(largest.get(frac, 0), n_reporters)
+    traces = {
+        frac: run_scenario(_variant(base, spec, spec.kind, n_reporters, frac, rep))
+        for frac, n_reporters in largest.items()
+    }
     th = spec.thresholds
-    actual = _classify_clamped(trace.ground_truth_trust, th)
-    params = scenario.params
-    cr, br = trace.consumer_reports, trace.bystander_reports
-    preds: dict[str, TrustLevel] = {}
-    if kind == ABLATION:
-        preds["on"] = _classify_clamped(aggregate(cr, br, params).overall, th)
-        preds["off"] = _classify_clamped(
-            aggregate(cr, br, params, use_credibility=False).overall, th
-        )
-    elif kind == ESTIMATOR_COMPARE:
-        preds["instantaneous"] = _classify_clamped(aggregate((), br, params).overall, th)
-        preds["accumulated"] = _classify_clamped(aggregate(cr, (), params).overall, th)
-    else:
-        preds["on"] = _classify_clamped(aggregate(cr, br, params).overall, th)
-    return actual, preds
-
-
-def _run_point(base, spec, kind, n_reporters, frac, jobs):
-    args = [(base, spec, kind, n_reporters, frac, rep) for rep in range(spec.replications)]
-    if jobs > 1 and len(args) > 1:
-        with Pool(processes=jobs) as pool:
-            return pool.map(_rep_outcome, args, chunksize=max(1, len(args) // (jobs * 4)))
-    return [_rep_outcome(a) for a in args]
+    predicted = []
+    for n_reporters, frac, arms in points:
+        trace = traces[frac]
+        cr, br = trace.consumer_reports, trace.bystander_reports
+        whole = n_reporters == largest[frac]
+        if not whole:
+            ids = {_slot_id(slot) for slot in range(n_reporters)}
+            cr = tuple(r for r in cr if r.reporter_id in ids)
+            br = tuple(r for r in br if r.reporter_id in ids)
+        for arm in arms:
+            if whole and arm == "on":
+                overall = trace.final_breakdown.overall
+            else:
+                overall = _ARMS[arm](cr, br, base.params).overall
+            predicted.append(_classify_clamped(overall, th))
+    # every roster of a replication scores the same provider
+    return (_classify_clamped(trace.ground_truth_trust, th), *predicted)
 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
@@ -178,40 +204,48 @@ def _declared_adversary_frac(scenario: Scenario) -> float:
     return sum(1 for p in roster if p.kind == MALICIOUS) / len(roster)
 
 
+def _sweep_points(base_scenario: Scenario, spec: ExperimentSpec):
+    """(n_reporters, adversary_frac, arm names) per sweep point, in output order."""
+    kind = spec.kind
+    if kind == ABLATION:
+        return [(spec.reporters, f, ("on", "off")) for f in spec.adversary_fracs]
+    if kind == COUNT_SWEEP:
+        return [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
+    if kind == ESTIMATOR_COMPARE:
+        return [(spec.reporters, spec.adversary_frac, ("instantaneous", "accumulated"))]
+    n = len(base_scenario.bystanders) + len(base_scenario.consumers)
+    return [(n, _declared_adversary_frac(base_scenario), ("on",))]
+
+
 def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
                          jobs: int = 1) -> list[ExperimentResult]:
     """Run one experiment sweep and return a scored result per sweep point and arm."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = spec.kind
-
-    # (n_reporters, adversary_frac, arm names) per sweep point
-    if kind == ABLATION:
-        points = [(spec.reporters, f, ("on", "off")) for f in spec.adversary_fracs]
-    elif kind == COUNT_SWEEP:
-        points = [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
-    elif kind == ESTIMATOR_COMPARE:
-        points = [(spec.reporters, spec.adversary_frac, ("instantaneous", "accumulated"))]
+    points = _sweep_points(base_scenario, spec)
+    args = [(base_scenario, spec, points, rep) for rep in range(spec.replications)]
+    if jobs > 1 and len(args) > 1:
+        with Pool(processes=jobs) as pool:
+            outcomes = pool.map(_rep_outcomes, args, chunksize=max(1, len(args) // (jobs * 4)))
     else:
-        n = len(base_scenario.bystanders) + len(base_scenario.consumers)
-        points = [(n, _declared_adversary_frac(base_scenario), ("on",))]
+        outcomes = [_rep_outcomes(a) for a in args]
 
+    actual = [o[0] for o in outcomes]
+    columns = [(n_reporters, frac, arm) for n_reporters, frac, arms in points for arm in arms]
     results = []
-    for n_reporters, frac, arms in points:
-        outcomes = _run_point(base_scenario, spec, kind, n_reporters, frac, jobs)
-        actual = [a for a, _ in outcomes]
-        for arm in arms:
-            predicted = [preds[arm] for _, preds in outcomes]
-            config = {
-                "kind": kind,
-                "reporters": n_reporters,
-                "adversary_frac": frac,
-                "replications": spec.replications,
-                "seed": base_scenario.seed,
-            }
-            if kind == ABLATION:
-                config["credibility"] = arm
-            elif kind == ESTIMATOR_COMPARE:
-                config["estimator"] = arm
-            results.append(score(predicted, actual, config))
+    for column, (n_reporters, frac, arm) in enumerate(columns, start=1):
+        predicted = [o[column] for o in outcomes]
+        config = {
+            "kind": kind,
+            "reporters": n_reporters,
+            "adversary_frac": frac,
+            "replications": spec.replications,
+            "seed": base_scenario.seed,
+        }
+        if kind == ABLATION:
+            config["credibility"] = arm
+        elif kind == ESTIMATOR_COMPARE:
+            config["estimator"] = arm
+        results.append(score(predicted, actual, config))
     return results

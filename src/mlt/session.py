@@ -18,6 +18,17 @@ CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
 
 
+def require_finite(**fields: float) -> None:
+    """Raise ValueError naming the first field that is NaN or infinite.
+
+    Range checks such as `x < 0` are False for NaN and so let it through;
+    the model dataclasses call this before their own range checks.
+    """
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """One measurable service attribute.  Higher values are always better."""

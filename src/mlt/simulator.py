@@ -5,10 +5,17 @@ roster of bystanders and consumers, aggregation parameters, the query time,
 and a master seed.  Running it executes every probe and usage-sampling event
 up to the query time, then aggregates the collected reports.
 
-Every agent owns a private random stream spawned from the master seed, and
-draws from it in chronological order.  Agents therefore never share state,
-results are bit-reproducible for a fixed seed, and shrinking the query time
-only ever removes events, it never changes the ones that remain.
+Random streams are laid out here and nowhere else.  Every agent owns one
+private stream, keyed by its identity within the scenario:
+SeedSequence(seed, spawn_key=(group, slot)), where group is 0 for bystanders
+and 1 for consumers and slot is the agent's index within its group.  The
+stream serves both the provider truth the agent sees and the agent's own
+reporting draws, in chronological order.  Agents therefore never share
+state, results are bit-reproducible for a fixed seed, and shrinking the
+query time only ever removes events, it never changes the ones that remain.
+Because a stream depends on (group, slot) and not on the roster's size,
+adding or removing agents at the end of either group leaves every other
+agent's events and reports unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .agents import (
     observe,
     sample_true_performance,
 )
-from .session import ServiceSession
+from .session import ServiceSession, require_finite
 from .trust import (
     AccumulatedReport,
     AggregationParams,
@@ -43,6 +50,9 @@ ACCUMULATE = "accumulate"
 
 _TIME_EPS = 1e-9  # guards float dust when comparing event offsets to bounds
 
+_BYSTANDER_GROUP = 0  # first spawn_key entry of an agent's stream
+_CONSUMER_GROUP = 1
+
 
 @dataclass(frozen=True)
 class ConsumerUsage:
@@ -53,6 +63,8 @@ class ConsumerUsage:
     sample_interval: float
 
     def __post_init__(self):
+        require_finite(usage_start=self.usage_start, usage_end=self.usage_end,
+                       sample_interval=self.sample_interval)
         if self.usage_start < 0:
             raise ValueError(f"usage_start must be >= 0, got {self.usage_start}")
         if self.usage_end <= self.usage_start:
@@ -196,21 +208,22 @@ def _sample_times(usage: ConsumerUsage, limit: float) -> list[float]:
     return [usage.usage_start + m * usage.sample_interval for m in range(n + 1)]
 
 
+def _agent_rng(seed: int, group: int, slot: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, slot)))
+
+
 def run_scenario(scenario: Scenario) -> SessionTrace:
     """Simulate one session up to query_time and aggregate what was reported."""
     session = scenario.session
     provider = scenario.provider
     q = scenario.query_time
 
-    root = np.random.SeedSequence(scenario.seed)
-    streams = root.spawn(len(scenario.bystanders) + len(scenario.consumers))
-
     events: list[TraceEvent] = []
     bystander_reports: list[InstantaneousReport] = []
     consumer_reports: list[AccumulatedReport] = []
 
     for i, b in enumerate(scenario.bystanders):
-        rng = np.random.default_rng(streams[i])
+        rng = _agent_rng(scenario.seed, _BYSTANDER_GROUP, i)
         last: tuple[float, float] | None = None
         for t in _probe_times(b.schedule, q):
             observed = sample_true_performance(provider, t, rng)
@@ -222,7 +235,7 @@ def run_scenario(scenario: Scenario) -> SessionTrace:
             bystander_reports.append(InstantaneousReport(b.id, last[1], last[0]))
 
     for j, c in enumerate(scenario.consumers):
-        rng = np.random.default_rng(streams[len(scenario.bystanders) + j])
+        rng = _agent_rng(scenario.seed, _CONSUMER_GROUP, j)
         acc: float | None = None
         count = 0
         for t in _sample_times(c.usage, q):

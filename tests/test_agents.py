@@ -1,5 +1,7 @@
 """Provider sampling and reporter behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,36 @@ from mlt.agents import (
     sample_true_performance,
 )
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
+from mlt.simulator import ConsumerUsage
 
 from conftest import make_provider
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(lambda x: AttributeGenerator(mean=x), "mean", id="mean"),
+        pytest.param(lambda x: AttributeGenerator(10.0, jitter_stddev=x), "jitter_stddev",
+                     id="jitter_stddev"),
+        pytest.param(lambda x: AttributeGenerator(10.0, drift_per_hour=x), "drift_per_hour",
+                     id="drift_per_hour"),
+        pytest.param(lambda x: ProbeSchedule(x, 600.0, 2), "first_offset", id="first_offset"),
+        pytest.param(lambda x: ProbeSchedule(600.0, x, 2), "interval", id="interval"),
+        pytest.param(lambda x: ProbeSchedule(600.0, 600.0, x), "count", id="count"),
+        pytest.param(lambda x: ConsumerUsage(x, 3600.0, 600.0), "usage_start", id="usage_start"),
+        pytest.param(lambda x: ConsumerUsage(0.0, x, 600.0), "usage_end", id="usage_end"),
+        pytest.param(lambda x: ConsumerUsage(0.0, 3600.0, x), "sample_interval",
+                     id="sample_interval"),
+    ],
+)
+def test_model_fields_reject_non_finite_numbers(make, field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(bad)
 
 
 class TestProfiles:

@@ -80,6 +80,10 @@ class TestValidate:
         assert main(["validate", "--scenario", "/nonexistent.json"]) == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read the scenario file" in capsys.readouterr().err
+
 
 def run_args(experiment, scenario=BASE, replications="3", *extra):
     return [
@@ -193,6 +197,10 @@ class TestRunErrors:
         path = write_doc(tmp_path, doc)
         assert main(run_args("ablation", path)) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(run_args("full", str(tmp_path))) == EXIT_CONFIG
+        assert "cannot read the scenario file" in capsys.readouterr().err
 
     def test_invariant_breaking_scenario(self, tmp_path, capsys):
         doc = base_doc()

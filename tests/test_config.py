@@ -236,6 +236,10 @@ class TestReadDocument:
         with pytest.raises(ConfigError, match="not found"):
             read_document(tmp_path / "nope.json")
 
+    def test_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read the scenario file"):
+            read_document(tmp_path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+import mlt.experiments
 from mlt.agents import MALICIOUS
+from mlt.config import load_scenario_file
+from mlt.evaluation import score
 from mlt.experiments import (
     ABLATION,
     COUNT_SWEEP,
@@ -13,7 +16,8 @@ from mlt.experiments import (
     ExperimentSpec,
     _classify_clamped,
     _composition,
-    _rep_outcome,
+    _rep_outcomes,
+    _sweep_points,
     _synth_roster,
     _variant,
     run_experiment_suite,
@@ -21,7 +25,7 @@ from mlt.experiments import (
 from mlt.simulator import run_scenario
 from mlt.trust import NORMALIZED, VERBATIM, aggregate
 
-from conftest import make_provider, make_scenario
+from conftest import SCENARIO_DIR, make_provider, make_scenario
 
 REPS = 40  # enough replications for structure checks without slowing the suite
 
@@ -207,6 +211,7 @@ class TestSuite:
     def test_sweep_scores_under_the_scenario_mode(self, base):
         verbatim = replace(base, params=replace(base.params, mode=VERBATIM))
         spec = ExperimentSpec(COUNT_SWEEP, replications=REPS)
+        points = _sweep_points(verbatim, spec)
         modes_disagree = 0
         for rep in range(REPS):
             args = (verbatim, spec, COUNT_SWEEP, spec.reporters, spec.adversary_frac, rep)
@@ -219,7 +224,68 @@ class TestSuite:
                 )
                 for mode in (VERBATIM, NORMALIZED)
             }
-            _, preds = _rep_outcome(args)
-            assert preds["on"] == level[VERBATIM]
+            # the last point is the N = spec.reporters one simulated above
+            assert _rep_outcomes((verbatim, spec, points, rep))[-1] == level[VERBATIM]
             modes_disagree += level[VERBATIM] != level[NORMALIZED]
         assert modes_disagree > 0  # otherwise the check could not tell the modes apart
+
+
+class TestCommonRandomNumbers:
+    def test_honest_reporters_report_the_same_at_every_point(self):
+        scenario, _ = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
+        spec = ExperimentSpec(COUNT_SWEEP, adversary_frac=0.0)
+        seen = {"b00": [], "c00": []}
+        for n in range(2, spec.reporters + 1):
+            trace = run_scenario(_variant(scenario, spec, COUNT_SWEEP, n, 0.0, rep=0))
+            for report in trace.bystander_reports + trace.consumer_reports:
+                if report.reporter_id in seen:
+                    events = [e for e in trace.events if e.reporter_id == report.reporter_id]
+                    seen[report.reporter_id].append((report, events))
+        for reporter_id, runs in seen.items():
+            assert len(runs) == spec.reporters - 1, reporter_id
+            assert all(run == runs[0] for run in runs), reporter_id
+
+
+def per_point_oracle(base, spec):
+    """(predicted, actual) per sweep row, each point simulated from its own scenario.
+
+    Every point of every replication runs its own _variant scenario through
+    run_scenario and scores it with aggregate, with no sharing between points.
+    """
+    if spec.kind == COUNT_SWEEP:
+        points = [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
+    else:
+        points = [(spec.reporters, f, ("on", "off")) for f in spec.adversary_fracs]
+    rows = []
+    for n, frac, arms in points:
+        traces = [
+            run_scenario(_variant(base, spec, spec.kind, n, frac, rep))
+            for rep in range(spec.replications)
+        ]
+        actual = [_classify_clamped(t.ground_truth_trust, spec.thresholds) for t in traces]
+        for arm in arms:
+            predicted = [
+                _classify_clamped(
+                    aggregate(t.consumer_reports, t.bystander_reports, base.params,
+                              use_credibility=arm == "on").overall,
+                    spec.thresholds,
+                )
+                for t in traces
+            ]
+            rows.append((predicted, actual))
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", [COUNT_SWEEP, ABLATION])
+def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypatch):
+    spec = ExperimentSpec(kind, replications=50)
+    rows = []
+
+    def recording_score(predicted, actual, config):
+        rows.append((list(predicted), list(actual)))
+        return score(predicted, actual, config)
+
+    monkeypatch.setattr(mlt.experiments, "score", recording_score)
+    run_experiment_suite(base, spec, jobs=jobs)
+    assert rows == per_point_oracle(base, spec)

@@ -167,6 +167,28 @@ class TestEventStream:
         scenario = noisy_scenario(session, promise, honest)
         assert run_scenario(scenario) == run_scenario(scenario)
 
+    def test_adding_a_bystander_leaves_consumers_unchanged(self, session, promise, honest):
+        noisy = ReporterProfile("malicious", malicious_strategy="random")
+        scenario = replace(
+            noisy_scenario(session, promise, honest),
+            consumers=(
+                Consumer("c00", honest, ConsumerUsage(0.0, 3600.0, 600.0)),
+                Consumer("c01", noisy, ConsumerUsage(300.0, 3900.0, 600.0)),
+            ),
+        )
+        grown = replace(
+            scenario,
+            bystanders=scenario.bystanders + (Bystander("b01", honest, ProbeSchedule(900.0, 1200.0, 3)),),
+        )
+        before, after = run_scenario(scenario), run_scenario(grown)
+        assert after.consumer_reports == before.consumer_reports
+        assert len(after.consumer_reports) == 2
+
+        def consumer_events(trace):
+            return [e for e in trace.events if e.reporter_id.startswith("c")]
+
+        assert consumer_events(after) == consumer_events(before)
+
     def test_different_seeds_differ(self, session, promise, honest):
         a = run_scenario(noisy_scenario(session, promise, honest, seed=1))
         b = run_scenario(noisy_scenario(session, promise, honest, seed=2))
