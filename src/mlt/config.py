@@ -81,6 +81,7 @@ def _int(d, path, key, default=None):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+    _finite(v, f"{path}.{key}")  # integer fields are used as floats too
     return v
 
 

@@ -157,6 +157,8 @@ class TestStructuralErrors:
             (lambda d: d["session"]["promise"].__setitem__(0, math.inf),
              "session.promise[0]: expected a finite number"),
             (lambda d: d.update(query_time=10**400), "$.query_time: expected a finite number"),
+            (lambda d: d["bystanders"][0]["schedule"].update(count=10**400),
+             "bystanders[0].schedule.count: expected a finite number"),
         ],
     )
     def test_malformed_documents_name_the_path(self, mutate, fragment):
