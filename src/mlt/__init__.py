@@ -29,9 +29,7 @@ from .session import (
     AttributeSpec,
     PerformanceVector,
     ServiceSession,
-    haversine_m,
     numerize,
-    session_contains,
 )
 from .simulator import (
     Bystander,
@@ -39,7 +37,6 @@ from .simulator import (
     ConsumerUsage,
     Scenario,
     SessionTrace,
-    run_replications,
     run_scenario,
 )
 from .trust import (
@@ -51,7 +48,6 @@ from .trust import (
     TrustBreakdown,
     UndefinedRatioError,
     aggregate,
-    aggregate_basic,
     coverage_weights,
     credibilities,
     freshness_weights,

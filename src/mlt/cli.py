@@ -14,10 +14,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .config import ConfigError, collect_violations, load_scenario_file, read_document
-from .experiments import ABLATION, ESTIMATOR_COMPARE, KINDS, ExperimentSpec, run_experiment_suite
+from .experiments import ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL, KINDS
+from .experiments import ExperimentSpec, run_experiment_suite
 from .golden import GOLDEN_NAMES, run_golden_checks
 
 EXIT_OK = 0
@@ -30,63 +31,33 @@ SEED_ENV_VAR = "MLT_SEED"
 FORMATS = ("csv", "json", "table")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario_path: str
-    experiment: str
-    replications: int = 1000
-    output_format: str = "csv"
-    out_path: str | None = None
-    seed: int | None = None
-    jobs: int = 1
-
-
 def _fmt(x) -> str:
     if x is None:
         return "nan"
     return f"{x:.6f}"
 
 
+# Tabular output: each kind's leading (header, config key, formatter) columns,
+# then the metric (header, result attribute) columns every kind shares.
+_LEADING_COLUMNS = {
+    ABLATION: (("adversary_frac", "adversary_frac", _fmt), ("credibility", "credibility", str)),
+    ESTIMATOR_COMPARE: (("estimator", "estimator", str),),
+    COUNT_SWEEP: (("reporters", "reporters", str), ("adversary_frac", "adversary_frac", _fmt)),
+}
+_LEADING_COLUMNS[FULL] = _LEADING_COLUMNS[COUNT_SWEEP]
+_METRIC_COLUMNS = (("accuracy", "accuracy"), ("precision", "macro_precision"),
+                   ("recall", "macro_recall"), ("stderr_accuracy", "stderr_accuracy"))
+
+
 def _rows(kind: str, results) -> tuple[list[str], list[list[str]]]:
     """Column names and formatted row values for tabular output."""
-    if kind == ABLATION:
-        header = ["adversary_frac", "credibility", "accuracy", "precision", "recall", "stderr_accuracy"]
-        rows = [
-            [
-                _fmt(r.config["adversary_frac"]),
-                r.config["credibility"],
-                _fmt(r.accuracy),
-                _fmt(r.macro_precision),
-                _fmt(r.macro_recall),
-                _fmt(r.stderr_accuracy),
-            ]
-            for r in results
-        ]
-    elif kind == ESTIMATOR_COMPARE:
-        header = ["estimator", "accuracy", "precision", "recall", "stderr_accuracy"]
-        rows = [
-            [
-                r.config["estimator"],
-                _fmt(r.accuracy),
-                _fmt(r.macro_precision),
-                _fmt(r.macro_recall),
-                _fmt(r.stderr_accuracy),
-            ]
-            for r in results
-        ]
-    else:  # count-sweep and full share a shape
-        header = ["reporters", "adversary_frac", "accuracy", "precision", "recall", "stderr_accuracy"]
-        rows = [
-            [
-                str(r.config["reporters"]),
-                _fmt(r.config["adversary_frac"]),
-                _fmt(r.accuracy),
-                _fmt(r.macro_precision),
-                _fmt(r.macro_recall),
-                _fmt(r.stderr_accuracy),
-            ]
-            for r in results
-        ]
+    leading = _LEADING_COLUMNS[kind]
+    header = [h for h, _, _ in leading] + [h for h, _ in _METRIC_COLUMNS]
+    rows = [
+        [fmt(r.config[key]) for _, key, fmt in leading]
+        + [_fmt(getattr(r, attr)) for _, attr in _METRIC_COLUMNS]
+        for r in results
+    ]
     return header, rows
 
 
@@ -155,10 +126,10 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     try:
-        seed = _resolve_seed(config.seed)
-        scenario, thresholds = load_scenario_file(config.scenario_path)
+        seed = _resolve_seed(args.seed)
+        scenario, thresholds = load_scenario_file(args.scenario)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -170,30 +141,30 @@ def cmd_run(config: RunConfig) -> int:
         if seed is not None:
             scenario = replace(scenario, seed=seed)
         spec = ExperimentSpec(
-            kind=config.experiment,
-            replications=config.replications,
+            kind=args.experiment,
+            replications=args.replications,
             thresholds=thresholds,
             # the estimator comparison runs clean by default; the other sweeps
             # stress the aggregator with a quarter adversarial reporters
-            adversary_frac=0.0 if config.experiment == ESTIMATOR_COMPARE else 0.25,
+            adversary_frac=0.0 if args.experiment == ESTIMATOR_COMPARE else 0.25,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        results = run_experiment_suite(scenario, spec, jobs=config.jobs)
+        results = run_experiment_suite(scenario, spec, jobs=args.jobs)
     except ValueError as e:
         # a valid file whose numbers still break a model invariant mid-run,
         # e.g. a sample that overflows to infinity
         print(f"scenario invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    text = _FORMATTERS[config.output_format](config.experiment, results)
+    text = _FORMATTERS[args.output_format](args.experiment, results)
     try:
-        if config.out_path is None:
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
@@ -267,17 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.replications < 1 or args.jobs < 1:
             print("error: --replications and --jobs must be >= 1", file=sys.stderr)
             return EXIT_CONFIG
-        return cmd_run(
-            RunConfig(
-                scenario_path=args.scenario,
-                experiment=args.experiment,
-                replications=args.replications,
-                output_format=args.output_format,
-                out_path=args.out,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
-        )
+        return cmd_run(args)
     if args.command == "validate":
         return cmd_validate(args.scenario)
     return cmd_paper_examples(args.perturb)

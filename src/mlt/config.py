@@ -24,7 +24,6 @@ from .agents import AttributeGenerator, ProbeSchedule, ProviderProfile, Reporter
 from .evaluation import Thresholds
 from .session import (
     CONTINUOUS,
-    ORDINAL,
     AttributeSchema,
     AttributeSpec,
     ServiceSession,
@@ -163,11 +162,10 @@ def _provider(d, session):
                 drift_per_hour=_num(g, gpath, "drift_per_hour", 0.0),
             )
         )
-    return ProviderProfile(
-        promise=session.promise,
-        attributes=tuple(gens),
-        honesty_gap=_num(d, path, "honesty_gap", 0.0),
-    )
+    honesty_gap = _num(d, path, "honesty_gap", 0.0)
+    if session is None:  # the session failed to build, so there is no promise
+        return None
+    return ProviderProfile(promise=session.promise, attributes=tuple(gens), honesty_gap=honesty_gap)
 
 
 def _reporter(d, path):
@@ -265,7 +263,7 @@ def _build(doc) -> tuple[Scenario | None, Thresholds | None, list[str]]:
             return None
 
     session = build("session", _session, doc["session"])
-    provider = None if session is None else build("provider", _provider, doc["provider"], session)
+    provider = build("provider", _provider, doc["provider"], session)
     bystanders = [build(f"bystander {i}", _bystander, b, i) for i, b in enumerate(doc["bystanders"])]
     consumers = [build(f"consumer {i}", _consumer, c, i) for i, c in enumerate(doc["consumers"])]
     params = build("params", _params, doc.get("params"))

@@ -6,9 +6,10 @@ range, realized through the honesty gap) and a fresh adversary assignment
 then simulates the session and classifies the aggregated trust against the
 ground-truth level.
 
-Replication draws depend only on (scenario seed, replication index), never on
-the sweep point.  Sweep points therefore share providers and adversary flags,
-and the roster for N reporters is a strict prefix of the roster for N+1.
+Replication draws come from the composition stream (see simulator), which
+depends only on (scenario seed, replication index), never on the sweep
+point.  Sweep points therefore share providers and adversary flags, and the
+roster for N reporters is a strict prefix of the roster for N+1.
 Agent streams are keyed by identity (see simulator), so a reporter reports
 the same values at every point whose roster holds it, and count-sweep curves
 are free of between-point sampling noise.
@@ -29,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
-import numpy as np
-
 from .agents import HONEST, INVERTED, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
-from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, run_scenario
+from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, composition_rng, run_scenario
 from .trust import aggregate
 
 ABLATION = "ablation"
@@ -42,7 +41,6 @@ ESTIMATOR_COMPARE = "estimator-compare"
 FULL = "full"
 KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 
-_COMP_TAG = 9137   # stream tag separating composition draws from agent streams
 _MAX_SLOTS = 64    # composition always draws this many adversary flags
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
@@ -85,7 +83,7 @@ class ExperimentSpec:
 
 def _composition(seed: int, rep: int, spec: ExperimentSpec):
     """Per-replication draws shared by every sweep point: quality, flags, seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
+    rng = composition_rng(seed, rep)
     lo, hi = spec.trust_range
     target = lo + (hi - lo) * rng.random()
     flags = rng.random(_MAX_SLOTS)

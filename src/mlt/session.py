@@ -10,9 +10,7 @@ comparable, element by element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-EARTH_RADIUS_M = 6371000.0  # mean Earth radius, spherical model
+from dataclasses import dataclass
 
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
@@ -38,7 +36,6 @@ class AttributeSpec:
     unit: str = ""
     ordinal_levels: tuple[str, ...] = ()
     ordinal_base: int = 1
-    higher_is_better: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "ordinal_levels", tuple(self.ordinal_levels))
@@ -46,12 +43,6 @@ class AttributeSpec:
             raise ValueError("attribute name must be non-empty")
         if self.kind not in (CONTINUOUS, ORDINAL):
             raise ValueError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
-        if not self.higher_is_better:
-            # Lower-is-better attributes (latency and the like) would need an
-            # inverted ratio; they are rejected rather than silently mishandled.
-            raise ValueError(
-                f"attribute {self.name!r}: lower-is-better attributes are not supported"
-            )
         if self.kind == ORDINAL:
             if len(self.ordinal_levels) < 2:
                 raise ValueError(f"attribute {self.name!r}: need at least 2 ordinal levels")
@@ -160,6 +151,8 @@ class ServiceSession:
 
     Timestamps are in seconds.  start_time and end_time are absolute; report
     timestamps elsewhere in the library are offsets from start_time.
+    location is input-only data: it is part of the file format and range
+    checked, but trust uses the session's reports alone, so nothing reads it.
     """
 
     id: str
@@ -194,30 +187,3 @@ class ServiceSession:
     def duration(self) -> float:
         return self.end_time - self.start_time
 
-
-def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in meters between two (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
-
-
-def session_contains(
-    session: ServiceSession,
-    time: float,
-    location: tuple[float, float],
-    radius_m: float,
-) -> bool:
-    """True when an absolute time and a location fall inside the session.
-
-    Both boundaries are inclusive: the session start and end instants count as
-    inside, and so does a point exactly radius_m away from the session center.
-    """
-    if radius_m <= 0:
-        raise ValueError(f"radius_m must be positive, got {radius_m}")
-    if not session.start_time <= time <= session.end_time:
-        return False
-    return haversine_m(session.location, location) <= radius_m

@@ -16,12 +16,17 @@ query time only ever removes events, it never changes the ones that remain.
 Because a stream depends on (group, slot) and not on the roster's size,
 adding or removing agents at the end of either group leaves every other
 agent's events and reports unchanged.
+
+A sweep draws each replication's provider quality, adversary flags and
+scenario seed from composition_rng: SeedSequence((seed, _COMP_TAG, rep)) for
+the base scenario's seed and replication rep, kept apart from every agent
+stream by its entropy tuple and independent of the sweep point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +57,7 @@ _TIME_EPS = 1e-9  # guards float dust when comparing event offsets to bounds
 
 _BYSTANDER_GROUP = 0  # first spawn_key entry of an agent's stream
 _CONSUMER_GROUP = 1
+_COMP_TAG = 9137  # entropy entry separating composition streams from agent streams
 
 
 @dataclass(frozen=True)
@@ -212,6 +218,11 @@ def _agent_rng(seed: int, group: int, slot: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, slot)))
 
 
+def composition_rng(seed: int, rep: int) -> np.random.Generator:
+    """The stream of a sweep's per-replication draws (see the module docstring)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
+
+
 def run_scenario(scenario: Scenario) -> SessionTrace:
     """Simulate one session up to query_time and aggregate what was reported."""
     session = scenario.session
@@ -264,9 +275,3 @@ def run_scenario(scenario: Scenario) -> SessionTrace:
         bystander_reports=tuple(bystander_reports),
     )
 
-
-def run_replications(scenario: Scenario, n: int) -> list[SessionTrace]:
-    """Run n independent copies of a scenario, seeded seed, seed+1, ..."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [run_scenario(replace(scenario, seed=scenario.seed + i)) for i in range(n)]

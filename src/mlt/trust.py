@@ -200,17 +200,6 @@ def credibilities(values: list[float]) -> list[float]:
     return [1.0 - abs(v - mean) for v in values]
 
 
-def aggregate_basic(
-    consumer_reports: list[AccumulatedReport],
-    bystander_reports: list[InstantaneousReport],
-) -> float:
-    """Plain mean of every report's trust value, with no weighting at all."""
-    values = [r.trust for r in consumer_reports] + [r.trust for r in bystander_reports]
-    if not values:
-        raise NoEvidenceError("no consumer or bystander reports to aggregate")
-    return sum(values) / len(values)
-
-
 def aggregate(
     consumer_reports: list[AccumulatedReport],
     bystander_reports: list[InstantaneousReport],
@@ -229,7 +218,7 @@ def aggregate(
     use_credibility=False forces every credibility to 1 (for ablations);
     uniform_weights=True replaces freshness and coverage with uniform
     per-group weights.  With both forced and beta equal to the consumer share
-    of the pool, the result reduces to aggregate_basic.
+    of the pool, the result reduces to the plain mean of every report.
     """
     consumer_reports = list(consumer_reports)
     bystander_reports = list(bystander_reports)

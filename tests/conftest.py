@@ -1,4 +1,5 @@
-"""Shared fixtures: a small continuous schema and a minimal runnable scenario."""
+"""Shared fixtures: a small continuous schema and a minimal runnable scenario,
+plus the plain-mean aggregation oracle."""
 
 from pathlib import Path
 
@@ -7,9 +8,17 @@ import pytest
 from mlt.agents import AttributeGenerator, ProviderProfile, ReporterProfile
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import Bystander, Consumer, ConsumerUsage, ProbeSchedule, Scenario
-from mlt.trust import AggregationParams
+from mlt.trust import AggregationParams, NoEvidenceError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def aggregate_basic(consumer_reports, bystander_reports) -> float:
+    """Plain mean of every report's trust value, with no weighting at all."""
+    values = [r.trust for r in consumer_reports] + [r.trust for r in bystander_reports]
+    if not values:
+        raise NoEvidenceError("no consumer or bystander reports to aggregate")
+    return sum(values) / len(values)
 
 
 @pytest.fixture

@@ -30,7 +30,6 @@ from mlt.trust import (
     AggregationParams,
     InstantaneousReport,
     aggregate,
-    aggregate_basic,
     coverage_weights,
     credibilities,
     freshness_weights,
@@ -39,7 +38,7 @@ from mlt.trust import (
 )
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, aggregate_basic
 
 
 def report(capsys, name, ok, detail):

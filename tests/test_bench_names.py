@@ -1,0 +1,46 @@
+"""The names the benchmark harness imports or patches still exist.
+
+perfbench/tracing.py replaces each traced function through its owner's
+__dict__, and perfbench/queries.py reads mlt's public names.  A trim of the
+package that drops one of them would break only the benchmark, so the suite
+checks them here.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import mlt
+import mlt.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_is_in_its_owner():
+    tracing = _load("tracing")
+    targets = tracing.SWEEP_TARGETS + tracing.QUERY_TARGETS + tracing.POOL_TARGET
+    missing = [f"{owner.__name__}.{attr}" for _, owner, attr in targets if attr not in owner.__dict__]
+    assert missing == []
+
+
+def test_the_traced_csv_formatter_exists():
+    assert callable(mlt.cli._FORMATTERS["csv"])
+
+
+def test_every_mlt_name_the_query_workload_reads_exists():
+    _load("queries")
+    tree = ast.parse((PERFBENCH / "queries.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "mlt"
+    }
+    assert {"aggregate", "classify"} <= used
+    assert sorted(name for name in used if not hasattr(mlt, name)) == []

@@ -76,6 +76,14 @@ class TestValidate:
         assert main(["validate", "--scenario", path]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_provider_structural_error_beside_a_session_violation(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["session"]["promise"][0] = 0
+        doc["provider"]["attributes"][0]["color"] = "red"
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == EXIT_CONFIG
+        assert "provider.attributes[0]: unknown field" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent.json"]) == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err

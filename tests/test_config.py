@@ -208,6 +208,23 @@ class TestDomainViolations:
         assert len(messages) == 1
         assert "session" in messages[0] and "ratio" in messages[0]
 
+    def test_provider_structure_is_checked_when_the_session_fails(self):
+        # the session's zero promise must not hide a malformed provider block
+        doc = base_doc()
+        doc["session"]["promise"][0] = 0.0
+        doc["provider"]["attributes"][0]["color"] = "red"
+        with pytest.raises(ConfigError, match=r"provider\.attributes\[0\]: unknown field"):
+            collect_violations(doc)
+
+    def test_provider_violation_is_listed_next_to_the_session_one(self):
+        doc = base_doc()
+        doc["session"]["promise"][0] = 0.0
+        doc["provider"]["attributes"][0]["mean"] = -1.0
+        messages = collect_violations(doc)
+        assert len(messages) == 2
+        assert messages[0].startswith("session:") and "ratio" in messages[0]
+        assert messages[1].startswith("provider:") and "mean" in messages[1]
+
     def test_empty_reporter_id_is_a_violation(self):
         # the simulator's reports refuse an empty id, so the run would fail
         doc = base_doc()

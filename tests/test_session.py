@@ -1,6 +1,4 @@
-"""Schema, numerization, and session scope checks."""
-
-import math
+"""Schema, numerization, and session checks."""
 
 import pytest
 
@@ -9,9 +7,7 @@ from mlt.session import (
     AttributeSpec,
     PerformanceVector,
     ServiceSession,
-    haversine_m,
     numerize,
-    session_contains,
 )
 
 QUALITY = AttributeSpec(
@@ -47,7 +43,6 @@ class TestAttributeSpec:
             dict(name="x", kind="ordinal", ordinal_levels=("a", "a")),
             dict(name="x", kind="ordinal", ordinal_levels=("a", "b"), ordinal_base=-1),
             dict(name="x", ordinal_levels=("a", "b")),
-            dict(name="x", higher_is_better=False),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
@@ -152,27 +147,3 @@ class TestServiceSession:
         kwargs[field] = value
         with pytest.raises(ValueError):
             ServiceSession(**kwargs)
-
-
-class TestGeometry:
-    def test_zero_distance(self):
-        assert haversine_m((48.2, 16.37), (48.2, 16.37)) == 0.0
-
-    def test_one_degree_latitude(self):
-        # a degree of latitude on the spherical model: pi/180 * R ~ 111.19 km
-        expected = math.pi / 180.0 * 6371000.0
-        assert haversine_m((0.0, 0.0), (1.0, 0.0)) == pytest.approx(expected, rel=1e-9)
-
-    def test_contains_inclusive_boundaries(self, session):
-        assert session_contains(session, session.start_time, session.location, 10.0)
-        assert session_contains(session, session.end_time, session.location, 10.0)
-        assert not session_contains(session, session.end_time + 1.0, session.location, 10.0)
-
-    def test_contains_radius(self, session):
-        near = (session.location[0] + 0.0005, session.location[1])  # ~56 m north
-        assert session_contains(session, 100.0, near, 100.0)
-        assert not session_contains(session, 100.0, near, 10.0)
-
-    def test_radius_must_be_positive(self, session):
-        with pytest.raises(ValueError, match="radius_m"):
-            session_contains(session, 100.0, session.location, 0.0)

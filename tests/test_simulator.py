@@ -15,7 +15,6 @@ from mlt.simulator import (
     Consumer,
     ConsumerUsage,
     Scenario,
-    run_replications,
     run_scenario,
     schedule_violation,
     usage_violation,
@@ -242,21 +241,6 @@ class TestReportCollection:
             run_scenario(scenario)
 
 
-class TestReplications:
-    def test_replications_advance_the_seed(self, session, promise, honest):
-        scenario = noisy_scenario(session, promise, honest, seed=10)
-        traces = run_replications(scenario, 3)
-        for i, trace in enumerate(traces):
-            assert trace == run_scenario(replace(scenario, seed=10 + i))
-
-    def test_single_replication_matches_run_scenario(self, tiny_scenario):
-        assert run_replications(tiny_scenario, 1) == [run_scenario(tiny_scenario)]
-
-    def test_replication_count_must_be_positive(self, tiny_scenario):
-        with pytest.raises(ValueError):
-            run_replications(tiny_scenario, 0)
-
-
 class TestSamplingDistribution:
     def test_honest_probe_mean_matches_censored_normal(self, schema):
         # single attribute, promise 100, true mean 80, jitter 15: the reported
@@ -289,8 +273,8 @@ class TestSamplingDistribution:
 
         values = [
             r.trust
-            for trace in run_replications(scenario, 500)
-            for r in trace.bystander_reports
+            for i in range(500)
+            for r in run_scenario(replace(scenario, seed=2024 + i)).bystander_reports
         ]
         assert len(values) == 4000
 

@@ -18,13 +18,14 @@ from mlt.trust import (
     SchemaMismatchError,
     UndefinedRatioError,
     aggregate,
-    aggregate_basic,
     coverage_weights,
     credibilities,
     freshness_weights,
     instantaneous_trust,
     update_accumulated,
 )
+
+from conftest import aggregate_basic
 
 
 class TestInstantaneous:

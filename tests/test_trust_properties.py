@@ -15,13 +15,14 @@ from mlt.trust import (
     AggregationParams,
     InstantaneousReport,
     aggregate,
-    aggregate_basic,
     coverage_weights,
     credibilities,
     freshness_weights,
     instantaneous_trust,
     update_accumulated,
 )
+
+from conftest import aggregate_basic
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
