@@ -15,6 +15,7 @@ random value or invert the truth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .session import ORDINAL, PerformanceVector, require_finite
@@ -103,6 +104,8 @@ class ProbeSchedule:
 
     def __post_init__(self):
         require_finite(first_offset=self.first_offset, interval=self.interval, count=self.count)
+        if not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.first_offset <= 0:
             raise ValueError(f"first_offset must be positive, got {self.first_offset}")
         if self.interval <= 0:

@@ -140,14 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         if seed is not None:
             scenario = replace(scenario, seed=seed)
-        spec = ExperimentSpec(
-            kind=args.experiment,
-            replications=args.replications,
-            thresholds=thresholds,
-            # the estimator comparison runs clean by default; the other sweeps
-            # stress the aggregator with a quarter adversarial reporters
-            adversary_frac=0.0 if args.experiment == ESTIMATOR_COMPARE else 0.25,
-        )
+        spec = ExperimentSpec(args.experiment, args.replications, thresholds=thresholds)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
-from .agents import HONEST, INVERTED, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
+from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
 from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, composition_rng, run_scenario
 from .trust import aggregate
@@ -44,6 +44,7 @@ KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 _MAX_SLOTS = 64    # composition always draws this many adversary flags
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
+_MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,12 @@ class ExperimentSpec:
     kind: str
     replications: int = 1000
     reporters: int = 10
-    adversary_frac: float = 0.25
-    adversary_fracs: tuple[float, ...] = (0.0, 0.25)
+    adversary_frac: float = 0.25  # used by ablation and count-sweep only
     trust_range: tuple[float, float] = (0.05, 0.95)
-    malicious_strategy: str = RANDOM
     thresholds: Thresholds = Thresholds()
     vary_provider: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "adversary_fracs", tuple(self.adversary_fracs))
         object.__setattr__(self, "trust_range", tuple(self.trust_range))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
@@ -71,14 +69,11 @@ class ExperimentSpec:
             raise ValueError(f"reporters must be in [1, {_MAX_SLOTS}]")
         if self.kind == ESTIMATOR_COMPARE and self.reporters < 2:
             raise ValueError("estimator-compare needs at least one bystander and one consumer")
-        for f in (self.adversary_frac, *self.adversary_fracs):
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"adversary fraction must be in [0, 1], got {f}")
+        if not 0.0 <= self.adversary_frac <= 1.0:
+            raise ValueError(f"adversary_frac must be in [0, 1], got {self.adversary_frac}")
         lo, hi = self.trust_range
         if not 0.0 < lo < hi <= 1.0:
             raise ValueError(f"trust_range must satisfy 0 < lo < hi <= 1, got {self.trust_range}")
-        if self.malicious_strategy not in (RANDOM, INVERTED):
-            raise ValueError(f"unknown malicious_strategy {self.malicious_strategy!r}")
 
 
 def _composition(seed: int, rep: int, spec: ExperimentSpec):
@@ -91,24 +86,18 @@ def _composition(seed: int, rep: int, spec: ExperimentSpec):
     return target, flags, scenario_seed
 
 
-def _slot_profile(flag: float, frac: float, strategy: str) -> ReporterProfile:
-    if flag < frac:
-        return ReporterProfile(MALICIOUS, malicious_strategy=strategy)
-    return _HONEST_PROFILE
-
-
 def _slot_id(slot: int) -> str:
     """Reporter id of a synthesized slot: even slots are bystanders, odd ones consumers."""
     return f"{'bc'[slot % 2]}{slot // 2:02d}"
 
 
-def _synth_roster(kind, query_time, n_slots, flags, frac, strategy):
+def _synth_roster(kind, query_time, n_slots, flags, frac):
     """Fixed per-slot rosters; slot i's schedule never depends on n_slots."""
     q = query_time
     bystanders = []
     consumers = []
     for slot in range(n_slots):
-        profile = _slot_profile(flags[slot], frac, strategy)
+        profile = _MALICIOUS_PROFILE if flags[slot] < frac else _HONEST_PROFILE
         j = slot // 2
         if slot % 2 == 0:
             if kind == ESTIMATOR_COMPARE:
@@ -135,9 +124,7 @@ def _variant(base: Scenario, spec: ExperimentSpec, kind: str, n_reporters: int,
     if kind == FULL:
         bystanders, consumers = base.bystanders, base.consumers
     else:
-        bystanders, consumers = _synth_roster(
-            kind, base.query_time, n_reporters, flags, frac, spec.malicious_strategy
-        )
+        bystanders, consumers = _synth_roster(kind, base.query_time, n_reporters, flags, frac)
     return replace(
         base,
         provider=provider,
@@ -206,11 +193,12 @@ def _sweep_points(base_scenario: Scenario, spec: ExperimentSpec):
     """(n_reporters, adversary_frac, arm names) per sweep point, in output order."""
     kind = spec.kind
     if kind == ABLATION:
-        return [(spec.reporters, f, ("on", "off")) for f in spec.adversary_fracs]
+        return [(spec.reporters, f, ("on", "off")) for f in (0.0, spec.adversary_frac)]
     if kind == COUNT_SWEEP:
         return [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
     if kind == ESTIMATOR_COMPARE:
-        return [(spec.reporters, spec.adversary_frac, ("instantaneous", "accumulated"))]
+        # one clean point: no adversaries
+        return [(spec.reporters, 0.0, ("instantaneous", "accumulated"))]
     n = len(base_scenario.bystanders) + len(base_scenario.consumers)
     return [(n, _declared_adversary_frac(base_scenario), ("on",))]
 
@@ -223,9 +211,10 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     kind = spec.kind
     points = _sweep_points(base_scenario, spec)
     args = [(base_scenario, spec, points, rep) for rep in range(spec.replications)]
-    if jobs > 1 and len(args) > 1:
-        with Pool(processes=jobs) as pool:
-            outcomes = pool.map(_rep_outcomes, args, chunksize=max(1, len(args) // (jobs * 4)))
+    processes = min(jobs, len(args))
+    if processes > 1:
+        with Pool(processes=processes) as pool:
+            outcomes = pool.map(_rep_outcomes, args)
     else:
         outcomes = [_rep_outcomes(a) for a in args]
 

@@ -55,6 +55,8 @@ class AttributeSpec:
             # sitting on that zero level is rejected wherever it would be divided.
         elif self.ordinal_levels:
             raise ValueError(f"attribute {self.name!r}: continuous attributes take no levels")
+        elif self.ordinal_base != 1:
+            raise ValueError(f"attribute {self.name!r}: continuous attributes take no base")
 
     @property
     def level_range(self) -> tuple[int, int]:
@@ -167,6 +169,7 @@ class ServiceSession:
     def __post_init__(self):
         if not self.id:
             raise ValueError("session id must be non-empty")
+        require_finite(start_time=self.start_time, end_time=self.end_time)
         lat, lon = self.location
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
             raise ValueError(f"session {self.id!r}: location {self.location} out of range")

@@ -93,26 +93,6 @@ class Consumer:
     usage: ConsumerUsage
 
 
-def schedule_violation(duration: float, schedule: ProbeSchedule) -> str | None:
-    """Message when a probe schedule does not fit a session of this duration."""
-    if schedule.last_offset > duration + _TIME_EPS:
-        return (
-            f"last probe at offset {schedule.last_offset:g} falls outside "
-            f"the session (duration {duration:g})"
-        )
-    return None
-
-
-def usage_violation(duration: float, usage: ConsumerUsage) -> str | None:
-    """Message when a usage window does not fit a session of this duration."""
-    if usage.usage_end > duration + _TIME_EPS:
-        return (
-            f"usage_end {usage.usage_end:g} falls outside the session "
-            f"(duration {duration:g})"
-        )
-    return None
-
-
 def scenario_violations(session: ServiceSession | None, provider: ProviderProfile | None,
                         bystanders, consumers, query_time: float, seed) -> list[str]:
     """Every rule that spans a scenario's components, one message per break.
@@ -137,13 +117,15 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
     if provider is not None and provider.promise != session.promise:
         violations.append("provider: promise does not match the session promise")
     for b in bystanders:
-        msg = schedule_violation(duration, b.schedule)
-        if msg:
-            violations.append(f"bystander {b.id!r}: {msg}")
+        last = b.schedule.last_offset
+        if last > duration + _TIME_EPS:
+            violations.append(f"bystander {b.id!r}: last probe at offset {last:g} "
+                              f"falls outside the session (duration {duration:g})")
     for c in consumers:
-        msg = usage_violation(duration, c.usage)
-        if msg:
-            violations.append(f"consumer {c.id!r}: {msg}")
+        end = c.usage.usage_end
+        if end > duration + _TIME_EPS:
+            violations.append(f"consumer {c.id!r}: usage_end {end:g} falls outside "
+                              f"the session (duration {duration:g})")
     return violations
 
 

@@ -206,7 +206,6 @@ def aggregate(
     params: AggregationParams = AggregationParams(),
     *,
     use_credibility: bool = True,
-    uniform_weights: bool = False,
 ) -> TrustBreakdown:
     """Blend consumer and bystander reports into one session trust value.
 
@@ -215,10 +214,9 @@ def aggregate(
     When one group has no reports its term is dropped and the other group's
     blend factor is rescaled to 1.
 
-    use_credibility=False forces every credibility to 1 (for ablations);
-    uniform_weights=True replaces freshness and coverage with uniform
-    per-group weights.  With both forced and beta equal to the consumer share
-    of the pool, the result reduces to the plain mean of every report.
+    use_credibility=False forces every credibility to 1 (for ablations).
+    With it, equal weights within each group, and beta equal to the consumer
+    share of the pool, the result reduces to the plain mean of every report.
     """
     consumer_reports = list(consumer_reports)
     bystander_reports = list(bystander_reports)
@@ -237,15 +235,9 @@ def aggregate(
     weights_c: list[float] = []
     weights_b: list[float] = []
     if consumer_reports:
-        if uniform_weights:
-            weights_c = [1.0 / len(consumer_reports)] * len(consumer_reports)
-        else:
-            weights_c = coverage_weights(consumer_reports)
+        weights_c = coverage_weights(consumer_reports)
     if bystander_reports:
-        if uniform_weights:
-            weights_b = [1.0 / len(bystander_reports)] * len(bystander_reports)
-        else:
-            weights_b, degenerate = freshness_weights(bystander_reports)
+        weights_b, degenerate = freshness_weights(bystander_reports)
 
     def group_term(trusts: list[float], weights: list[float], creds_: list[float]) -> float:
         weighted = sum(c * w * t for c, w, t in zip(creds_, weights, trusts))

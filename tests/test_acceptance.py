@@ -156,7 +156,7 @@ def test_equations_hold_on_randomized_batches(capsys):
 
 
 def test_stripped_aggregate_equals_plain_mean(capsys):
-    """Uniform weights, unit credibility, and beta at the consumer share must
+    """Equal weights, unit credibility, and beta at the consumer share must
     reduce the weighted aggregate to the plain mean of all reports."""
     rng = np.random.default_rng(31337)
     start = time.perf_counter()
@@ -164,18 +164,14 @@ def test_stripped_aggregate_equals_plain_mean(capsys):
     for _ in range(500):
         total = int(rng.integers(1, 6))
         n_c = int(rng.integers(0, total + 1))
-        cr = tuple(
-            AccumulatedReport(f"c{i}", float(rng.random()), float(rng.uniform(1, 5000)), 1)
-            for i in range(n_c)
-        )
+        # equal coverage and equal probe offsets give every report of a group
+        # the weight 1.0/n exactly
+        cr = tuple(AccumulatedReport(f"c{i}", float(rng.random()), 1.0, 1) for i in range(n_c))
         br = tuple(
-            InstantaneousReport(f"b{i}", float(rng.random()), float(rng.uniform(0, 5000)))
-            for i in range(total - n_c)
+            InstantaneousReport(f"b{i}", float(rng.random()), 1.0) for i in range(total - n_c)
         )
         params = AggregationParams(beta=n_c / total, mode="verbatim")
-        stripped = aggregate(
-            cr, br, params, use_credibility=False, uniform_weights=True
-        ).overall
+        stripped = aggregate(cr, br, params, use_credibility=False).overall
         worst = max(worst, abs(stripped - aggregate_basic(cr, br)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12
@@ -194,7 +190,7 @@ def test_credibility_weighting_rescues_adversarial_sessions(capsys):
         kind=ABLATION,
         replications=1000,
         reporters=10,
-        adversary_fracs=(0.0, 0.25),
+        adversary_frac=0.25,
         thresholds=thresholds,
         vary_provider=False,
     )

@@ -14,7 +14,7 @@ from mlt.agents import (
     observe,
     sample_true_performance,
 )
-from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
+from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import ConsumerUsage
 
 from conftest import make_provider
@@ -22,6 +22,12 @@ from conftest import make_provider
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def session_between(start_time, end_time):
+    schema = AttributeSchema((AttributeSpec("speed"),))
+    return ServiceSession("s", (0.0, 0.0), start_time, end_time, "p", "t",
+                          PerformanceVector((10.0,), schema), schema)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -40,11 +46,18 @@ def rng(seed=0):
         pytest.param(lambda x: ConsumerUsage(0.0, x, 600.0), "usage_end", id="usage_end"),
         pytest.param(lambda x: ConsumerUsage(0.0, 3600.0, x), "sample_interval",
                      id="sample_interval"),
+        pytest.param(lambda x: session_between(x, 3600.0), "start_time", id="start_time"),
+        pytest.param(lambda x: session_between(0.0, x), "end_time", id="end_time"),
     ],
 )
 def test_model_fields_reject_non_finite_numbers(make, field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make(bad)
+
+
+def test_probe_count_must_be_an_integer():
+    with pytest.raises(ValueError, match="count must be an integer"):
+        ProbeSchedule(600.0, 600.0, 2.5)
 
 
 class TestProfiles:

@@ -233,6 +233,13 @@ class TestDomainViolations:
         assert len(messages) == 1
         assert "non-empty" in messages[0]
 
+    def test_continuous_attribute_with_a_base_is_a_session_violation(self):
+        doc = json.loads((SCENARIO_DIR / "wifi_cafe.json").read_text())
+        doc["session"]["attributes"][0]["base"] = -3
+        messages = collect_violations(doc)
+        assert len(messages) == 1
+        assert messages[0].startswith("session:") and "take no base" in messages[0]
+
     def test_bad_reporter_profile_is_a_roster_violation(self):
         doc = base_doc()
         doc["bystanders"][0]["reporter"] = {"kind": "malicious"}

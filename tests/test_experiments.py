@@ -49,11 +49,10 @@ class TestSpecValidation:
             dict(kind=ABLATION, reporters=65),
             dict(kind=ESTIMATOR_COMPARE, reporters=1),
             dict(kind=ABLATION, adversary_frac=1.2),
-            dict(kind=ABLATION, adversary_fracs=(0.0, -0.1)),
+            dict(kind=ABLATION, adversary_frac=-0.1),
             dict(kind=ABLATION, trust_range=(0.0, 0.9)),
             dict(kind=ABLATION, trust_range=(0.9, 0.2)),
             dict(kind=ABLATION, trust_range=(0.2, 1.1)),
-            dict(kind=ABLATION, malicious_strategy="stealthy"),
         ],
     )
     def test_bad_specs_rejected(self, kwargs):
@@ -84,7 +83,7 @@ class TestComposition:
 class TestSynthRoster:
     def test_slots_alternate_groups(self):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        bystanders, consumers = _synth_roster(COUNT_SWEEP, 5400.0, 5, flags, 0.0, "random")
+        bystanders, consumers = _synth_roster(COUNT_SWEEP, 5400.0, 5, flags, 0.0)
         assert [b.id for b in bystanders] == ["b00", "b01", "b02"]
         assert [c.id for c in consumers] == ["c00", "c01"]
 
@@ -92,15 +91,15 @@ class TestSynthRoster:
         # slot schedules depend only on the slot index, so adding a reporter
         # leaves every existing reporter untouched
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        small = _synth_roster(COUNT_SWEEP, 5400.0, 6, flags, 0.25, "random")
-        large = _synth_roster(COUNT_SWEEP, 5400.0, 7, flags, 0.25, "random")
+        small = _synth_roster(COUNT_SWEEP, 5400.0, 6, flags, 0.25)
+        large = _synth_roster(COUNT_SWEEP, 5400.0, 7, flags, 0.25)
         assert large[0][: len(small[0])] == small[0]
         assert large[1][: len(small[1])] == small[1]
 
     def test_adversary_flags_follow_fraction(self):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        all_honest = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 0.0, "random")
-        all_bad = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 1.0, "random")
+        all_honest = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 0.0)
+        all_bad = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 1.0)
         roster = [r.profile.kind for group in all_honest for r in group]
         assert set(roster) == {"honest"}
         roster = [r.profile.kind for group in all_bad for r in group]
@@ -109,7 +108,7 @@ class TestSynthRoster:
     def test_rosters_fit_inside_the_query_window(self, base):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
         for kind in (COUNT_SWEEP, ESTIMATOR_COMPARE):
-            bystanders, consumers = _synth_roster(kind, 5400.0, 16, flags, 0.5, "random")
+            bystanders, consumers = _synth_roster(kind, 5400.0, 16, flags, 0.5)
             for b in bystanders:
                 assert b.schedule.last_offset <= 5400.0
             for c in consumers:
@@ -146,8 +145,7 @@ class TestVariant:
 
 class TestSuite:
     def test_ablation_rows(self, base):
-        spec = ExperimentSpec(ABLATION, replications=REPS, reporters=6,
-                              adversary_fracs=(0.0, 0.25))
+        spec = ExperimentSpec(ABLATION, replications=REPS, reporters=6, adversary_frac=0.25)
         results = run_experiment_suite(base, spec)
         keys = [(r.config["adversary_frac"], r.config["credibility"]) for r in results]
         assert keys == [(0.0, "on"), (0.0, "off"), (0.25, "on"), (0.25, "off")]
@@ -204,6 +202,22 @@ class TestSuite:
         parallel = run_experiment_suite(base, spec, jobs=2)
         assert [r.counts for r in serial] == [r.counts for r in parallel]
 
+    @pytest.mark.parametrize("replications, jobs, started",
+                             [(2, 4, [2]), (1, 4, []), (3, 2, [2])])
+    def test_pool_is_never_larger_than_the_work(self, base, monkeypatch,
+                                                replications, jobs, started):
+        sizes = []
+        real_pool = mlt.experiments.Pool
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(mlt.experiments, "Pool", recording_pool)
+        spec = ExperimentSpec(COUNT_SWEEP, replications=replications, reporters=2)
+        run_experiment_suite(base, spec, jobs=jobs)
+        assert sizes == started
+
     def test_jobs_must_be_positive(self, base):
         with pytest.raises(ValueError):
             run_experiment_suite(base, ExperimentSpec(ABLATION, replications=1), jobs=0)
@@ -255,7 +269,7 @@ def per_point_oracle(base, spec):
     if spec.kind == COUNT_SWEEP:
         points = [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
     else:
-        points = [(spec.reporters, f, ("on", "off")) for f in spec.adversary_fracs]
+        points = [(spec.reporters, f, ("on", "off")) for f in (0.0, spec.adversary_frac)]
     rows = []
     for n, frac, arms in points:
         traces = [

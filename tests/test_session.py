@@ -43,6 +43,7 @@ class TestAttributeSpec:
             dict(name="x", kind="ordinal", ordinal_levels=("a", "a")),
             dict(name="x", kind="ordinal", ordinal_levels=("a", "b"), ordinal_base=-1),
             dict(name="x", ordinal_levels=("a", "b")),
+            dict(name="x", ordinal_base=-3),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):

@@ -16,8 +16,7 @@ from mlt.simulator import (
     ConsumerUsage,
     Scenario,
     run_scenario,
-    schedule_violation,
-    usage_violation,
+    scenario_violations,
 )
 from mlt.trust import NoEvidenceError, update_accumulated
 
@@ -78,11 +77,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="c-long"):
             make_scenario(session, provider, consumers=[long])
 
-    def test_violation_helpers_return_messages(self):
-        assert schedule_violation(3600.0, ProbeSchedule(600.0, 600.0, 2)) is None
-        assert "outside" in schedule_violation(3600.0, ProbeSchedule(3000.0, 900.0, 2))
-        assert usage_violation(3600.0, ConsumerUsage(0.0, 3600.0, 600.0)) is None
-        assert "outside" in usage_violation(3600.0, ConsumerUsage(0.0, 3700.0, 600.0))
+    def test_schedules_and_windows_must_end_inside_the_session(self, session, honest):
+        short = replace(session, end_time=3600.0)
+
+        def violations(schedule, usage):
+            return scenario_violations(short, None, [Bystander("b", honest, schedule)],
+                                       [Consumer("c", honest, usage)], 1800.0, 0)
+
+        # ending exactly at the session end fits
+        assert violations(ProbeSchedule(2400.0, 600.0, 3), ConsumerUsage(0.0, 3600.0, 600.0)) == []
+        assert violations(ProbeSchedule(3000.0, 900.0, 2), ConsumerUsage(0.0, 3700.0, 600.0)) == [
+            "bystander 'b': last probe at offset 3900 falls outside the session (duration 3600)",
+            "consumer 'c': usage_end 3700 falls outside the session (duration 3600)",
+        ]
 
     def test_usage_window_field_checks(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ normalization, monotonicity, and equivalence facts that hold for any input.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,14 +171,15 @@ def test_unanimous_crowd_scores_its_value_when_normalized(n_c, n_b, value):
 @given(report_pool())
 @settings(max_examples=200)
 def test_plain_mean_recovered_with_everything_forced(pool):
-    consumers, bystanders = pool
+    # equal coverage and equal probe offsets give equal weights within each group
+    consumers = [replace(r, coverage_duration=1.0) for r in pool[0]]
+    bystanders = [replace(r, timestamp_offset=1.0) for r in pool[1]]
     share = len(consumers) / (len(consumers) + len(bystanders))
     out = aggregate(
         consumers,
         bystanders,
         AggregationParams(beta=share, mode="verbatim"),
         use_credibility=False,
-        uniform_weights=True,
     )
     assert math.isclose(out.overall, aggregate_basic(consumers, bystanders), abs_tol=1e-12)
 
