@@ -8,15 +8,19 @@ what was promised.
 
 Reporter profiles describe how an observed trust value is turned into a
 reported one: honest reporters pass it through, biased reporters add a fixed
-offset (clamped to [0, 1]), and malicious reporters either draw a uniform
+offset (clamped to [0, 1]), and malicious reporters either report a uniform
 random value or invert the truth.
+
+Everything here works on arrays, one row or value per event, and draws
+nothing: the simulator lays out every random stream and hands in the draws.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .session import ORDINAL, PerformanceVector, require_finite
 
@@ -93,6 +97,11 @@ class ReporterProfile:
             if self.bias_offset != 0.0 or self.malicious_strategy is not None:
                 raise ValueError("honest reporters take no bias_offset or malicious_strategy")
 
+    @property
+    def draws_reports(self) -> bool:
+        """True when the reporter draws its reports from its own stream (malicious random)."""
+        return self.malicious_strategy == RANDOM
+
 
 @dataclass(frozen=True)
 class ProbeSchedule:
@@ -118,32 +127,45 @@ class ProbeSchedule:
         return self.first_offset + (self.count - 1) * self.interval
 
 
-def _clamp_to_schema(spec, latent: float) -> float:
-    """Clamp a continuous latent value into the attribute's valid range."""
-    if spec.kind == ORDINAL:
-        lo, hi = spec.level_range
-        # round half away from the bottom so the latent maps to the nearest level
-        level = math.floor(latent + 0.5)
-        return float(min(hi, max(lo, level)))
-    return max(0.0, float(latent))
+def _clamp(schema, latent: np.ndarray) -> np.ndarray:
+    """Clamp latent values (one column per attribute) into each attribute's range.
+
+    An ordinal attribute rounds half away from the bottom, so the latent maps
+    to the nearest level, and is clipped to its level range; a continuous one
+    is floored at 0.  A non-finite latent raises ValueError before any
+    rounding, so an overflow is never rounded or clamped into range.
+    """
+    finite = np.isfinite(latent)
+    if not finite.all():
+        where = tuple(np.argwhere(~finite)[0])
+        spec = schema.attributes[where[-1]]
+        raise ValueError(f"attribute {spec.name!r}: sampled value {latent[where]} is not finite")
+    ordinal = [spec.kind == ORDINAL for spec in schema.attributes]
+    ranges = [spec.level_range if spec.kind == ORDINAL else (0.0, np.inf)
+              for spec in schema.attributes]
+    lo, hi = np.array(ranges).T
+    rounded = np.where(ordinal, np.floor(latent + 0.5), latent)
+    return np.minimum(hi, np.maximum(lo, rounded))
 
 
-def sample_true_performance(profile: ProviderProfile, offset: float, rng) -> PerformanceVector:
-    """Draw the service's actual performance at a session offset (seconds).
+def sample_true_performance(profile: ProviderProfile, offsets, noise) -> np.ndarray:
+    """The service's actual performance at session offsets (seconds), one row each.
 
     Each attribute is mean * (1 - honesty_gap), plus drift scaled by the
-    elapsed hours, plus one gaussian jitter draw, clamped to the attribute's
-    valid range.  Exactly one draw is consumed per attribute regardless of
-    the jitter setting, so streams stay aligned across configurations.
+    elapsed hours, plus jitter, clamped to the attribute's valid range.
+    noise is an (events x attributes) array of standard normal draws, and an
+    attribute's jitter is its draw times its jitter_stddev.  The simulator
+    draws one value per attribute per event regardless of the jitter setting,
+    so streams stay aligned across configurations.
     """
-    schema = profile.promise.schema
-    hours = offset / SECONDS_PER_HOUR
-    values = []
-    for spec, gen in zip(schema.attributes, profile.attributes):
-        latent = gen.mean * (1.0 - profile.honesty_gap) + gen.drift_per_hour * hours
-        latent += rng.normal(0.0, gen.jitter_stddev)
-        values.append(_clamp_to_schema(spec, latent))
-    return PerformanceVector(tuple(values), schema)
+    hours = np.asarray(offsets, dtype=float) / SECONDS_PER_HOUR
+    gens = profile.attributes
+    base = [gen.mean * (1.0 - profile.honesty_gap) for gen in gens]
+    drift = [gen.drift_per_hour for gen in gens]
+    stddev = [gen.jitter_stddev for gen in gens]
+    with np.errstate(over="ignore", invalid="ignore"):
+        latent = base + np.multiply.outer(hours, drift) + np.asarray(noise, dtype=float) * stddev
+    return _clamp(profile.promise.schema, latent)
 
 
 def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:
@@ -153,21 +175,27 @@ def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:
     treated as departures from it.
     """
     schema = profile.promise.schema
-    values = [
-        _clamp_to_schema(spec, gen.mean * (1.0 - profile.honesty_gap))
-        for spec, gen in zip(schema.attributes, profile.attributes)
-    ]
-    return PerformanceVector(tuple(values), schema)
+    base = np.array([gen.mean * (1.0 - profile.honesty_gap) for gen in profile.attributes])
+    return PerformanceVector(tuple(_clamp(schema, base).tolist()), schema)
 
 
-def observe(profile: ReporterProfile, true_trust: float, rng) -> float:
-    """Filter a true instantaneous trust value through a reporter's behaviour."""
-    if not 0.0 <= true_trust <= 1.0:
+def observe(profile: ReporterProfile, true_trust, own_draws=None) -> np.ndarray:
+    """Filter true instantaneous trust values through a reporter's behaviour.
+
+    true_trust is an array of values in [0, 1].  A malicious random reporter
+    reports own_draws instead: its own uniform draws on [0, 1), one per value,
+    which the simulator takes from the reporter's stream.
+    """
+    true_trust = np.asarray(true_trust, dtype=float)
+    if true_trust.size and not (0.0 <= true_trust.min() and true_trust.max() <= 1.0):
         raise ValueError(f"true_trust must be in [0, 1], got {true_trust}")
     if profile.kind == HONEST:
         return true_trust
     if profile.kind == BIASED:
-        return min(1.0, max(0.0, true_trust + profile.bias_offset))
-    if profile.malicious_strategy == RANDOM:
-        return float(rng.uniform(0.0, 1.0))
+        return np.minimum(1.0, np.maximum(0.0, true_trust + profile.bias_offset))
+    if profile.draws_reports:
+        own_draws = np.asarray(own_draws, dtype=float)
+        if own_draws.shape != true_trust.shape:
+            raise ValueError("a random reporter needs one own draw per trust value")
+        return own_draws
     return 1.0 - true_trust

@@ -27,6 +27,7 @@ over the session.  "full" runs the scenario's own roster as configured.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
@@ -63,6 +64,10 @@ class ExperimentSpec:
         object.__setattr__(self, "trust_range", tuple(self.trust_range))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("replications", "reporters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.reporters <= _MAX_SLOTS:

@@ -10,12 +10,25 @@ private stream, keyed by its identity within the scenario:
 SeedSequence(seed, spawn_key=(group, slot)), where group is 0 for bystanders
 and 1 for consumers and slot is the agent's index within its group.  The
 stream serves both the provider truth the agent sees and the agent's own
-reporting draws, in chronological order.  Agents therefore never share
-state, results are bit-reproducible for a fixed seed, and shrinking the
-query time only ever removes events, it never changes the ones that remain.
-Because a stream depends on (group, slot) and not on the roster's size,
-adding or removing agents at the end of either group leaves every other
-agent's events and reports unchanged.
+reporting draws, in chronological order: for each event, one standard
+normal per attribute (the truth's jitter once scaled by jitter_stddev, the
+same value and stream position as a normal(0, jitter_stddev) draw), then,
+for a reporter that draws its reports (malicious random), one uniform on
+[0, 1).  Agents therefore never share state, results are bit-reproducible
+for a fixed seed, and shrinking the query time only ever removes events, it
+never changes the ones that remain.  Because a stream depends on (group,
+slot) and not on the roster's size, adding or removing agents at the end of
+either group leaves every other agent's events and reports unchanged.
+
+The work is batched per agent.  An agent whose reporter draws nothing of
+its own takes all its truth draws in one call, an (events x attributes)
+block in C order, which is the same sequence as drawing event by event; a
+random reporter steps one event at a time to keep the order above.  All of
+a session's events are then scored together as arrays: truth, the
+finiteness check, clamping and instantaneous trust.  Each agent's reports
+come from one observe() call, and a consumer's EWMA is a short loop over
+update_accumulated.  No per-sample objects are built: a SessionTrace keeps
+each agent's series and builds its events only when they are read.
 
 A sweep draws each replication's provider quality, adversary flags and
 scenario seed from composition_rng: SeedSequence((seed, _COMP_TAG, rep)) for
@@ -27,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,40 +175,66 @@ class TraceEvent:
     value: float
 
 
+class AgentSeries(NamedTuple):
+    """One agent's events: its offsets and reported values, and for a
+    consumer the accumulated (EWMA) value after each sample."""
+
+    reporter_id: str
+    offsets: tuple[float, ...]
+    reported: tuple[float, ...]
+    accumulated: tuple[float, ...] | None  # None for a bystander
+
+
 @dataclass(frozen=True)
 class SessionTrace:
     """Full record of one simulated session run.
 
-    events is time-ordered, ties broken by reporter id (a consumer's sample
-    precedes the accumulate it feeds).  The report tuples are the evidence
-    collected at query time, and final_breakdown is their aggregate under the
-    scenario's params.  ground_truth_trust scores the provider's noise-free
-    mean performance against the promise.
+    The report tuples are the evidence collected at query time, and
+    final_breakdown is their aggregate under the scenario's params.
+    ground_truth_trust scores the provider's noise-free mean performance
+    against the promise.  series holds every agent's events, bystanders
+    first, in roster order.
     """
 
-    events: tuple[TraceEvent, ...]
     final_breakdown: TrustBreakdown
     ground_truth_trust: float
     consumer_reports: tuple[AccumulatedReport, ...]
     bystander_reports: tuple[InstantaneousReport, ...]
+    series: tuple[AgentSeries, ...]
+
+    @cached_property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """Every event, time-ordered, ties broken by reporter id (a consumer's
+        sample precedes the accumulate it feeds).  Built on first read."""
+        events = []
+        for s in self.series:
+            if s.accumulated is None:
+                events.extend(TraceEvent(t, s.reporter_id, PROBE, v)
+                              for t, v in zip(s.offsets, s.reported))
+                continue
+            for t, v, acc in zip(s.offsets, s.reported, s.accumulated):
+                events.append(TraceEvent(t, s.reporter_id, SAMPLE, v))
+                events.append(TraceEvent(t, s.reporter_id, ACCUMULATE, acc))
+        events.sort(key=lambda e: (e.offset, e.reporter_id))
+        return tuple(events)
 
 
-def _probe_times(schedule: ProbeSchedule, limit: float) -> list[float]:
+def _probe_times(schedule: ProbeSchedule, limit: float) -> tuple[float, ...]:
     times = []
     for k in range(schedule.count):
         t = schedule.first_offset + k * schedule.interval
         if t > limit + _TIME_EPS:
             break
         times.append(t)
-    return times
+    return tuple(times)
 
 
-def _sample_times(usage: ConsumerUsage, limit: float) -> list[float]:
+def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
     end = min(usage.usage_end, limit)
     if usage.usage_start >= limit:
-        return []
+        return ()
     n = int(math.floor((end - usage.usage_start) / usage.sample_interval + _TIME_EPS))
-    return [usage.usage_start + m * usage.sample_interval for m in range(n + 1)]
+    return tuple(usage.usage_start + m * usage.sample_interval for m in range(n + 1))
 
 
 def _agent_rng(seed: int, group: int, slot: int) -> np.random.Generator:
@@ -210,50 +251,68 @@ def run_scenario(scenario: Scenario) -> SessionTrace:
     session = scenario.session
     provider = scenario.provider
     q = scenario.query_time
+    alpha = scenario.params.alpha
+    k = len(provider.attributes)
 
-    events: list[TraceEvent] = []
+    agents = [(b, _BYSTANDER_GROUP, i, _probe_times(b.schedule, q))
+              for i, b in enumerate(scenario.bystanders)]
+    agents += [(c, _CONSUMER_GROUP, j, _sample_times(c.usage, q))
+               for j, c in enumerate(scenario.consumers)]
+
+    # each agent's draws, in its stream's order (the empty block lets an
+    # empty roster reach aggregate, which reports the missing evidence)
+    noises = [np.empty((0, k))]
+    own_draws = []
+    for agent, group, slot, times in agents:
+        rng = _agent_rng(scenario.seed, group, slot)
+        n = len(times)
+        if agent.profile.draws_reports:
+            # one event at a time: the event's truth draws, then the report's
+            noise = np.empty((n, k))
+            own = np.empty(n)
+            for e in range(n):
+                noise[e] = rng.standard_normal(k)
+                own[e] = rng.random()
+            own_draws.append(own)
+        else:
+            noise = rng.standard_normal((n, k))
+            own_draws.append(None)
+        noises.append(noise)
+
+    # every agent's events at once: truth, then its instantaneous trust
+    offsets = [t for _, _, _, times in agents for t in times]
+    observed = sample_true_performance(provider, offsets, np.concatenate(noises))
+    true_trust = instantaneous_trust(observed, session.promise)
+
+    series: list[AgentSeries] = []
     bystander_reports: list[InstantaneousReport] = []
     consumer_reports: list[AccumulatedReport] = []
-
-    for i, b in enumerate(scenario.bystanders):
-        rng = _agent_rng(scenario.seed, _BYSTANDER_GROUP, i)
-        last: tuple[float, float] | None = None
-        for t in _probe_times(b.schedule, q):
-            observed = sample_true_performance(provider, t, rng)
-            true_trust = instantaneous_trust(observed, session.promise)
-            reported = observe(b.profile, true_trust, rng)
-            events.append(TraceEvent(t, b.id, PROBE, reported))
-            last = (t, reported)
-        if last is not None:
-            bystander_reports.append(InstantaneousReport(b.id, last[1], last[0]))
-
-    for j, c in enumerate(scenario.consumers):
-        rng = _agent_rng(scenario.seed, _CONSUMER_GROUP, j)
-        acc: float | None = None
-        count = 0
-        for t in _sample_times(c.usage, q):
-            observed = sample_true_performance(provider, t, rng)
-            true_trust = instantaneous_trust(observed, session.promise)
-            reported = observe(c.profile, true_trust, rng)
-            events.append(TraceEvent(t, c.id, SAMPLE, reported))
-            # the first sample seeds the EWMA, later ones fold into it
-            acc = reported if acc is None else update_accumulated(acc, reported, scenario.params.alpha)
-            events.append(TraceEvent(t, c.id, ACCUMULATE, acc))
-            count += 1
-        if acc is not None:
-            coverage = min(q, c.usage.usage_end) - c.usage.usage_start
-            consumer_reports.append(AccumulatedReport(c.id, acc, coverage, count))
-
-    events.sort(key=lambda e: (e.offset, e.reporter_id))
+    stop = 0
+    for (agent, group, _, times), own in zip(agents, own_draws):
+        start, stop = stop, stop + len(times)
+        reported = tuple(observe(agent.profile, true_trust[start:stop], own).tolist())
+        if group == _BYSTANDER_GROUP:
+            series.append(AgentSeries(agent.id, times, reported, None))
+            if times:
+                bystander_reports.append(InstantaneousReport(agent.id, reported[-1], times[-1]))
+            continue
+        # the first sample seeds the EWMA, later ones fold into it
+        accumulated = list(reported[:1])
+        for value in reported[1:]:
+            accumulated.append(update_accumulated(accumulated[-1], value, alpha))
+        series.append(AgentSeries(agent.id, times, reported, tuple(accumulated)))
+        if accumulated:
+            coverage = min(q, agent.usage.usage_end) - agent.usage.usage_start
+            consumer_reports.append(
+                AccumulatedReport(agent.id, accumulated[-1], coverage, len(accumulated)))
 
     breakdown = aggregate(consumer_reports, bystander_reports, scenario.params)
     truth = instantaneous_trust(noise_free_performance(provider), session.promise)
 
     return SessionTrace(
-        events=tuple(events),
         final_breakdown=breakdown,
         ground_truth_trust=truth,
         consumer_reports=tuple(consumer_reports),
         bystander_reports=tuple(bystander_reports),
+        series=tuple(series),
     )
-

@@ -23,7 +23,10 @@ thresholds meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .session import PerformanceVector
 
@@ -86,9 +89,10 @@ class AccumulatedReport:
             raise ValueError(
                 f"report from {self.reporter_id!r}: coverage_duration must be finite and positive"
             )
-        if self.update_count < 1:
+        if not isinstance(self.update_count, numbers.Integral) or self.update_count < 1:
             raise ValueError(
-                f"report from {self.reporter_id!r}: update_count must be >= 1"
+                f"report from {self.reporter_id!r}: update_count must be an integer >= 1, "
+                f"got {self.update_count!r}"
             )
 
 
@@ -131,21 +135,38 @@ class TrustBreakdown:
     degenerate_freshness: bool = False
 
 
-def instantaneous_trust(observation: PerformanceVector, promise: PerformanceVector) -> float:
+def instantaneous_trust(observation, promise: PerformanceVector):
     """Single-probe trust: the mean of capped observed-to-promised ratios.
 
     Each attribute contributes min(1, observed / promised), so overdelivering
-    on one attribute cannot paper over underdelivering on another.
+    on one attribute cannot paper over underdelivering on another.  A
+    PerformanceVector observation gives one float; an (events x attributes)
+    array of values on the promise's schema gives one trust value per row.
+    The ratios are summed left to right, in the order of Python's sum().
     """
-    if observation.schema != promise.schema:
-        raise SchemaMismatchError("observation and promise use different attribute schemas")
+    single = isinstance(observation, PerformanceVector)
+    if single:
+        if observation.schema != promise.schema:
+            raise SchemaMismatchError("observation and promise use different attribute schemas")
+        values = np.array([observation.values])
+    else:
+        values = np.asarray(observation, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(promise.values):
+            raise SchemaMismatchError(
+                f"expected an (events x {len(promise.values)}) array, got shape {values.shape}"
+            )
     for spec, p in zip(promise.schema.attributes, promise.values):
         if p == 0:
             raise UndefinedRatioError(
                 f"promised value for {spec.name!r} is 0; the ratio is undefined"
             )
-    ratios = [min(1.0, o / p) for o, p in zip(observation.values, promise.values)]
-    return sum(ratios) / len(ratios)
+    with np.errstate(over="ignore"):
+        ratios = np.minimum(1.0, values / promise.values)
+    total = 0.0
+    for column in ratios.T:
+        total = total + column
+    trust = total / len(promise.values)
+    return float(trust[0]) if single else trust
 
 
 def update_accumulated(previous: float, instantaneous: float, alpha: float = DEFAULT_ALPHA) -> float:

@@ -15,13 +15,17 @@ from mlt.agents import (
     sample_true_performance,
 )
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
-from mlt.simulator import ConsumerUsage
+from mlt.simulator import Bystander, ConsumerUsage, run_scenario
 
-from conftest import make_provider
+from conftest import make_provider, make_scenario
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def noise(events, attributes, seed=0):
+    return rng(seed).standard_normal((events, attributes))
 
 
 def session_between(start_time, end_time):
@@ -109,8 +113,8 @@ class TestSampling:
             AttributeGenerator(80.0),
         )
         provider = ProviderProfile(promise, gens, honesty_gap=0.1)
-        out = sample_true_performance(provider, 3600.0, rng())
-        assert out.values[0] == pytest.approx(9.5)
+        out = sample_true_performance(provider, [3600.0], noise(1, 3))
+        assert out[0, 0] == pytest.approx(9.5)
 
     def test_noise_free_ignores_drift(self, promise):
         gens = tuple(AttributeGenerator(p, drift_per_hour=-5.0) for p in promise.values)
@@ -124,8 +128,8 @@ class TestSampling:
             AttributeGenerator(80.0),
         )
         provider = ProviderProfile(promise, gens)
-        out = sample_true_performance(provider, 3600.0, rng())
-        assert out.values[0] == 0.0
+        out = sample_true_performance(provider, [3600.0], noise(1, 3))
+        assert out[0, 0] == 0.0
 
     def test_ordinal_latent_rounds_to_nearest_level(self):
         schema = AttributeSchema(
@@ -135,51 +139,70 @@ class TestSampling:
 
         def level_for(mean):
             provider = ProviderProfile(promise, (AttributeGenerator(mean),))
-            return sample_true_performance(provider, 0.0, rng()).values[0]
+            return sample_true_performance(provider, [0.0], noise(1, 1))[0, 0]
 
         assert level_for(2.4) == 2.0
         assert level_for(2.5) == 3.0   # half rounds up
         assert level_for(9.0) == 3.0   # clamped to the top level
         assert level_for(0.1) == 1.0   # clamped to the bottom level
 
-    def test_one_draw_per_attribute_even_without_jitter(self, promise):
+    @pytest.mark.parametrize("latent", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
+    def test_non_finite_latent_is_rejected_before_clamping(self, kind, latent):
+        levels = ("L", "M", "H") if kind == "ordinal" else ()
+        schema = AttributeSchema((AttributeSpec("q", kind=kind, ordinal_levels=levels),))
+        provider = ProviderProfile(PerformanceVector((2.0,), schema), (AttributeGenerator(2.0),))
+        with pytest.raises(ValueError, match="'q': sampled value .* is not finite"):
+            sample_true_performance(provider, [0.0, 60.0], [[0.0], [latent]])
+
+    def test_one_draw_per_attribute_even_without_jitter(self, session, promise):
         # the jitterless profile must consume the stream exactly like a
-        # jittered one, so configurations stay comparable draw for draw
+        # jittered one, so configurations stay comparable draw for draw: a
+        # random reporter's reports are the uniforms that follow each event's
+        # attribute draws
         quiet = make_provider(promise, jitter_rel=0.0)
-        r1, r2 = rng(7), rng(7)
-        sample_true_performance(quiet, 0.0, r1)
-        for _ in range(len(promise.values)):
-            r2.normal(0.0, 0.0)
-        assert r1.uniform() == r2.uniform()
+        liar = ReporterProfile("malicious", malicious_strategy="random")
+        scenario = make_scenario(
+            session, quiet, bystanders=[Bystander("b00", liar, ProbeSchedule(600.0, 600.0, 4))]
+        )
+        stream = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0, 0)))
+        expected = []
+        for _ in range(4):
+            for _ in range(len(promise.values)):
+                stream.normal(0.0, 0.0)
+            expected.append(stream.uniform(0.0, 1.0))
+        assert [e.value for e in run_scenario(scenario).events] == expected
 
     def test_sampling_is_bit_reproducible(self, promise):
         provider = make_provider(promise, jitter_rel=0.3)
-        a = sample_true_performance(provider, 60.0, rng(123))
-        b = sample_true_performance(provider, 60.0, rng(123))
-        assert a.values == b.values
+        a = sample_true_performance(provider, [60.0, 120.0], noise(2, 3, seed=123))
+        b = sample_true_performance(provider, [60.0, 120.0], noise(2, 3, seed=123))
+        assert a.tolist() == b.tolist()
 
 
 class TestObserve:
     def test_honest_is_identity(self):
-        assert observe(ReporterProfile("honest"), 0.42, rng()) == 0.42
+        assert observe(ReporterProfile("honest"), 0.42) == 0.42
 
     def test_biased_adds_offset_and_clamps(self):
         up = ReporterProfile("biased", bias_offset=0.25)
         down = ReporterProfile("biased", bias_offset=-0.25)
-        assert observe(up, 0.5, rng()) == pytest.approx(0.75)
-        assert observe(up, 0.9, rng()) == 1.0
-        assert observe(down, 0.1, rng()) == 0.0
+        assert observe(up, 0.5) == pytest.approx(0.75)
+        assert observe(up, 0.9) == 1.0
+        assert observe(down, 0.1) == 0.0
 
     def test_malicious_random_is_uniform_draw(self):
         profile = ReporterProfile("malicious", malicious_strategy="random")
-        out = observe(profile, 0.9, rng(5))
-        assert out == rng(5).uniform(0.0, 1.0)
-        assert 0.0 <= out <= 1.0
+        draws = rng(5).random(2)
+        out = observe(profile, [0.9, 0.1], draws)
+        assert out.tolist() == draws.tolist()
+        assert profile.draws_reports
+        assert not ReporterProfile("malicious", malicious_strategy="inverted").draws_reports
 
     def test_malicious_inverted_flips(self):
         profile = ReporterProfile("malicious", malicious_strategy="inverted")
-        assert observe(profile, 0.9, rng()) == pytest.approx(0.1)
+        assert observe(profile, 0.9) == pytest.approx(0.1)
 
     def test_rejects_out_of_range_truth(self):
         with pytest.raises(ValueError, match="true_trust"):
-            observe(ReporterProfile("honest"), 1.1, rng())
+            observe(ReporterProfile("honest"), 1.1)

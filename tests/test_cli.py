@@ -13,6 +13,7 @@ from conftest import SCENARIO_DIR
 
 BASE = str(SCENARIO_DIR / "acceptance_base.json")
 DRIFT = str(SCENARIO_DIR / "drifting_provider.json")
+WIFI = str(SCENARIO_DIR / "wifi_cafe.json")
 
 
 @pytest.fixture(autouse=True)
@@ -218,18 +219,31 @@ class TestRunErrors:
         assert "scenario invariant violation:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "generator",
-        [{"mean": 10, "jitter_stddev": 1e308}, {"mean": 1e308, "drift_per_hour": 1e308}],
-        ids=["huge-jitter", "huge-mean-and-drift"],
+        "scenario, attribute, generator",
+        [
+            (BASE, 0, {"mean": 10, "jitter_stddev": 1e308}),
+            (BASE, 0, {"mean": 1e308, "drift_per_hour": 1e308}),
+            (WIFI, 1, {"mean": 2, "jitter_stddev": 1e308}),
+            (WIFI, 1, {"mean": 1e308, "drift_per_hour": 1e308}),
+            (WIFI, 0, {"mean": 10, "drift_per_hour": -1.7e308}),
+        ],
+        ids=["huge-jitter", "huge-mean-and-drift", "ordinal-huge-jitter",
+             "ordinal-huge-mean-and-drift", "continuous-minus-infinity"],
     )
-    def test_overflowing_sample_is_an_invariant_violation(self, tmp_path, capsys, generator):
+    def test_overflowing_sample_is_an_invariant_violation(self, tmp_path, capsys, scenario,
+                                                          attribute, generator):
         # finite numbers that validate, but whose samples overflow to infinity
-        doc = base_doc()
-        doc["provider"]["attributes"][0] = generator
+        # (an ordinal one would otherwise be rounded, a -inf one floored at 0)
+        with open(scenario, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["provider"]["attributes"][attribute] = generator
         path = write_doc(tmp_path, doc)
         assert main(["validate", "--scenario", path]) == EXIT_OK
         assert main(run_args("full", path)) == EXIT_INVARIANT
-        assert "scenario invariant violation:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invariant violation:")
+        assert "is not finite" in err
+        assert len(err.splitlines()) == 1
 
     def test_zero_replications(self, capsys):
         assert main(run_args("ablation", BASE, "0")) == EXIT_CONFIG

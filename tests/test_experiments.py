@@ -59,6 +59,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["replications", "reporters"])
+    def test_counts_must_be_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentSpec(ABLATION, **{field: 2.5})
+
 
 class TestComposition:
     def test_same_rep_same_draws(self):

@@ -5,8 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from mlt.agents import ProbeSchedule, ReporterProfile
+from mlt.agents import AttributeGenerator, ProbeSchedule, ProviderProfile, ReporterProfile
+from mlt.config import load_scenario_file
+from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import (
     ACCUMULATE,
     PROBE,
@@ -20,7 +24,7 @@ from mlt.simulator import (
 )
 from mlt.trust import NoEvidenceError, update_accumulated
 
-from conftest import make_provider, make_scenario
+from conftest import SCENARIO_DIR, make_provider, make_scenario, run_scenario_oracle
 
 
 def noisy_scenario(session, promise, honest, seed=99):
@@ -292,3 +296,86 @@ class TestSamplingDistribution:
         expected = mu + (1.0 - mu) * (1.0 - cdf) - s * pdf
 
         assert np.mean(values) == pytest.approx(expected, abs=0.01)
+
+
+def assert_matches_the_per_sample_oracle(scenario):
+    try:
+        expected = run_scenario_oracle(scenario)
+    except NoEvidenceError:
+        with pytest.raises(NoEvidenceError):
+            run_scenario(scenario)
+        return
+    got = run_scenario(scenario)
+    assert got.consumer_reports == expected.consumer_reports
+    assert got.bystander_reports == expected.bystander_reports
+    assert got.final_breakdown == expected.final_breakdown
+    assert got.ground_truth_trust == expected.ground_truth_trust
+    assert got.events == expected.events
+    assert all(type(e.value) is float for e in got.events)
+
+
+REPORTERS = (
+    ReporterProfile("honest"),
+    ReporterProfile("biased", bias_offset=0.25),
+    ReporterProfile("biased", bias_offset=-0.4),
+    ReporterProfile("malicious", malicious_strategy="inverted"),
+    ReporterProfile("malicious", malicious_strategy="random"),
+)
+
+
+@st.composite
+def mixed_scenarios(draw):
+    """Ordinal and continuous attributes, and rosters mixing every reporter kind."""
+    specs, promised, gens = [], [], []
+    for a in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            levels = tuple(f"L{i}" for i in range(draw(st.integers(2, 5))))
+            spec = AttributeSpec(f"a{a}", kind="ordinal", ordinal_levels=levels,
+                                 ordinal_base=draw(st.integers(0, 2)))
+            lo, hi = spec.level_range
+            promised.append(float(draw(st.integers(max(lo, 1), hi))))
+            gens.append(AttributeGenerator(draw(st.floats(0.0, hi + 1.0)),
+                                           draw(st.floats(0.0, 1.5)), draw(st.floats(-1.0, 1.0))))
+        else:
+            spec = AttributeSpec(f"a{a}")
+            promised.append(draw(st.floats(0.5, 100.0)))
+            gens.append(AttributeGenerator(draw(st.floats(0.0, 150.0)),
+                                           draw(st.floats(0.0, 20.0)), draw(st.floats(-20.0, 20.0))))
+        specs.append(spec)
+    schema = AttributeSchema(tuple(specs))
+    promise = PerformanceVector(tuple(promised), schema)
+    session = ServiceSession("s", (0.0, 0.0), 0.0, 7200.0, "p", "t", promise, schema)
+    provider = ProviderProfile(promise, tuple(gens), draw(st.floats(0.0, 1.0)))
+    bystanders = [
+        Bystander(f"b{i}", draw(st.sampled_from(REPORTERS)),
+                  ProbeSchedule(draw(st.floats(1.0, 2000.0)), draw(st.floats(1.0, 1000.0)),
+                                draw(st.integers(1, 6))))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    consumers = []
+    for j in range(draw(st.integers(0, 4))):
+        start = draw(st.floats(0.0, 3000.0))
+        usage = ConsumerUsage(start, start + draw(st.floats(1.0, 4000.0)), draw(st.floats(50.0, 2000.0)))
+        consumers.append(Consumer(f"c{j}", draw(st.sampled_from(REPORTERS)), usage))
+    assume(bystanders or consumers)
+    return make_scenario(session, provider, bystanders, consumers,
+                         query_time=draw(st.floats(1.0, 7200.0)),
+                         seed=draw(st.integers(0, 2**63 - 1)))
+
+
+class TestBatchedEngine:
+    """run_scenario batches each agent's events; the per-sample loop in
+    conftest is the oracle it must match exactly."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2**63 - 1])
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_shipped_scenarios_match_the_oracle(self, name, seed):
+        scenario, _ = load_scenario_file(SCENARIO_DIR / name)
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
+        assert_matches_the_per_sample_oracle(scenario)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mixed_scenarios())
+    def test_generated_scenarios_match_the_oracle(self, scenario):
+        assert_matches_the_per_sample_oracle(scenario)

@@ -6,6 +6,7 @@ before the implementation existed; they are oracles, not snapshots.
 
 import math
 
+import numpy as np
 import pytest
 
 from mlt.golden import GOLDEN_NAMES, run_golden_checks
@@ -58,6 +59,18 @@ class TestInstantaneous:
         with pytest.raises(UndefinedRatioError):
             instantaneous_trust(observation, promise)
 
+    def test_array_rows_score_like_vectors(self, schema, promise):
+        rows = [(5.0, 180.0, 45.0), (0.1, 89.9, 80.0), (10.0, 90.0, 80.0), (3.3, 0.0, 7.7)]
+        got = instantaneous_trust(np.array(rows), promise)
+        assert got.tolist() == [
+            instantaneous_trust(PerformanceVector(row, schema), promise) for row in rows
+        ]
+        assert type(instantaneous_trust(promise, promise)) is float
+
+    def test_array_with_the_wrong_width(self, promise):
+        with pytest.raises(SchemaMismatchError):
+            instantaneous_trust(np.ones((2, 4)), promise)
+
 
 class TestAccumulated:
     def test_worked_example(self):
@@ -95,6 +108,10 @@ class TestReports:
         # a non-finite offset or coverage would make aggregate() return nan
         with pytest.raises(ValueError):
             make()
+
+    def test_update_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="update_count must be an integer"):
+            AccumulatedReport("c", 0.5, 60.0, update_count=2.5)
 
 
 class TestWeights:
