@@ -142,7 +142,7 @@ def instantaneous_trust(observation, promise: PerformanceVector):
     on one attribute cannot paper over underdelivering on another.  A
     PerformanceVector observation gives one float; an (events x attributes)
     array of values on the promise's schema gives one trust value per row.
-    The ratios are summed left to right, in the order of Python's sum().
+    The ratios are added left to right, starting from 0.0.
     """
     single = isinstance(observation, PerformanceVector)
     if single:

@@ -51,7 +51,7 @@ def _oracle_clamp(spec, latent: float) -> float:
 
 
 def _oracle_trust(values, promise) -> float:
-    total = 0.0  # left to right, as Python's sum() adds floats
+    total = 0.0  # left to right, as Python 3.11's sum() adds floats
     for o, p in zip(values, promise.values):
         total += min(1.0, o / p)
     return total / len(promise.values)
