@@ -113,7 +113,7 @@ class ProbeSchedule:
 
     def __post_init__(self):
         require_finite(first_offset=self.first_offset, interval=self.interval, count=self.count)
-        if not isinstance(self.count, numbers.Integral):
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.first_offset <= 0:
             raise ValueError(f"first_offset must be positive, got {self.first_offset}")

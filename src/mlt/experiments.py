@@ -66,7 +66,7 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("replications", "reporters"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")

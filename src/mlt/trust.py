@@ -18,6 +18,13 @@ disagree, verbatim scores sag slightly even for unanimous honest crowds.  The
 "normalized" mode divides each group sum by its weight mass, which makes a
 unanimous crowd reporting t score exactly t and keeps fixed classification
 thresholds meaningful.
+
+The aggregate is a few whole-list passes, not a loop per report.  Its float
+order is fixed: sums run left to right with the built-in sum(), a term is
+(credibility * weight) * trust, a weight is value / total, and a credibility
+is 1.0 - abs(value - mean).  A weight sum that passes the float range is
+taken over the values divided by their largest one.  The per-reporter terms
+of a TrustBreakdown are built only when they are first read.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -89,10 +98,11 @@ class AccumulatedReport:
             raise ValueError(
                 f"report from {self.reporter_id!r}: coverage_duration must be finite and positive"
             )
-        if not isinstance(self.update_count, numbers.Integral) or self.update_count < 1:
+        count = self.update_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError(
                 f"report from {self.reporter_id!r}: update_count must be an integer >= 1, "
-                f"got {self.update_count!r}"
+                f"got {count!r}"
             )
 
 
@@ -121,18 +131,31 @@ class ReporterTerm:
 
 @dataclass(frozen=True)
 class TrustBreakdown:
-    """An aggregated trust value plus the per-reporter terms behind it.
+    """An aggregated trust value plus the evidence behind it.
 
     consumer_term and bystander_term are the group aggregates before the
     beta blend (0.0 for an absent group).  degenerate_freshness flags that
     every bystander probed at offset zero and freshness fell back to uniform.
+    reports, weights and credibilities run in parallel, consumers first;
+    per_reporter zips them into ReporterTerms on its first read, so a caller
+    that needs only the overall value never builds them.  Equality and the
+    hash cover all seven fields, the per-reporter data included.
     """
 
     overall: float
-    per_reporter: tuple[ReporterTerm, ...]
     consumer_term: float
     bystander_term: float
-    degenerate_freshness: bool = False
+    degenerate_freshness: bool
+    reports: tuple[AccumulatedReport | InstantaneousReport, ...]
+    weights: tuple[float, ...]  # coverage weights for consumers, freshness for bystanders
+    credibilities: tuple[float, ...]
+
+    @cached_property
+    def per_reporter(self) -> tuple[ReporterTerm, ...]:
+        return tuple([
+            ReporterTerm(r.reporter_id, r.trust, w, c)
+            for r, w, c in zip(self.reports, self.weights, self.credibilities)
+        ])
 
 
 def instantaneous_trust(observation, promise: PerformanceVector):
@@ -181,6 +204,16 @@ def update_accumulated(previous: float, instantaneous: float, alpha: float = DEF
     return alpha * previous + (1.0 - alpha) * instantaneous
 
 
+def _shares(values: list[float], total: float) -> list[float]:
+    """Each value over total, their sum.  A sum past the float range (+inf) would
+    make every share 0.0, so the values are then first divided by the largest."""
+    if total == math.inf:
+        top = max(values)
+        values = [v / top for v in values]
+        total = sum(values)
+    return [v / total for v in values]
+
+
 def freshness_weights(reports: list[InstantaneousReport]) -> tuple[list[float], bool]:
     """Per-bystander weights proportional to probe recency.
 
@@ -191,19 +224,20 @@ def freshness_weights(reports: list[InstantaneousReport]) -> tuple[list[float], 
     """
     if not reports:
         raise ValueError("freshness weights need at least one report")
-    total = sum(r.timestamp_offset for r in reports)
+    offsets = [r.timestamp_offset for r in reports]
+    total = sum(offsets)
     if total <= 0:
         n = len(reports)
         return [1.0 / n] * n, True
-    return [r.timestamp_offset / total for r in reports], False
+    return _shares(offsets, total), False
 
 
 def coverage_weights(reports: list[AccumulatedReport]) -> list[float]:
     """Per-consumer weights proportional to usage duration."""
     if not reports:
         raise ValueError("coverage weights need at least one report")
-    total = sum(r.coverage_duration for r in reports)
-    return [r.coverage_duration / total for r in reports]
+    durations = [r.coverage_duration for r in reports]
+    return _shares(durations, sum(durations))
 
 
 def credibilities(values: list[float]) -> list[float]:
@@ -215,10 +249,20 @@ def credibilities(values: list[float]) -> list[float]:
     """
     if not values:
         raise ValueError("credibilities need at least one value")
-    for v in values:
-        _check_unit("trust value", v)
-    mean = sum(values) / len(values)
+    # min() and max() step over a NaN that is not first; the sum does not
+    total = sum(values) if 0.0 <= min(values) and max(values) <= 1.0 else math.nan
+    if total != total:
+        for v in values:
+            _check_unit("trust value", v)
+    mean = total / len(values)
     return [1.0 - abs(v - mean) for v in values]
+
+
+def _group_term(trusts, weights: list[float], creds, normalized: bool) -> float:
+    """Sum of (credibility * weight) * trust, over the weight mass when normalized."""
+    damped = list(map(mul, creds, weights))
+    weighted = sum(map(mul, damped, trusts))
+    return weighted / sum(damped) if normalized else weighted
 
 
 def aggregate(
@@ -239,62 +283,33 @@ def aggregate(
     With it, equal weights within each group, and beta equal to the consumer
     share of the pool, the result reduces to the plain mean of every report.
     """
-    consumer_reports = list(consumer_reports)
-    bystander_reports = list(bystander_reports)
-    if not consumer_reports and not bystander_reports:
+    consumers = tuple(consumer_reports)
+    bystanders = tuple(bystander_reports)
+    if not consumers and not bystanders:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
+    reports = consumers + bystanders
+    pooled = [r.trust for r in reports]
+    creds = credibilities(pooled) if use_credibility else [1.0] * len(pooled)
+    weights_c = coverage_weights(consumers) if consumers else []
+    weights_b, degenerate = freshness_weights(bystanders) if bystanders else ([], False)
 
-    pooled = [r.trust for r in consumer_reports] + [r.trust for r in bystander_reports]
-    if use_credibility:
-        creds = credibilities(pooled)
-    else:
-        creds = [1.0] * len(pooled)
-    cred_c = creds[: len(consumer_reports)]
-    cred_b = creds[len(consumer_reports):]
+    normalized = params.mode == NORMALIZED
+    n_c = len(consumers)
+    # map() stops at the shortest list, so the consumer term reads the first n_c entries
+    consumer_term = _group_term(pooled, weights_c, creds, normalized) if consumers else 0.0
+    bystander_term = (
+        _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders else 0.0
+    )
 
-    degenerate = False
-    weights_c: list[float] = []
-    weights_b: list[float] = []
-    if consumer_reports:
-        weights_c = coverage_weights(consumer_reports)
-    if bystander_reports:
-        weights_b, degenerate = freshness_weights(bystander_reports)
-
-    def group_term(trusts: list[float], weights: list[float], creds_: list[float]) -> float:
-        weighted = sum(c * w * t for c, w, t in zip(creds_, weights, trusts))
-        if params.mode == NORMALIZED:
-            mass = sum(c * w for c, w in zip(creds_, weights))
-            return weighted / mass
-        return weighted
-
-    consumer_term = 0.0
-    bystander_term = 0.0
-    if consumer_reports:
-        consumer_term = group_term([r.trust for r in consumer_reports], weights_c, cred_c)
-    if bystander_reports:
-        bystander_term = group_term([r.trust for r in bystander_reports], weights_b, cred_b)
-
-    if consumer_reports and bystander_reports:
+    if consumers and bystanders:
         overall = params.beta * consumer_term + (1.0 - params.beta) * bystander_term
-    elif consumer_reports:
+    elif consumers:
         overall = consumer_term
     else:
         overall = bystander_term
 
-    per_reporter = tuple(
-        [
-            ReporterTerm(r.reporter_id, r.trust, w, c)
-            for r, w, c in zip(consumer_reports, weights_c, cred_c)
-        ]
-        + [
-            ReporterTerm(r.reporter_id, r.trust, w, c)
-            for r, w, c in zip(bystander_reports, weights_b, cred_b)
-        ]
-    )
+    # positional: keyword arguments cost a frozen dataclass about 1 us more
     return TrustBreakdown(
-        overall=overall,
-        per_reporter=per_reporter,
-        consumer_term=consumer_term,
-        bystander_term=bystander_term,
-        degenerate_freshness=degenerate,
+        overall, consumer_term, bystander_term, degenerate,
+        reports, (*weights_c, *weights_b), tuple(creds),
     )

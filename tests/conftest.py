@@ -1,5 +1,6 @@
 """Shared fixtures: a small continuous schema and a minimal runnable scenario,
-plus two oracles: plain-mean aggregation and the per-sample session run."""
+plus three oracles: plain-mean aggregation, the per-report aggregate and the
+per-sample session run."""
 
 import math
 from pathlib import Path
@@ -28,6 +29,7 @@ from mlt.trust import (
     AggregationParams,
     InstantaneousReport,
     NoEvidenceError,
+    ReporterTerm,
     aggregate,
     update_accumulated,
 )
@@ -41,6 +43,97 @@ def aggregate_basic(consumer_reports, bystander_reports) -> float:
     if not values:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
     return sum(values) / len(values)
+
+
+def _oracle_check_unit(label: str, x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{label} must be in [0, 1], got {x}")
+
+
+def freshness_weights_oracle(reports):
+    """Bystander weights, one report at a time: offset over the sum of offsets."""
+    if not reports:
+        raise ValueError("freshness weights need at least one report")
+    total = sum(r.timestamp_offset for r in reports)
+    if total <= 0:
+        n = len(reports)
+        return [1.0 / n] * n, True
+    return [r.timestamp_offset / total for r in reports], False
+
+
+def coverage_weights_oracle(reports):
+    """Consumer weights, one report at a time: duration over the sum of durations."""
+    if not reports:
+        raise ValueError("coverage weights need at least one report")
+    total = sum(r.coverage_duration for r in reports)
+    return [r.coverage_duration / total for r in reports]
+
+
+def credibilities_oracle(values):
+    """One minus each value's distance from the pooled mean, each value checked first."""
+    if not values:
+        raise ValueError("credibilities need at least one value")
+    for v in values:
+        _oracle_check_unit("trust value", v)
+    mean = sum(values) / len(values)
+    return [1.0 - abs(v - mean) for v in values]
+
+
+def aggregate_oracle(consumer_reports, bystander_reports, params=AggregationParams(), *,
+                     use_credibility=True):
+    """The per-report aggregate: generator sums and an eager per-reporter tuple.
+
+    It returns the fields of a TrustBreakdown, with per_reporter built at
+    once, that aggregate() must reproduce exactly.  Weight sums past the
+    float range are not rescaled here.
+    """
+    consumer_reports = list(consumer_reports)
+    bystander_reports = list(bystander_reports)
+    if not consumer_reports and not bystander_reports:
+        raise NoEvidenceError("no consumer or bystander reports to aggregate")
+
+    pooled = [r.trust for r in consumer_reports] + [r.trust for r in bystander_reports]
+    creds = credibilities_oracle(pooled) if use_credibility else [1.0] * len(pooled)
+    cred_c = creds[: len(consumer_reports)]
+    cred_b = creds[len(consumer_reports):]
+
+    degenerate = False
+    weights_c, weights_b = [], []
+    if consumer_reports:
+        weights_c = coverage_weights_oracle(consumer_reports)
+    if bystander_reports:
+        weights_b, degenerate = freshness_weights_oracle(bystander_reports)
+
+    def group_term(trusts, weights, creds_):
+        weighted = sum(c * w * t for c, w, t in zip(creds_, weights, trusts))
+        if params.mode == "normalized":
+            return weighted / sum(c * w for c, w in zip(creds_, weights))
+        return weighted
+
+    consumer_term = bystander_term = 0.0
+    if consumer_reports:
+        consumer_term = group_term([r.trust for r in consumer_reports], weights_c, cred_c)
+    if bystander_reports:
+        bystander_term = group_term([r.trust for r in bystander_reports], weights_b, cred_b)
+
+    if consumer_reports and bystander_reports:
+        overall = params.beta * consumer_term + (1.0 - params.beta) * bystander_term
+    elif consumer_reports:
+        overall = consumer_term
+    else:
+        overall = bystander_term
+
+    per_reporter = tuple(
+        [ReporterTerm(r.reporter_id, r.trust, w, c) for r, w, c in zip(consumer_reports, weights_c, cred_c)]
+        + [ReporterTerm(r.reporter_id, r.trust, w, c) for r, w, c in zip(bystander_reports, weights_b, cred_b)]
+    )
+    return SimpleNamespace(
+        overall=overall,
+        per_reporter=per_reporter,
+        consumer_term=consumer_term,
+        bystander_term=bystander_term,
+        degenerate_freshness=degenerate,
+    )
 
 
 def _oracle_clamp(spec, latent: float) -> float:

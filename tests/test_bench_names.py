@@ -12,6 +12,7 @@ from pathlib import Path
 
 import mlt
 import mlt.cli
+import mlt.trust
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +45,24 @@ def test_every_mlt_name_the_query_workload_reads_exists():
     }
     assert {"aggregate", "classify"} <= used
     assert sorted(name for name in used if not hasattr(mlt, name)) == []
+
+
+def test_aggregate_calls_each_traced_helper_once(monkeypatch):
+    # the traced trust.credibilities and *_weights metrics read 0 if aggregate()
+    # stops calling these helpers through mlt.trust's globals
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    helpers = ("credibilities", "coverage_weights", "freshness_weights")
+    for name in helpers:
+        monkeypatch.setattr(mlt.trust, name, counted(name, getattr(mlt.trust, name)))
+    mlt.trust.aggregate(
+        [mlt.AccumulatedReport("c0", 0.8, 60.0), mlt.AccumulatedReport("c1", 0.6, 30.0)],
+        [mlt.InstantaneousReport("b0", 0.7, 10.0), mlt.InstantaneousReport("b1", 0.5, 20.0)],
+    )
+    assert calls == dict.fromkeys(helpers, 1)

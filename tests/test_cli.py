@@ -245,6 +245,38 @@ class TestRunErrors:
         assert "is not finite" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["verbatim", "normalized"])
+    def test_offsets_past_the_float_range(self, tmp_path, capsys, mode):
+        # two probes at 1e308 and two usages of 1e308 s sum past the float
+        # range; with no drift, the run must score exactly like the same
+        # session on a scale of thousands of seconds
+        def scenario(scale, name):
+            with open(WIFI, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["session"]["end_time"] = 1.7 * scale
+            doc["query_time"] = 1.6 * scale
+            doc["params"]["mode"] = mode
+            doc["bystanders"] = [
+                {"id": f"b0{i}", "reporter": {"kind": "honest"},
+                 "schedule": {"first_offset": scale, "interval": 900, "count": 1}}
+                for i in range(2)
+            ]
+            doc["consumers"] = [
+                {"id": f"c0{i}", "reporter": {"kind": "honest"}, "usage_start": 0,
+                 "usage_end": scale, "sample_interval": scale / 2}
+                for i in range(2)
+            ]
+            return write_doc(tmp_path, doc, name)
+
+        huge, small = scenario(1e308, "huge.json"), scenario(1e3, "small.json")
+        assert main(["validate", "--scenario", huge]) == EXIT_OK
+        capsys.readouterr()
+        assert main(run_args("full", huge, "20")) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert main(run_args("full", small, "20")) == EXIT_OK
+        assert out == capsys.readouterr().out
+
     def test_zero_replications(self, capsys):
         assert main(run_args("ablation", BASE, "0")) == EXIT_CONFIG
         assert "--replications" in capsys.readouterr().err

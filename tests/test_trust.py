@@ -5,6 +5,7 @@ before the implementation existed; they are oracles, not snapshots.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,9 +110,10 @@ class TestReports:
         with pytest.raises(ValueError):
             make()
 
-    def test_update_count_must_be_an_integer(self):
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_update_count_must_be_an_integer(self, count):
         with pytest.raises(ValueError, match="update_count must be an integer"):
-            AccumulatedReport("c", 0.5, 60.0, update_count=2.5)
+            AccumulatedReport("c", 0.5, 60.0, update_count=count)
 
 
 class TestWeights:
@@ -145,6 +147,18 @@ class TestWeights:
         with pytest.raises(ValueError):
             coverage_weights([])
 
+    def test_sums_past_the_float_range(self):
+        # 1e308 + 1e308 is +inf; dividing by it would make every weight 0.0
+        huge = [InstantaneousReport("b1", 0.9, 1e308), InstantaneousReport("b2", 0.8, 1e308)]
+        unit_offsets = [replace(r, timestamp_offset=1.0) for r in huge]
+        assert freshness_weights(huge) == ([0.5, 0.5], False)
+        consumers = [AccumulatedReport("c1", 0.7, 1e308), AccumulatedReport("c2", 0.6, 1.7e308)]
+        assert coverage_weights(consumers) == pytest.approx([1 / 2.7, 1.7 / 2.7])
+        for mode in ("verbatim", "normalized"):
+            got = aggregate([], huge, AggregationParams(mode=mode))
+            want = aggregate([], unit_offsets, AggregationParams(mode=mode))
+            assert (got.overall, got.per_reporter) == (want.overall, want.per_reporter)
+
 
 class TestCredibility:
     def test_worked_example(self):
@@ -155,6 +169,17 @@ class TestCredibility:
 
     def test_single_value_fully_credible(self):
         assert credibilities([0.42]) == [1.0]
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [([math.nan, 0.5], "nan"), ([0.5, math.nan], "nan"), ([0.2, math.nan, 0.9], "nan"),
+         ([0.5, -0.5, 2.0], "-0.5")],
+    )
+    def test_first_bad_value_is_named(self, values, named):
+        # min() and max() skip a NaN that is not first, so the range check cannot rely on them
+        with pytest.raises(ValueError) as exc:
+            credibilities(values)
+        assert str(exc.value) == f"trust value must be in [0, 1], got {named}"
 
 
 class TestAggregate:
@@ -201,6 +226,26 @@ class TestAggregate:
         consumers, bystanders = self.build_reports()
         out = aggregate(consumers, bystanders)
         assert [t.reporter_id for t in out.per_reporter] == ["c00", "c01", "b00", "b01"]
+
+    def test_per_reporter_is_built_on_first_read(self):
+        consumers, bystanders = self.build_reports()
+        out = aggregate(consumers, bystanders)
+        assert "per_reporter" not in vars(out)
+        terms = out.per_reporter
+        assert vars(out)["per_reporter"] is terms
+        assert [(t.trust, t.weight) for t in terms] == [
+            (0.8, 0.75), (0.6, 0.25), (0.7, 0.25), (0.5, 0.75)
+        ]
+
+    def test_breakdown_is_a_hashable_value_over_its_terms(self):
+        consumers, bystanders = self.build_reports()
+        out = aggregate(consumers, bystanders)
+        assert out == aggregate(tuple(consumers), tuple(bystanders))
+        assert hash(out) == hash(aggregate(consumers, bystanders))
+        renamed = [replace(bystanders[0], reporter_id="b99"), bystanders[1]]
+        other = aggregate(consumers, renamed)
+        assert other.overall == out.overall
+        assert other != out
 
     def test_credibility_off_sets_all_to_one(self):
         consumers, bystanders = self.build_reports()

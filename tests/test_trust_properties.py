@@ -4,8 +4,10 @@ Strategies build small random report pools; the properties assert range,
 normalization, monotonicity, and equivalence facts that hold for any input.
 """
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from mlt.trust import (
     update_accumulated,
 )
 
-from conftest import aggregate_basic
+from conftest import aggregate_basic, aggregate_oracle
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
@@ -198,3 +200,60 @@ def test_single_outlier_influence_is_bounded(pool, outlier_value):
     ] + bystanders[1:]
     moved = aggregate(consumers, moved_reports, params)
     assert abs(moved.overall - base.overall) <= 1.0
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call gives: its breakdown fields, or the type and message it raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as exc:  # the oracle and aggregate() must fail alike
+        return type(exc), str(exc)
+    return (out.overall, out.consumer_term, out.bystander_term, out.degenerate_freshness,
+            out.per_reporter)
+
+
+trust_value = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+offset = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9))
+coverage = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1e9, exclude_min=True))
+
+
+@st.composite
+def oracle_case(draw):
+    n_c = draw(st.integers(min_value=0, max_value=12))
+    n_b = draw(st.integers(min_value=0, max_value=12))
+    all_zero = draw(st.booleans())
+    consumers = [
+        AccumulatedReport(f"c{i:02d}", draw(trust_value), draw(coverage)) for i in range(n_c)
+    ]
+    bystanders = [
+        InstantaneousReport(f"b{i:02d}", draw(trust_value), 0.0 if all_zero else draw(offset))
+        for i in range(n_b)
+    ]
+    params = AggregationParams(
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        mode=draw(st.sampled_from(["verbatim", "normalized"])),
+    )
+    return consumers, bystanders, params, draw(st.booleans())
+
+
+@given(oracle_case())
+@settings(max_examples=400, deadline=None)
+def test_aggregate_matches_the_per_report_oracle_exactly(case):
+    consumers, bystanders, params, use_credibility = case
+    expected = _outcome(aggregate_oracle, consumers, bystanders, params,
+                        use_credibility=use_credibility)
+    assert _outcome(aggregate, consumers, bystanders, params,
+                    use_credibility=use_credibility) == expected
+
+
+def test_aggregate_matches_the_oracle_on_a_query_workload_cycle():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("perfbench_queries", path)
+    queries = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(queries)
+    mismatched = [
+        k for k, (consumers, bystanders) in enumerate(queries.build_sets(1))
+        if _outcome(aggregate, consumers, bystanders, queries.PARAMS)
+        != _outcome(aggregate_oracle, consumers, bystanders, queries.PARAMS)
+    ]
+    assert mismatched == []
