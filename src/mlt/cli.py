@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 malformed config or usage, 3 scenario invariant
-violation, 4 I/O failure.  Output is a pure function of the scenario file,
-the flags, and the seed, so identical invocations produce identical bytes.
+Exit codes: 0 success, 1 failed golden check (paper-examples), 2 malformed
+config or usage, 3 scenario invariant violation, 4 I/O failure.  Output is
+a pure function of the scenario file, the flags, and the seed, so identical
+invocations produce identical bytes.
 
 The seed is resolved as: --seed flag, else the MLT_SEED environment
 variable, else the seed stored in the scenario file.

@@ -16,13 +16,22 @@ are free of between-point sampling noise.
 
 That makes one simulation per replication and adversary fraction enough.
 Points that share a fraction share a roster: the largest one is simulated
-once, and each smaller point is scored from the reports of its own roster,
-picked out by reporter id.  One task covers one replication and returns the
-classification of every (point, arm); a sweep starts at most one worker pool.
+once, and each smaller point is scored from the leading reports of its own
+prefix of slots (reports follow roster order).  One task covers one
+replication and returns the classification of every (point, arm); a sweep
+starts at most one worker pool.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
 over the session.  "full" runs the scenario's own roster as configured.
+
+Work that does not change between fractions is done once.  A sweep builds
+each slot's honest and malicious agent once and checks them once under
+Scenario's rules; a replication draws its composition once, picks each
+slot's agent by its flag, and derives its fractions' scenarios without
+checking them again.  The fractions share the scenario seed, so the
+simulator seeds each agent stream once per replication, and they share the
+provider, so the ground truth is scored once.
 """
 
 from __future__ import annotations
@@ -33,7 +42,17 @@ from multiprocessing import Pool
 
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
-from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, composition_rng, run_scenario
+from .simulator import (
+    Bystander,
+    Consumer,
+    ConsumerUsage,
+    Scenario,
+    _event_times,
+    _replace_unchecked,
+    composition_rng,
+    run_scenario,
+    scenario_violations,
+)
 from .trust import aggregate
 
 ABLATION = "ablation"
@@ -46,6 +65,7 @@ _MAX_SLOTS = 64    # composition always draws this many adversary flags
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
+_PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a slot's agents, indexed by its adversary flag
 
 
 @dataclass(frozen=True)
@@ -96,13 +116,16 @@ def _slot_id(slot: int) -> str:
     return f"{'bc'[slot % 2]}{slot // 2:02d}"
 
 
-def _synth_roster(kind, query_time, n_slots, flags, frac):
-    """Fixed per-slot rosters; slot i's schedule never depends on n_slots."""
+def _slot_agents(kind, query_time, n_slots):
+    """Each synthesized slot's (honest, malicious) agent, in slot order.
+
+    A slot's agents depend only on the kind, the query time and the slot, so
+    a sweep builds them once; a replication picks each slot's agent by its
+    adversary flag.  Slot i's schedule never depends on n_slots.
+    """
     q = query_time
-    bystanders = []
-    consumers = []
+    slots = []
     for slot in range(n_slots):
-        profile = _MALICIOUS_PROFILE if flags[slot] < frac else _HONEST_PROFILE
         j = slot // 2
         if slot % 2 == 0:
             if kind == ESTIMATOR_COMPARE:
@@ -110,33 +133,75 @@ def _synth_roster(kind, query_time, n_slots, flags, frac):
                 sched = ProbeSchedule(q * (0.60 + 0.03 * (j % 6)), q * 0.10, 3)
             else:
                 sched = ProbeSchedule(q * (0.10 + 0.03 * (j % 8)), q * 0.22, 4)
-            bystanders.append(Bystander(_slot_id(slot), profile, sched))
+            pair = (Bystander(_slot_id(slot), p, sched) for p in _PROFILES)
         else:
             if kind == ESTIMATOR_COMPARE:
                 usage = ConsumerUsage(q * 0.03 * (j % 4), q * (0.45 + 0.03 * (j % 4)), q * 0.05)
             else:
                 usage = ConsumerUsage(q * 0.04 * (j % 4), q * (0.70 + 0.06 * (j % 5)), q * 0.05)
-            consumers.append(Consumer(_slot_id(slot), profile, usage))
-    return tuple(bystanders), tuple(consumers)
+            pair = (Consumer(_slot_id(slot), p, usage) for p in _PROFILES)
+        slots.append(tuple(pair))
+    return tuple(slots)
 
 
-def _variant(base: Scenario, spec: ExperimentSpec, kind: str, n_reporters: int,
-             frac: float, rep: int) -> Scenario:
-    target, flags, scenario_seed = _composition(base.seed, rep, spec)
-    provider = base.provider
-    if spec.vary_provider:
-        provider = replace(provider, honesty_gap=1.0 - target)
-    if kind == FULL:
-        bystanders, consumers = base.bystanders, base.consumers
-    else:
-        bystanders, consumers = _synth_roster(kind, base.query_time, n_reporters, flags, frac)
-    return replace(
-        base,
-        provider=provider,
-        bystanders=bystanders,
-        consumers=consumers,
-        seed=scenario_seed,
-    )
+def _pick(slots, flags, frac):
+    """(bystanders, consumers) of the roster whose slot i turns malicious when flags[i] < frac."""
+    malicious = (flags[:len(slots)] < frac).tolist()
+    roster = [pair[bad] for pair, bad in zip(slots, malicious)]
+    return tuple(roster[0::2]), tuple(roster[1::2])
+
+
+class _Sweep:
+    """What a sweep builds and checks once and every replication shares.
+
+    For each adversary fraction, the size of its largest roster; for a
+    synthesized roster, the slot agents, checked once under the
+    scenario_violations rules, and for each roster size the number of
+    bystander and consumer reports its prefix of slots hands in.
+    """
+
+    def __init__(self, base: Scenario, spec: ExperimentSpec, points):
+        self.base = base
+        self.spec = spec
+        self.points = tuple(points)
+        self.largest: dict[float, int] = {}
+        for n_reporters, frac, _ in self.points:
+            self.largest[frac] = max(self.largest.get(frac, 0), n_reporters)
+        self.slots = None
+        self.cuts: dict[int, tuple[int, int]] = {}
+        if spec.kind == FULL:
+            return
+        q = base.query_time
+        self.slots = _slot_agents(spec.kind, q, max(self.largest.values()))
+        honest = [pair[0] for pair in self.slots]
+        violations = scenario_violations(base.session, base.provider, honest[0::2],
+                                         honest[1::2], q, base.seed)
+        if violations:
+            raise ValueError("; ".join(violations))
+        # reports follow roster order, one per agent with an event by the query
+        # time, so a prefix of slots reports a prefix of each report tuple
+        reporting = [len(_event_times(agent, q)) > 0 for agent in honest]
+        for n_reporters, _, _ in self.points:
+            self.cuts[n_reporters] = (sum(reporting[0:n_reporters:2]),
+                                      sum(reporting[1:n_reporters:2]))
+
+    def scenarios(self, rep: int) -> dict[float, Scenario]:
+        """Replication rep's scenario for each adversary fraction: one
+        composition, so one provider and one scenario seed, for all of them."""
+        base, spec = self.base, self.spec
+        target, flags, scenario_seed = _composition(base.seed, rep, spec)
+        provider = base.provider
+        if spec.vary_provider:
+            provider = replace(provider, honesty_gap=1.0 - target)
+        scenarios = {}
+        for frac, n_reporters in self.largest.items():
+            if self.slots is None:
+                bystanders, consumers = base.bystanders, base.consumers
+            else:
+                bystanders, consumers = _pick(self.slots[:n_reporters], flags, frac)
+            scenarios[frac] = _replace_unchecked(base, provider=provider, bystanders=bystanders,
+                                                 consumers=consumers, seed=scenario_seed)
+        return scenarios
 
 
 def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
@@ -156,32 +221,27 @@ def _rep_outcomes(args) -> tuple[TrustLevel, ...]:
     """Classify one replication under every (point, arm): (actual, *predicted).
 
     Each adversary fraction's largest roster is simulated once.  A smaller
-    point keeps only the reports of its own roster's ids; the full roster's
-    "on" arm reuses the simulator's own aggregate.
+    point keeps the leading reports of its own prefix of slots; the full
+    roster's "on" arm reuses the simulator's own aggregate.
     """
-    base, spec, points, rep = args
-    largest: dict[float, int] = {}
-    for n_reporters, frac, _ in points:
-        largest[frac] = max(largest.get(frac, 0), n_reporters)
-    traces = {
-        frac: run_scenario(_variant(base, spec, spec.kind, n_reporters, frac, rep))
-        for frac, n_reporters in largest.items()
-    }
-    th = spec.thresholds
+    sweep, rep = args
+    largest = sweep.largest
+    traces = {frac: run_scenario(scenario) for frac, scenario in sweep.scenarios(rep).items()}
+    th = sweep.spec.thresholds
+    params = sweep.base.params
     predicted = []
-    for n_reporters, frac, arms in points:
+    for n_reporters, frac, arms in sweep.points:
         trace = traces[frac]
         cr, br = trace.consumer_reports, trace.bystander_reports
         whole = n_reporters == largest[frac]
         if not whole:
-            ids = {_slot_id(slot) for slot in range(n_reporters)}
-            cr = tuple(r for r in cr if r.reporter_id in ids)
-            br = tuple(r for r in br if r.reporter_id in ids)
+            n_b, n_c = sweep.cuts[n_reporters]
+            cr, br = cr[:n_c], br[:n_b]
         for arm in arms:
             if whole and arm == "on":
                 overall = trace.final_breakdown.overall
             else:
-                overall = _ARMS[arm](cr, br, base.params).overall
+                overall = _ARMS[arm](cr, br, params).overall
             predicted.append(_classify_clamped(overall, th))
     # every roster of a replication scores the same provider
     return (_classify_clamped(trace.ground_truth_trust, th), *predicted)
@@ -214,8 +274,8 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = spec.kind
-    points = _sweep_points(base_scenario, spec)
-    args = [(base_scenario, spec, points, rep) for rep in range(spec.replications)]
+    sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
+    args = [(sweep, rep) for rep in range(spec.replications)]
     processes = min(jobs, len(args))
     if processes > 1:
         with Pool(processes=processes) as pool:
@@ -224,7 +284,7 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
         outcomes = [_rep_outcomes(a) for a in args]
 
     actual = [o[0] for o in outcomes]
-    columns = [(n_reporters, frac, arm) for n_reporters, frac, arms in points for arm in arms]
+    columns = [(n_reporters, frac, arm) for n_reporters, frac, arms in sweep.points for arm in arms]
     results = []
     for column, (n_reporters, frac, arm) in enumerate(columns, start=1):
         predicted = [o[column] for o in outcomes]

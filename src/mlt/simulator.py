@@ -20,14 +20,22 @@ never changes the ones that remain.  Because a stream depends on (group,
 slot) and not on the roster's size, adding or removing agents at the end of
 either group leaves every other agent's events and reports unchanged.
 
+A seeded stream may be reused.  Building one (SeedSequence plus PCG64)
+costs about ten times as much as restoring a saved state, so the streams of
+the last scenario seed seen are kept, each with its seeded state, and a later
+session with the same seed rewinds them instead of seeding again; a session
+with another seed drops them first.  Rewinding restores the exact seeded
+state, so reuse never changes a draw, whatever ran before: a sweep's
+adversary fractions share their replication's seed and seed each stream once.
+
 The work is batched per agent.  An agent whose reporter draws nothing of
 its own takes all its truth draws in one call, an (events x attributes)
 block in C order, which is the same sequence as drawing event by event; a
 random reporter steps one event at a time to keep the order above.  All of
 a session's events are then scored together as arrays: truth, the
-finiteness check, clamping and instantaneous trust.  Each agent's reports
-come from one observe() call, and a consumer's EWMA is a short loop over
-update_accumulated.  No per-sample objects are built: a SessionTrace keeps
+finiteness check, clamping and instantaneous trust.  Reports come from one
+observe() call per distinct reporter profile, and a consumer's EWMA is a
+short loop over update_accumulated.  No per-sample objects are built: a SessionTrace keeps
 each agent's series and builds its events only when they are read.
 
 A sweep draws each replication's provider quality, adversary flags and
@@ -167,6 +175,15 @@ class Scenario:
             raise ValueError("; ".join(violations))
 
 
+def _replace_unchecked(scenario: Scenario, **changes) -> Scenario:
+    """dataclasses.replace without Scenario's checks, for a caller that has
+    already checked every changed field under scenario_violations (a sweep
+    checks its slot rosters once, not once per replication)."""
+    new = object.__new__(Scenario)
+    new.__dict__.update(scenario.__dict__, **changes)
+    return new
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     offset: float
@@ -190,17 +207,22 @@ class SessionTrace:
     """Full record of one simulated session run.
 
     The report tuples are the evidence collected at query time, and
-    final_breakdown is their aggregate under the scenario's params.
+    final_breakdown is their aggregate under the scenario's params.  series
+    holds every agent's events, bystanders first, in roster order.
     ground_truth_trust scores the provider's noise-free mean performance
-    against the promise.  series holds every agent's events, bystanders
-    first, in roster order.
+    against its promise; it is computed on first read, so sessions of one
+    provider whose truth is read once score it once.
     """
 
     final_breakdown: TrustBreakdown
-    ground_truth_trust: float
     consumer_reports: tuple[AccumulatedReport, ...]
     bystander_reports: tuple[InstantaneousReport, ...]
     series: tuple[AgentSeries, ...]
+    provider: ProviderProfile
+
+    @cached_property
+    def ground_truth_trust(self) -> float:
+        return instantaneous_trust(noise_free_performance(self.provider), self.provider.promise)
 
     @cached_property
     def events(self) -> tuple[TraceEvent, ...]:
@@ -237,8 +259,39 @@ def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
     return tuple(usage.usage_start + m * usage.sample_interval for m in range(n + 1))
 
 
+def _event_times(agent: Bystander | Consumer, limit: float) -> tuple[float, ...]:
+    """An agent's event offsets up to limit.  An agent is immutable, so the
+    offsets at the last limit asked for are kept on it, the way
+    cached_property keeps a value, and a roster reused across sessions
+    computes them once."""
+    memo = agent.__dict__.get("_event_times")
+    if memo is None or memo[0] != limit:
+        if isinstance(agent, Bystander):
+            memo = (limit, _probe_times(agent.schedule, limit))
+        else:
+            memo = (limit, _sample_times(agent.usage, limit))
+        agent.__dict__["_event_times"] = memo
+    return memo[1]
+
+
+# Seeded streams of the last scenario seed seen: (seed, group, slot) ->
+# (generator, its seeded state).  Another seed clears them first.
+_seeded_streams: dict[tuple[int, int, int], tuple[np.random.Generator, dict]] = {}
+
+
 def _agent_rng(seed: int, group: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, slot)))
+    """The agent's stream at its seeded state (see the module docstring)."""
+    key = (seed, group, slot)
+    entry = _seeded_streams.get(key)
+    if entry is not None:
+        rng, state = entry
+        rng.bit_generator.state = state
+        return rng
+    if _seeded_streams and next(iter(_seeded_streams))[0] != seed:
+        _seeded_streams.clear()
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, slot)))
+    _seeded_streams[key] = (rng, rng.bit_generator.state)
+    return rng
 
 
 def composition_rng(seed: int, rep: int) -> np.random.Generator:
@@ -248,71 +301,83 @@ def composition_rng(seed: int, rep: int) -> np.random.Generator:
 
 def run_scenario(scenario: Scenario) -> SessionTrace:
     """Simulate one session up to query_time and aggregate what was reported."""
-    session = scenario.session
     provider = scenario.provider
     q = scenario.query_time
     alpha = scenario.params.alpha
     k = len(provider.attributes)
 
-    agents = [(b, _BYSTANDER_GROUP, i, _probe_times(b.schedule, q))
-              for i, b in enumerate(scenario.bystanders)]
-    agents += [(c, _CONSUMER_GROUP, j, _sample_times(c.usage, q))
-               for j, c in enumerate(scenario.consumers)]
+    agents = [(b, _BYSTANDER_GROUP, i) for i, b in enumerate(scenario.bystanders)]
+    agents += [(c, _CONSUMER_GROUP, j) for j, c in enumerate(scenario.consumers)]
+    times = [_event_times(agent, q) for agent, _, _ in agents]
+    sizes = [len(t) for t in times]
+    total = sum(sizes)
 
-    # each agent's draws, in its stream's order (the empty block lets an
-    # empty roster reach aggregate, which reports the missing evidence)
-    noises = [np.empty((0, k))]
-    own_draws = []
-    for agent, group, slot, times in agents:
+    # each agent's draws, in its stream's order, at its events' rows; a
+    # random reporter's own draws sit at the same positions of `own`
+    noise = np.empty((total, k))
+    own = np.empty(total) if any(a.profile.draws_reports for a, _, _ in agents) else None
+    stop = 0
+    for (agent, group, slot), n in zip(agents, sizes):
+        start, stop = stop, stop + n
+        if not n:
+            continue
         rng = _agent_rng(scenario.seed, group, slot)
-        n = len(times)
         if agent.profile.draws_reports:
             # one event at a time: the event's truth draws, then the report's
-            noise = np.empty((n, k))
-            own = np.empty(n)
-            for e in range(n):
-                noise[e] = rng.standard_normal(k)
+            for e in range(start, stop):
+                rng.standard_normal(out=noise[e])
                 own[e] = rng.random()
-            own_draws.append(own)
         else:
-            noise = rng.standard_normal((n, k))
-            own_draws.append(None)
-        noises.append(noise)
+            rng.standard_normal(out=noise[start:stop])
 
-    # every agent's events at once: truth, then its instantaneous trust
-    offsets = [t for _, _, _, times in agents for t in times]
-    observed = sample_true_performance(provider, offsets, np.concatenate(noises))
-    true_trust = instantaneous_trust(observed, session.promise)
+    # every agent's events at once: truth, its instantaneous trust, and the
+    # reports, with one observe() per distinct profile
+    offsets = [t for ts in times for t in ts]
+    observed = sample_true_performance(provider, offsets, noise)
+    true_trust = instantaneous_trust(observed, scenario.session.promise)
+    profiles = {agent.profile: None for agent, _, _ in agents}
+    if len(profiles) > 1:
+        index = {profile: i for i, profile in enumerate(profiles)}
+        which = np.repeat([index[agent.profile] for agent, _, _ in agents], sizes)
+        reported = np.empty(total)
+        for profile, i in index.items():
+            mask = which == i
+            reported[mask] = observe(profile, true_trust[mask],
+                                     own[mask] if profile.draws_reports else None)
+    elif profiles:
+        reported = observe(next(iter(profiles)), true_trust, own)
+    else:
+        reported = true_trust
+    values = reported.tolist()
 
     series: list[AgentSeries] = []
     bystander_reports: list[InstantaneousReport] = []
     consumer_reports: list[AccumulatedReport] = []
     stop = 0
-    for (agent, group, _, times), own in zip(agents, own_draws):
-        start, stop = stop, stop + len(times)
-        reported = tuple(observe(agent.profile, true_trust[start:stop], own).tolist())
+    for (agent, group, _), ts in zip(agents, times):
+        start, stop = stop, stop + len(ts)
+        agent_reported = values[start:stop]
         if group == _BYSTANDER_GROUP:
-            series.append(AgentSeries(agent.id, times, reported, None))
-            if times:
-                bystander_reports.append(InstantaneousReport(agent.id, reported[-1], times[-1]))
+            series.append(AgentSeries(agent.id, ts, tuple(agent_reported), None))
+            if ts:
+                bystander_reports.append(InstantaneousReport(agent.id, agent_reported[-1], ts[-1]))
             continue
         # the first sample seeds the EWMA, later ones fold into it
-        accumulated = list(reported[:1])
-        for value in reported[1:]:
+        accumulated = agent_reported[:1]
+        for value in agent_reported[1:]:
             accumulated.append(update_accumulated(accumulated[-1], value, alpha))
-        series.append(AgentSeries(agent.id, times, reported, tuple(accumulated)))
+        series.append(AgentSeries(agent.id, ts, tuple(agent_reported), tuple(accumulated)))
         if accumulated:
             coverage = min(q, agent.usage.usage_end) - agent.usage.usage_start
             consumer_reports.append(
                 AccumulatedReport(agent.id, accumulated[-1], coverage, len(accumulated)))
 
-    breakdown = aggregate(consumer_reports, bystander_reports, scenario.params)
-    truth = instantaneous_trust(noise_free_performance(provider), session.promise)
-
+    consumer_reports = tuple(consumer_reports)
+    bystander_reports = tuple(bystander_reports)
     return SessionTrace(
-        final_breakdown=breakdown,
-        ground_truth_trust=truth,
-        consumer_reports=tuple(consumer_reports),
-        bystander_reports=tuple(bystander_reports),
+        final_breakdown=aggregate(consumer_reports, bystander_reports, scenario.params),
+        consumer_reports=consumer_reports,
+        bystander_reports=bystander_reports,
         series=tuple(series),
+        provider=provider,
     )

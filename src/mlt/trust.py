@@ -198,9 +198,12 @@ def update_accumulated(previous: float, instantaneous: float, alpha: float = DEF
     alpha is the retention: the result is alpha * previous plus
     (1 - alpha) * instantaneous, a convex blend of the two inputs.
     """
-    _check_unit("previous", previous)
-    _check_unit("instantaneous", instantaneous)
-    _check_unit("alpha", alpha)
+    # one chained comparison holds all three bounds (NaN fails it); the named
+    # checks run only to raise the message for the first input out of range
+    if not 0.0 <= previous <= 1.0 >= instantaneous >= 0.0 <= alpha <= 1.0:
+        _check_unit("previous", previous)
+        _check_unit("instantaneous", instantaneous)
+        _check_unit("alpha", alpha)
     return alpha * previous + (1.0 - alpha) * instantaneous
 
 

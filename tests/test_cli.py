@@ -315,6 +315,40 @@ class TestValidateAndRunAgree:
         assert main(run_args("full", path)) == code
 
 
+def _with_doc(mutate):
+    """argv builder: `mlt run --experiment full` on the base document after mutate."""
+    def argv(tmp_path):
+        doc = base_doc()
+        mutate(doc)
+        return run_args("full", write_doc(tmp_path, doc))
+    return argv
+
+
+class TestExitCodeContract:
+    """Every exit code the README lists, triggered through cli.main."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (lambda tmp: run_args("ablation", BASE, "2"), EXIT_OK),
+            (lambda tmp: ["paper-examples", "--perturb", "consumer-coverage"], 1),
+            (_with_doc(lambda d: d.update(surprise=1)), EXIT_CONFIG),
+            (lambda tmp: run_args("ablation", BASE, "2", "--format", "xml"), EXIT_CONFIG),
+            (_with_doc(lambda d: d["provider"]["attributes"][0].update(jitter_stddev=1e308)),
+             EXIT_INVARIANT),
+            (lambda tmp: run_args("ablation", BASE, "2", "--out", str(tmp)), EXIT_IO),
+        ],
+        ids=["run", "failed-golden-check", "malformed-file", "bad-flag", "overflowing-sample",
+             "out-is-a-directory"],
+    )
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        try:
+            got = main(argv(tmp_path))
+        except SystemExit as exc:  # argparse rejects a bad flag by exiting
+            got = exc.code
+        assert got == code
+
+
 class TestConsoleScript:
     def test_entry_point_runs_golden_checks(self):
         proc = subprocess.run(

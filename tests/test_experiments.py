@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import mlt.experiments
-from mlt.agents import MALICIOUS
+from mlt.agents import MALICIOUS, RANDOM, ReporterProfile
 from mlt.config import load_scenario_file
 from mlt.evaluation import score
 from mlt.experiments import (
@@ -13,21 +13,48 @@ from mlt.experiments import (
     COUNT_SWEEP,
     ESTIMATOR_COMPARE,
     FULL,
+    KINDS,
     ExperimentSpec,
     _classify_clamped,
     _composition,
+    _pick,
     _rep_outcomes,
+    _slot_agents,
+    _Sweep,
     _sweep_points,
-    _synth_roster,
-    _variant,
     run_experiment_suite,
 )
-from mlt.simulator import run_scenario
+from mlt.simulator import _replace_unchecked, run_scenario
 from mlt.trust import NORMALIZED, VERBATIM, aggregate
 
 from conftest import SCENARIO_DIR, make_provider, make_scenario
 
 REPS = 40  # enough replications for structure checks without slowing the suite
+
+
+def synth_roster(kind, query_time, n_slots, flags, frac):
+    return _pick(_slot_agents(kind, query_time, n_slots), flags, frac)
+
+
+def variant_oracle(base, spec, kind, n_reporters, frac, rep):
+    """One replication's scenario at one point, built on its own and checked in
+    full by Scenario: the composition, then each honest slot agent turned
+    malicious (random) when its flag is below frac."""
+    target, flags, scenario_seed = _composition(base.seed, rep, spec)
+    provider = base.provider
+    if spec.vary_provider:
+        provider = replace(provider, honesty_gap=1.0 - target)
+    if kind == FULL:
+        bystanders, consumers = base.bystanders, base.consumers
+    else:
+        roster = [
+            replace(honest, profile=ReporterProfile(MALICIOUS, malicious_strategy=RANDOM))
+            if flags[slot] < frac else honest
+            for slot, (honest, _) in enumerate(_slot_agents(kind, base.query_time, n_reporters))
+        ]
+        bystanders, consumers = roster[0::2], roster[1::2]
+    return replace(base, provider=provider, bystanders=bystanders, consumers=consumers,
+                   seed=scenario_seed)
 
 
 @pytest.fixture
@@ -89,7 +116,7 @@ class TestComposition:
 class TestSynthRoster:
     def test_slots_alternate_groups(self):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        bystanders, consumers = _synth_roster(COUNT_SWEEP, 5400.0, 5, flags, 0.0)
+        bystanders, consumers = synth_roster(COUNT_SWEEP, 5400.0, 5, flags, 0.0)
         assert [b.id for b in bystanders] == ["b00", "b01", "b02"]
         assert [c.id for c in consumers] == ["c00", "c01"]
 
@@ -97,15 +124,15 @@ class TestSynthRoster:
         # slot schedules depend only on the slot index, so adding a reporter
         # leaves every existing reporter untouched
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        small = _synth_roster(COUNT_SWEEP, 5400.0, 6, flags, 0.25)
-        large = _synth_roster(COUNT_SWEEP, 5400.0, 7, flags, 0.25)
+        small = synth_roster(COUNT_SWEEP, 5400.0, 6, flags, 0.25)
+        large = synth_roster(COUNT_SWEEP, 5400.0, 7, flags, 0.25)
         assert large[0][: len(small[0])] == small[0]
         assert large[1][: len(small[1])] == small[1]
 
     def test_adversary_flags_follow_fraction(self):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
-        all_honest = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 0.0)
-        all_bad = _synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 1.0)
+        all_honest = synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 0.0)
+        all_bad = synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 1.0)
         roster = [r.profile.kind for group in all_honest for r in group]
         assert set(roster) == {"honest"}
         roster = [r.profile.kind for group in all_bad for r in group]
@@ -114,7 +141,7 @@ class TestSynthRoster:
     def test_rosters_fit_inside_the_query_window(self, base):
         _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
         for kind in (COUNT_SWEEP, ESTIMATOR_COMPARE):
-            bystanders, consumers = _synth_roster(kind, 5400.0, 16, flags, 0.5)
+            bystanders, consumers = synth_roster(kind, 5400.0, 16, flags, 0.5)
             for b in bystanders:
                 assert b.schedule.last_offset <= 5400.0
             for c in consumers:
@@ -122,15 +149,18 @@ class TestSynthRoster:
 
 
 class TestVariant:
+    """A replication's scenarios come from the per-sweep table, without
+    Scenario's checks; each must equal the one built and checked on its own."""
+
     def test_vary_provider_overrides_gap(self, base):
         spec = ExperimentSpec(COUNT_SWEEP, trust_range=(0.4, 0.6))
-        scenario = _variant(base, spec, COUNT_SWEEP, 4, 0.0, rep=0)
+        scenario = _Sweep(base, spec, [(4, 0.0, ("on",))]).scenarios(0)[0.0]
         target, _, _ = _composition(base.seed, 0, spec)
         assert scenario.provider.honesty_gap == pytest.approx(1.0 - target)
 
     def test_fixed_provider_keeps_gap(self, base):
         spec = ExperimentSpec(ABLATION, vary_provider=False)
-        scenario = _variant(base, spec, ABLATION, 4, 0.0, rep=0)
+        scenario = _Sweep(base, spec, [(4, 0.0, ("on",))]).scenarios(0)[0.0]
         assert scenario.provider.honesty_gap == base.provider.honesty_gap
 
     def test_full_kind_keeps_the_scenario_roster(self, base, session, promise, honest):
@@ -144,9 +174,42 @@ class TestVariant:
             seed=71,
         )
         spec = ExperimentSpec(FULL)
-        scenario = _variant(roster, spec, FULL, 1, 0.0, rep=0)
+        (scenario,) = _Sweep(roster, spec, _sweep_points(roster, spec)).scenarios(0).values()
         assert scenario.bystanders == roster.bystanders
         assert scenario.consumers == roster.consumers
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_fraction_equals_its_checked_scenario(self, base, kind):
+        spec = ExperimentSpec(kind, adversary_frac=0.5)
+        sweep = _Sweep(base, spec, _sweep_points(base, spec))
+        for rep in range(5):
+            scenarios = sweep.scenarios(rep)
+            assert list(scenarios) == list(sweep.largest)
+            for frac, scenario in scenarios.items():
+                n = sweep.largest[frac]
+                assert scenario == variant_oracle(base, spec, kind, n, frac, rep)
+            # one composition per replication: its fractions share provider and seed
+            assert len({(s.provider, s.seed) for s in scenarios.values()}) == 1
+
+    def test_the_slot_table_is_checked_once_per_sweep(self, base):
+        late = _replace_unchecked(base, query_time=9000.0)  # past the 7200 s session
+        spec = ExperimentSpec(ABLATION)
+        with pytest.raises(ValueError, match=r"^query_time: must lie in \(0, 7200\]"):
+            _Sweep(late, spec, _sweep_points(late, spec))
+
+    @pytest.mark.parametrize("kind", [COUNT_SWEEP, ESTIMATOR_COMPARE])
+    def test_a_prefix_of_slots_reports_a_prefix_of_each_report_tuple(self, base, kind):
+        spec = ExperimentSpec(kind, reporters=9, adversary_frac=0.5)
+        sweep = _Sweep(base, spec, [(n, 0.5, ("on",)) for n in range(1, 10)])
+        trace = run_scenario(sweep.scenarios(3)[0.5])
+        for n in range(1, 10):
+            n_b, n_c = sweep.cuts[n]
+            roster = variant_oracle(base, spec, kind, n, 0.5, 3)
+            ids = {agent.id for agent in roster.bystanders + roster.consumers}
+            assert trace.bystander_reports[:n_b] == tuple(
+                r for r in trace.bystander_reports if r.reporter_id in ids)
+            assert trace.consumer_reports[:n_c] == tuple(
+                r for r in trace.consumer_reports if r.reporter_id in ids)
 
 
 class TestSuite:
@@ -231,11 +294,11 @@ class TestSuite:
     def test_sweep_scores_under_the_scenario_mode(self, base):
         verbatim = replace(base, params=replace(base.params, mode=VERBATIM))
         spec = ExperimentSpec(COUNT_SWEEP, replications=REPS)
-        points = _sweep_points(verbatim, spec)
+        sweep = _Sweep(verbatim, spec, _sweep_points(verbatim, spec))
         modes_disagree = 0
         for rep in range(REPS):
             args = (verbatim, spec, COUNT_SWEEP, spec.reporters, spec.adversary_frac, rep)
-            trace = run_scenario(_variant(*args))
+            trace = run_scenario(variant_oracle(*args))
             cr, br = trace.consumer_reports, trace.bystander_reports
             level = {
                 mode: _classify_clamped(
@@ -245,7 +308,7 @@ class TestSuite:
                 for mode in (VERBATIM, NORMALIZED)
             }
             # the last point is the N = spec.reporters one simulated above
-            assert _rep_outcomes((verbatim, spec, points, rep))[-1] == level[VERBATIM]
+            assert _rep_outcomes((sweep, rep))[-1] == level[VERBATIM]
             modes_disagree += level[VERBATIM] != level[NORMALIZED]
         assert modes_disagree > 0  # otherwise the check could not tell the modes apart
 
@@ -256,7 +319,7 @@ class TestCommonRandomNumbers:
         spec = ExperimentSpec(COUNT_SWEEP, adversary_frac=0.0)
         seen = {"b00": [], "c00": []}
         for n in range(2, spec.reporters + 1):
-            trace = run_scenario(_variant(scenario, spec, COUNT_SWEEP, n, 0.0, rep=0))
+            trace = run_scenario(variant_oracle(scenario, spec, COUNT_SWEEP, n, 0.0, rep=0))
             for report in trace.bystander_reports + trace.consumer_reports:
                 if report.reporter_id in seen:
                     events = [e for e in trace.events if e.reporter_id == report.reporter_id]
@@ -279,7 +342,7 @@ def per_point_oracle(base, spec):
     rows = []
     for n, frac, arms in points:
         traces = [
-            run_scenario(_variant(base, spec, spec.kind, n, frac, rep))
+            run_scenario(variant_oracle(base, spec, spec.kind, n, frac, rep))
             for rep in range(spec.replications)
         ]
         actual = [_classify_clamped(t.ground_truth_trust, spec.thresholds) for t in traces]

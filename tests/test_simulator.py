@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mlt.agents import AttributeGenerator, ProbeSchedule, ProviderProfile, ReporterProfile
+from mlt import simulator
 from mlt.config import load_scenario_file
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import (
@@ -250,6 +251,60 @@ class TestReportCollection:
         scenario = make_scenario(session, provider)
         with pytest.raises(NoEvidenceError):
             run_scenario(scenario)
+
+
+def _grown(scenario):
+    """The scenario with a second bystander and a second consumer."""
+    honest = ReporterProfile("honest")
+    return replace(
+        scenario,
+        bystanders=scenario.bystanders + (Bystander("b01", honest, ProbeSchedule(900.0, 1200.0, 3)),),
+        consumers=scenario.consumers + (Consumer("c01", honest, ConsumerUsage(300.0, 3900.0, 600.0)),),
+    )
+
+
+def _random_reporters(scenario):
+    """The scenario with every reporter malicious (random) in its own slot."""
+    noisy = ReporterProfile("malicious", malicious_strategy="random")
+    return replace(
+        scenario,
+        bystanders=tuple(replace(b, profile=noisy) for b in scenario.bystanders),
+        consumers=tuple(replace(c, profile=noisy) for c in scenario.consumers),
+    )
+
+
+class TestStreamReuse:
+    """A session that follows another with the same seed reuses the seeded
+    streams; it must still equal the same session run on its own."""
+
+    @staticmethod
+    def run_alone(scenario):
+        simulator._seeded_streams.clear()
+        return run_scenario(scenario)
+
+    @pytest.mark.parametrize("second_first", [False, True])
+    @pytest.mark.parametrize(
+        "change",
+        [_grown, lambda s: replace(s, query_time=1800.0), _random_reporters],
+        ids=["roster-size", "shorter-query-time", "honest-vs-random"],
+    )
+    def test_a_session_after_another_equals_it_alone(self, session, promise, honest,
+                                                     change, second_first):
+        first = noisy_scenario(session, promise, honest, seed=314)
+        second = change(first)
+        if second_first:
+            first, second = second, first
+        alone = self.run_alone(second)
+        run_scenario(first)
+        after = run_scenario(second)
+        assert after == alone
+        assert after.events == alone.events
+        assert {key[0] for key in simulator._seeded_streams} == {second.seed}
+
+    def test_a_new_seed_drops_the_last_seeds_streams(self, session, promise, honest):
+        run_scenario(_grown(noisy_scenario(session, promise, honest, seed=1)))
+        run_scenario(noisy_scenario(session, promise, honest, seed=2))
+        assert sorted(simulator._seeded_streams) == [(2, 0, 0), (2, 1, 0)]
 
 
 class TestSamplingDistribution:

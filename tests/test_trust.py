@@ -88,6 +88,22 @@ class TestAccumulated:
         with pytest.raises(ValueError):
             update_accumulated(0.5, -0.1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 0.5, 0.7), "previous must be in [0, 1], got nan"),
+            ((0.5, math.nan, 0.7), "instantaneous must be in [0, 1], got nan"),
+            ((0.5, 0.5, math.nan), "alpha must be in [0, 1], got nan"),
+            ((1.5, math.nan, math.nan), "previous must be in [0, 1], got 1.5"),
+            ((0.5, 2.0, -1.0), "instantaneous must be in [0, 1], got 2.0"),
+            ((0.5, 0.5, 1.0000001), "alpha must be in [0, 1], got 1.0000001"),
+        ],
+    )
+    def test_names_the_first_input_out_of_range(self, args, message):
+        with pytest.raises(ValueError) as err:
+            update_accumulated(*args)
+        assert str(err.value) == message
+
 
 class TestReports:
     @pytest.mark.parametrize(
