@@ -197,20 +197,6 @@ class TestVariant:
         with pytest.raises(ValueError, match=r"^query_time: must lie in \(0, 7200\]"):
             _Sweep(late, spec, _sweep_points(late, spec))
 
-    @pytest.mark.parametrize("kind", [COUNT_SWEEP, ESTIMATOR_COMPARE])
-    def test_a_prefix_of_slots_reports_a_prefix_of_each_report_tuple(self, base, kind):
-        spec = ExperimentSpec(kind, reporters=9, adversary_frac=0.5)
-        sweep = _Sweep(base, spec, [(n, 0.5, ("on",)) for n in range(1, 10)])
-        trace = run_scenario(sweep.scenarios(3)[0.5])
-        for n in range(1, 10):
-            n_b, n_c = sweep.cuts[n]
-            roster = variant_oracle(base, spec, kind, n, 0.5, 3)
-            ids = {agent.id for agent in roster.bystanders + roster.consumers}
-            assert trace.bystander_reports[:n_b] == tuple(
-                r for r in trace.bystander_reports if r.reporter_id in ids)
-            assert trace.consumer_reports[:n_c] == tuple(
-                r for r in trace.consumer_reports if r.reporter_id in ids)
-
 
 class TestSuite:
     def test_ablation_rows(self, base):
