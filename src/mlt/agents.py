@@ -128,7 +128,8 @@ class ProbeSchedule:
 
 
 def _clamp(schema, latent: np.ndarray) -> np.ndarray:
-    """Clamp latent values (one column per attribute) into each attribute's range.
+    """Clamp latent values (one column per attribute) into each attribute's
+    range, in place.
 
     An ordinal attribute rounds half away from the bottom, so the latent maps
     to the nearest level, and is clipped to its level range; a continuous one
@@ -144,11 +145,11 @@ def _clamp(schema, latent: np.ndarray) -> np.ndarray:
     ranges = [spec.level_range if spec.kind == ORDINAL else (0.0, np.inf)
               for spec in schema.attributes]
     lo, hi = np.array(ranges).T
-    rounded = np.where(ordinal, np.floor(latent + 0.5), latent)
-    return np.minimum(hi, np.maximum(lo, rounded))
+    latent[..., ordinal] = np.floor(latent[..., ordinal] + 0.5)
+    return np.minimum(hi, np.maximum(lo, latent, out=latent), out=latent)
 
 
-def sample_true_performance(profile: ProviderProfile, offsets, noise) -> np.ndarray:
+def sample_true_performance(profile, offsets, noise) -> np.ndarray:
     """The service's actual performance at session offsets (seconds), one row each.
 
     Each attribute is mean * (1 - honesty_gap), plus drift scaled by the
@@ -157,14 +158,27 @@ def sample_true_performance(profile: ProviderProfile, offsets, noise) -> np.ndar
     attribute's jitter is its draw times its jitter_stddev.  The simulator
     draws one value per attribute per event regardless of the jitter setting,
     so streams stay aligned across configurations.
+
+    profile may also be a sequence of profiles of one provider that differ
+    only in honesty_gap, one per replication: noise and the result then have
+    a leading replication axis.
     """
+    if isinstance(profile, ProviderProfile):
+        gens = profile.attributes
+        base = [gen.mean * (1.0 - profile.honesty_gap) for gen in gens]
+    else:
+        profile, *others = profile
+        gens = profile.attributes
+        if any(p.attributes != gens or p.promise != profile.promise for p in others):
+            raise ValueError("the profiles of one sample must differ only in honesty_gap")
+        base = np.array([[gen.mean * (1.0 - p.honesty_gap) for gen in gens]
+                         for p in (profile, *others)])[:, np.newaxis, :]
     hours = np.asarray(offsets, dtype=float) / SECONDS_PER_HOUR
-    gens = profile.attributes
-    base = [gen.mean * (1.0 - profile.honesty_gap) for gen in gens]
     drift = [gen.drift_per_hour for gen in gens]
     stddev = [gen.jitter_stddev for gen in gens]
     with np.errstate(over="ignore", invalid="ignore"):
-        latent = base + np.multiply.outer(hours, drift) + np.asarray(noise, dtype=float) * stddev
+        latent = base + np.multiply.outer(hours, drift)
+        latent += np.asarray(noise, dtype=float) * stddev
     return _clamp(profile.promise.schema, latent)
 
 

@@ -14,24 +14,24 @@ Agent streams are keyed by identity (see simulator), so a reporter reports
 the same values at every point whose roster holds it, and count-sweep curves
 are free of between-point sampling noise.
 
-That makes one simulation per replication and adversary fraction enough.
-Points that share a fraction share a roster: the largest one is simulated
-once, and each smaller point is scored from the leading reports of its own
-prefix of slots (reports follow roster order).  One task covers one
-replication and returns the classification of every (point, arm); a sweep
-starts at most one worker pool.
+A sweep builds one slot table (see simulator) and hands the engine blocks
+of _BLOCK_SIZE consecutive replications.  Each synthesized slot holds its
+honest and its malicious agent, built and checked once per sweep.  In a
+block, each replication draws its composition, so its provider, its
+scenario seed and, per adversary fraction, a roster that picks each slot's
+agent by its flag; the engine draws each (replication, slot) once for every
+fraction that reads the same draws.  Points that share a fraction share its
+roster: the largest one is simulated, and each smaller point is scored from
+the leading reports of its own prefix of slots (reports follow slot order).
+Every (replication, point, arm) is then scored on its own with aggregate
+and classify, the ground truth once per replication.  A sweep starts at
+most one worker pool, which maps blocks; the output depends neither on the
+block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
-over the session.  "full" runs the scenario's own roster as configured.
-
-Work that does not change between fractions is done once.  A sweep builds
-each slot's honest and malicious agent once and checks them once under
-Scenario's rules; a replication draws its composition once, picks each
-slot's agent by its flag, and derives its fractions' scenarios without
-checking them again.  The fractions share the scenario seed, so the
-simulator seeds each agent stream once per replication, and they share the
-provider, so the ground truth is scored once.
+over the session.  "full" runs the scenario's own roster as configured, one
+agent per slot.
 """
 
 from __future__ import annotations
@@ -40,19 +40,26 @@ import numbers
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
+import numpy as np
+
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
 from .simulator import (
+    Block,
     Bystander,
     Consumer,
     ConsumerUsage,
     Scenario,
+    Slot,
+    SlotTable,
     _event_times,
-    _replace_unchecked,
-    composition_rng,
-    run_scenario,
+    composition_streams,
     scenario_violations,
 )
+# Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
+# simulator.run_scenario layer, until ROADMAP direction 1 moves the
+# instrumentation into src.
+from .simulator import run_scenario  # noqa: F401
 from .trust import aggregate
 
 ABLATION = "ablation"
@@ -62,6 +69,7 @@ FULL = "full"
 KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 
 _MAX_SLOTS = 64    # composition always draws this many adversary flags
+_BLOCK_SIZE = 50   # replications per engine call: it bounds the arrays, not the output
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
@@ -101,14 +109,15 @@ class ExperimentSpec:
             raise ValueError(f"trust_range must satisfy 0 < lo < hi <= 1, got {self.trust_range}")
 
 
-def _composition(seed: int, rep: int, spec: ExperimentSpec):
-    """Per-replication draws shared by every sweep point: quality, flags, seed."""
-    rng = composition_rng(seed, rep)
+def _compositions(seed: int, reps, spec: ExperimentSpec):
+    """Per-replication draws shared by every sweep point: (quality, flags, seed) per replication."""
     lo, hi = spec.trust_range
-    target = lo + (hi - lo) * rng.random()
-    flags = rng.random(_MAX_SLOTS)
-    scenario_seed = int(rng.integers(0, 2**63))
-    return target, flags, scenario_seed
+    draws = []
+    for rng in composition_streams(seed, reps):
+        target = lo + (hi - lo) * rng.random()
+        flags = rng.random(_MAX_SLOTS)
+        draws.append((target, flags, int(rng.integers(0, 2**63))))
+    return draws
 
 
 def _slot_id(slot: int) -> str:
@@ -120,7 +129,7 @@ def _slot_agents(kind, query_time, n_slots):
     """Each synthesized slot's (honest, malicious) agent, in slot order.
 
     A slot's agents depend only on the kind, the query time and the slot, so
-    a sweep builds them once; a replication picks each slot's agent by its
+    a sweep builds them once; a roster picks each slot's agent by its
     adversary flag.  Slot i's schedule never depends on n_slots.
     """
     q = query_time
@@ -144,64 +153,62 @@ def _slot_agents(kind, query_time, n_slots):
     return tuple(slots)
 
 
-def _pick(slots, flags, frac):
-    """(bystanders, consumers) of the roster whose slot i turns malicious when flags[i] < frac."""
-    malicious = (flags[:len(slots)] < frac).tolist()
-    roster = [pair[bad] for pair, bad in zip(slots, malicious)]
-    return tuple(roster[0::2]), tuple(roster[1::2])
-
-
 class _Sweep:
-    """What a sweep builds and checks once and every replication shares.
+    """What a sweep builds and checks once and every block shares.
 
-    For each adversary fraction, the size of its largest roster; for a
-    synthesized roster, the slot agents, checked once under the
-    scenario_violations rules, and for each roster size the number of
-    bystander and consumer reports its prefix of slots hands in.
+    The adversary fractions, in point order, each with one roster per
+    replication; the size of the largest roster; the slot table, whose
+    synthesized slots are checked once under the scenario_violations rules;
+    and for each roster size the number of bystander and consumer reports
+    its prefix of slots hands in.
     """
 
     def __init__(self, base: Scenario, spec: ExperimentSpec, points):
         self.base = base
         self.spec = spec
         self.points = tuple(points)
-        self.largest: dict[float, int] = {}
-        for n_reporters, frac, _ in self.points:
-            self.largest[frac] = max(self.largest.get(frac, 0), n_reporters)
-        self.slots = None
+        self.fracs = tuple(dict.fromkeys(frac for _, frac, _ in self.points))
+        self.size = max(n_reporters for n_reporters, _, _ in self.points)
         self.cuts: dict[int, tuple[int, int]] = {}
-        if spec.kind == FULL:
-            return
         q = base.query_time
-        self.slots = _slot_agents(spec.kind, q, max(self.largest.values()))
-        honest = [pair[0] for pair in self.slots]
-        violations = scenario_violations(base.session, base.provider, honest[0::2],
-                                         honest[1::2], q, base.seed)
-        if violations:
-            raise ValueError("; ".join(violations))
-        # reports follow roster order, one per agent with an event by the query
-        # time, so a prefix of slots reports a prefix of each report tuple
-        reporting = [len(_event_times(agent, q)) > 0 for agent in honest]
-        for n_reporters, _, _ in self.points:
-            self.cuts[n_reporters] = (sum(reporting[0:n_reporters:2]),
-                                      sum(reporting[1:n_reporters:2]))
+        if spec.kind == FULL:
+            slots = [Slot(i, (b,)) for i, b in enumerate(base.bystanders)]
+            slots += [Slot(j, (c,)) for j, c in enumerate(base.consumers)]
+        else:
+            pairs = _slot_agents(spec.kind, q, self.size)
+            honest = [pair[0] for pair in pairs]
+            violations = scenario_violations(base.session, base.provider, honest[0::2],
+                                             honest[1::2], q, base.seed)
+            if violations:
+                raise ValueError("; ".join(violations))
+            # reports follow slot order, one per agent with an event by the query
+            # time, so a prefix of slots reports a prefix of each report tuple
+            reporting = [len(_event_times(agent, q)) > 0 for agent in honest]
+            for n_reporters, _, _ in self.points:
+                self.cuts[n_reporters] = (sum(reporting[0:n_reporters:2]),
+                                          sum(reporting[1:n_reporters:2]))
+            slots = [Slot(i // 2, pair) for i, pair in enumerate(pairs)]
+        self.table = SlotTable(slots, base.session, q, base.params)
 
-    def scenarios(self, rep: int) -> dict[float, Scenario]:
-        """Replication rep's scenario for each adversary fraction: one
-        composition, so one provider and one scenario seed, for all of them."""
+    def simulate(self, reps) -> Block:
+        """Simulate replications reps as one block.
+
+        Each replication has one composition, so one provider and one scenario
+        seed for all its rosters; roster f picks slot i's malicious agent when
+        the slot's flag is below fraction f.
+        """
         base, spec = self.base, self.spec
-        target, flags, scenario_seed = _composition(base.seed, rep, spec)
-        provider = base.provider
+        draws = _compositions(base.seed, reps, spec)
         if spec.vary_provider:
-            provider = replace(provider, honesty_gap=1.0 - target)
-        scenarios = {}
-        for frac, n_reporters in self.largest.items():
-            if self.slots is None:
-                bystanders, consumers = base.bystanders, base.consumers
-            else:
-                bystanders, consumers = _pick(self.slots[:n_reporters], flags, frac)
-            scenarios[frac] = _replace_unchecked(base, provider=provider, bystanders=bystanders,
-                                                 consumers=consumers, seed=scenario_seed)
-        return scenarios
+            providers = [replace(base.provider, honesty_gap=1.0 - target) for target, _, _ in draws]
+        else:
+            providers = [base.provider] * len(draws)
+        if spec.kind == FULL:
+            picks = np.zeros((len(draws), 1, len(self.table.slots)), np.intp)
+        else:
+            flags = np.array([flags[:self.size] for _, flags, _ in draws])
+            picks = (flags[:, np.newaxis, :] < np.array(self.fracs)[:, np.newaxis]).astype(np.intp)
+        return self.table.simulate(providers, [seed for _, _, seed in draws], picks)
 
 
 def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
@@ -217,34 +224,29 @@ _ARMS = {
 }
 
 
-def _rep_outcomes(args) -> tuple[TrustLevel, ...]:
-    """Classify one replication under every (point, arm): (actual, *predicted).
+def _block_outcomes(args) -> list[tuple[TrustLevel, ...]]:
+    """Classify each replication of a block under every (point, arm): (actual, *predicted).
 
-    Each adversary fraction's largest roster is simulated once.  A smaller
-    point keeps the leading reports of its own prefix of slots; the full
-    roster's "on" arm reuses the simulator's own aggregate.
+    A smaller point keeps the leading reports of its own prefix of slots.
     """
-    sweep, rep = args
-    largest = sweep.largest
-    traces = {frac: run_scenario(scenario) for frac, scenario in sweep.scenarios(rep).items()}
+    sweep, reps = args
+    block = sweep.simulate(reps)
     th = sweep.spec.thresholds
     params = sweep.base.params
-    predicted = []
-    for n_reporters, frac, arms in sweep.points:
-        trace = traces[frac]
-        cr, br = trace.consumer_reports, trace.bystander_reports
-        whole = n_reporters == largest[frac]
-        if not whole:
-            n_b, n_c = sweep.cuts[n_reporters]
-            cr, br = cr[:n_c], br[:n_b]
-        for arm in arms:
-            if whole and arm == "on":
-                overall = trace.final_breakdown.overall
-            else:
-                overall = _ARMS[arm](cr, br, params).overall
-            predicted.append(_classify_clamped(overall, th))
-    # every roster of a replication scores the same provider
-    return (_classify_clamped(trace.ground_truth_trust, th), *predicted)
+    roster_of = {frac: f for f, frac in enumerate(sweep.fracs)}
+    outcomes = []
+    for r in range(len(reps)):
+        rosters = block.reports(r)
+        predicted = []
+        for n_reporters, frac, arms in sweep.points:
+            cr, br = rosters[roster_of[frac]]
+            if n_reporters != sweep.size:
+                n_b, n_c = sweep.cuts[n_reporters]
+                cr, br = cr[:n_c], br[:n_b]
+            for arm in arms:
+                predicted.append(_classify_clamped(_ARMS[arm](cr, br, params).overall, th))
+        outcomes.append((_classify_clamped(block.ground_truth[r], th), *predicted))
+    return outcomes
 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
@@ -275,13 +277,15 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
         raise ValueError("jobs must be >= 1")
     kind = spec.kind
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
-    args = [(sweep, rep) for rep in range(spec.replications)]
+    n = spec.replications
+    args = [(sweep, range(start, min(start + _BLOCK_SIZE, n))) for start in range(0, n, _BLOCK_SIZE)]
     processes = min(jobs, len(args))
     if processes > 1:
         with Pool(processes=processes) as pool:
-            outcomes = pool.map(_rep_outcomes, args)
+            blocks = pool.map(_block_outcomes, args)
     else:
-        outcomes = [_rep_outcomes(a) for a in args]
+        blocks = [_block_outcomes(a) for a in args]
+    outcomes = [outcome for block in blocks for outcome in block]
 
     actual = [o[0] for o in outcomes]
     columns = [(n_reporters, frac, arm) for n_reporters, frac, arms in sweep.points for arm in arms]

@@ -6,42 +6,53 @@ and a master seed.  Running it executes every probe and usage-sampling event
 up to the query time, then aggregates the collected reports.
 
 Random streams are laid out here and nowhere else.  Every agent owns one
-private stream, keyed by its identity within the scenario:
-SeedSequence(seed, spawn_key=(group, slot)), where group is 0 for bystanders
-and 1 for consumers and slot is the agent's index within its group.  The
-stream serves both the provider truth the agent sees and the agent's own
-reporting draws, in chronological order: for each event, one standard
-normal per attribute (the truth's jitter once scaled by jitter_stddev, the
-same value and stream position as a normal(0, jitter_stddev) draw), then,
-for a reporter that draws its reports (malicious random), one uniform on
-[0, 1).  Agents therefore never share state, results are bit-reproducible
-for a fixed seed, and shrinking the query time only ever removes events, it
-never changes the ones that remain.  Because a stream depends on (group,
-slot) and not on the roster's size, adding or removing agents at the end of
-either group leaves every other agent's events and reports unchanged.
-
-A seeded stream may be reused.  Building one (SeedSequence plus PCG64)
-costs about ten times as much as restoring a saved state, so the streams of
-the last scenario seed seen are kept, each with its seeded state, and a later
-session with the same seed rewinds them instead of seeding again; a session
-with another seed drops them first.  Rewinding restores the exact seeded
-state, so reuse never changes a draw, whatever ran before: a sweep's
-adversary fractions share their replication's seed and seed each stream once.
-
-The work is batched per agent.  An agent whose reporter draws nothing of
-its own takes all its truth draws in one call, an (events x attributes)
-block in C order, which is the same sequence as drawing event by event; a
-random reporter steps one event at a time to keep the order above.  All of
-a session's events are then scored together as arrays: truth, the
-finiteness check, clamping and instantaneous trust.  Reports come from one
-observe() call per distinct reporter profile, and a consumer's EWMA is a
-short loop over update_accumulated.  No per-sample objects are built: a SessionTrace keeps
-each agent's series and builds its events only when they are read.
+private stream, keyed by its identity within the scenario: the PCG64 stream
+seeded from SeedSequence(seed, spawn_key=(group, slot)), where group is 0 for
+bystanders and 1 for consumers and slot is the agent's index within its
+group.  The stream serves both the provider truth the agent sees and the
+agent's own reporting draws, in chronological order: for each event, one
+standard normal per attribute (the truth's jitter once scaled by
+jitter_stddev, the same value and stream position as a normal(0,
+jitter_stddev) draw), then, for a reporter that draws its reports (malicious
+random), one uniform on [0, 1).  Agents therefore never share state, results
+are bit-reproducible for a fixed seed, and shrinking the query time only
+ever removes events, it never changes the ones that remain.  Because a
+stream depends on (group, slot) and not on the roster's size, adding or
+removing agents at the end of either group leaves every other agent's events
+and reports unchanged.
 
 A sweep draws each replication's provider quality, adversary flags and
-scenario seed from composition_rng: SeedSequence((seed, _COMP_TAG, rep)) for
-the base scenario's seed and replication rep, kept apart from every agent
-stream by its entropy tuple and independent of the sweep point.
+scenario seed from its composition stream, the PCG64 stream seeded from
+SeedSequence((seed, _COMP_TAG, rep)) for the base scenario's seed and
+replication rep, kept apart from every agent stream by its entropy tuple and
+independent of the sweep point.
+
+No stream is built as SeedSequence and PCG64 objects.  SeedSequence hashes
+its entropy words with uint32 arithmetic on a fixed schedule of constants,
+and PCG64 seeds itself from the hash with two 128-bit steps.  _stream_words
+replays the hash for a whole block of keys at once in numpy, _pcg64_state
+the steps in Python integers, and a stream is that seeded state set on a
+Generator.  The draws are the ones the objects would give.
+
+One engine runs every session.  A SlotTable fixes a roster's slots: each
+slot's stream key, its events up to the query time, and its candidate
+agents, which share an id and events and differ only in profile.
+SlotTable.simulate runs a block of replications of the table at once, each
+with its own provider, scenario seed and rosters (a candidate per slot):
+
+- Draws.  Each candidate that one of a replication's rosters picks draws
+  once, from its slot's stream at the seeded state, and every roster that
+  picks it reads the same draws.  A candidate that draws nothing of its own
+  takes all its truth draws as one (events x attributes) block, in C order,
+  the same sequence as drawing event by event; a random reporter steps one
+  event at a time to keep the order above.
+- Arrays.  Truth, the finiteness check, clamping and instantaneous trust
+  run over (replication x event); observe() runs once per distinct profile;
+  the EWMA runs one update_accumulated call per event step over every
+  consumer candidate.
+
+run_scenario is a block of one replication and one roster.  A SessionTrace
+keeps each agent's series and builds its events only when they are read.
 """
 
 from __future__ import annotations
@@ -175,15 +186,6 @@ class Scenario:
             raise ValueError("; ".join(violations))
 
 
-def _replace_unchecked(scenario: Scenario, **changes) -> Scenario:
-    """dataclasses.replace without Scenario's checks, for a caller that has
-    already checked every changed field under scenario_violations (a sweep
-    checks its slot rosters once, not once per replication)."""
-    new = object.__new__(Scenario)
-    new.__dict__.update(scenario.__dict__, **changes)
-    return new
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     offset: float
@@ -274,110 +276,312 @@ def _event_times(agent: Bystander | Consumer, limit: float) -> tuple[float, ...]
     return memo[1]
 
 
-# Seeded streams of the last scenario seed seen: (seed, group, slot) ->
-# (generator, its seeded state).  Another seed clears them first.
-_seeded_streams: dict[tuple[int, int, int], tuple[np.random.Generator, dict]] = {}
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 multiplier
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy into the pool
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generating words from the pool
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def _agent_rng(seed: int, group: int, slot: int) -> np.random.Generator:
-    """The agent's stream at its seeded state (see the module docstring)."""
-    key = (seed, group, slot)
-    entry = _seeded_streams.get(key)
-    if entry is not None:
-        rng, state = entry
-        rng.bit_generator.state = state
-        return rng
-    if _seeded_streams and next(iter(_seeded_streams))[0] != seed:
-        _seeded_streams.clear()
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, slot)))
-    _seeded_streams[key] = (rng, rng.bit_generator.state)
-    return rng
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer's 32-bit words, least significant first, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
 
 
-def composition_rng(seed: int, rep: int) -> np.random.Generator:
-    """The stream of a sweep's per-replication draws (see the module docstring)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
+def _hash_constants(value: int, mult: int):
+    """SeedSequence's running hash constant: (before, after) each step's multiply."""
+    while True:
+        after = value * mult & _MASK32
+        yield value, after
+        value = after
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(...).generate_state(4, np.uint64) for many keys at once.
+
+    entropy holds the keys' assembled entropy words in order, each a uint32
+    array over the keys (the arrays broadcast), padded with zero words to the
+    pool size as SeedSequence pads them.  The result has the broadcast shape
+    plus a last axis of 4 words.  uint32 arrays wrap, as the C code does.
+    """
+    hashes = _hash_constants(_HASH_INIT_A, _HASH_MULT_A)
+
+    def hashmix(value):
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = np.empty(np.broadcast_shapes(*(p.shape for p in pool)) + (8,), np.uint32)
+    for i, (xor, mult) in zip(range(8), _hash_constants(_HASH_INIT_B, _HASH_MULT_B)):
+        value = (pool[i % _POOL_SIZE] ^ xor) * mult
+        state[..., i] = value ^ (value >> _XSHIFT)
+    return state.view(np.uint64)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """The state of PCG64 seeded with these 4 words: its srandom(initstate, initseq)."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+    state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_words(rows: list[list[int]], spawn_keys=None) -> np.ndarray:
+    """The 4 words that seed PCG64 from SeedSequence(row), for each row of
+    entropy words, or, given spawn keys, from SeedSequence(row, spawn_key=key)
+    for each row and key: an array of shape (rows, [keys,] 4)."""
+    shape = (len(rows),) if spawn_keys is None else (len(rows), len(spawn_keys))
+    words = np.empty(shape + (4,), np.uint64)
+    if spawn_keys is not None and not spawn_keys:
+        return words
+    tail = [] if spawn_keys is None else [np.array(word, np.uint32) for word in zip(*spawn_keys)]
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for length, at in by_length.items():
+        head = [np.array([rows[i][w] for i in at], np.uint32) for w in range(length)]
+        head += [np.zeros(len(at), np.uint32)] * (_POOL_SIZE - length)
+        if tail:
+            head = [word[:, np.newaxis] for word in head]
+        words[at] = _seed_words(head + tail)
+    return words
+
+
+def _generator() -> np.random.Generator:
+    """A Generator to set seeded stream states on.  numpy.random is loaded
+    here, when a stream is first needed, not when the package is imported."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def composition_streams(seed: int, reps):
+    """Each replication's composition stream, in turn (see the module docstring).
+
+    The streams are one Generator set to each stream's seeded state in turn,
+    so take a stream's draws before asking for the next.
+    """
+    head = _uint32_words(seed) + [_COMP_TAG]
+    rng = _generator()
+    for words in _stream_words([head + _uint32_words(rep) for rep in reps]).tolist():
+        rng.bit_generator.state = _pcg64_state(words)
+        yield rng
+
+
+class Slot(NamedTuple):
+    """One roster position: its index within its group and its candidate agents.
+
+    The candidates are all bystanders or all consumers, share an id and a
+    schedule or usage window, and differ only in profile; a roster picks one
+    of them.  The group and the index key the slot's stream.
+    """
+
+    index: int
+    agents: tuple
+
+
+class SlotTable:
+    """What every session simulated from one roster of slots shares: the
+    slots and their events, the session, the aggregation params, and the
+    array layout that simulate() fills.
+
+    A column is one candidate of one slot: its span of the event axis (the
+    slot's events), the agent, and the report it hands in as (class,
+    reporter id, fields after the trust value).
+    """
+
+    def __init__(self, slots, session: ServiceSession, query_time: float,
+                 params: AggregationParams):
+        self.slots = tuple(slots)
+        self.session = session
+        self.params = params
+        self.consumer = [isinstance(s.agents[0], Consumer) for s in self.slots]
+        self.keys = [(_CONSUMER_GROUP if c else _BYSTANDER_GROUP, s.index)
+                     for s, c in zip(self.slots, self.consumer)]
+        self.times = [_event_times(s.agents[0], query_time) for s in self.slots]
+        self.reporting = [j for j, times in enumerate(self.times) if times]
+
+        candidates = max((len(s.agents) for s in self.slots), default=0)
+        self.column_of = np.zeros((len(self.slots), candidates), np.intp)  # [slot, candidate]
+        self.columns = []  # (slot, start, stop, agent, report)
+        self.offsets: list[float] = []  # the event axis
+        observed: dict[ReporterProfile, list[int]] = {}  # each profile's events
+        for j, (slot, times) in enumerate(zip(self.slots, self.times)):
+            for c, agent in enumerate(slot.agents):
+                self.column_of[j, c] = len(self.columns)
+                start = len(self.offsets)
+                self.offsets.extend(times)
+                if self.consumer[j]:
+                    usage = agent.usage
+                    coverage = min(query_time, usage.usage_end) - usage.usage_start
+                    report = (AccumulatedReport, agent.id, (coverage, len(times)))
+                else:
+                    report = (InstantaneousReport, agent.id, times[-1:])
+                self.columns.append((j, start, len(self.offsets), agent, report))
+                observed.setdefault(agent.profile, []).extend(range(start, len(self.offsets)))
+        self.observed = {profile: np.array(at, np.intp) for profile, at in observed.items()}
+
+        # each consumer column's events, padded with its last one, folded as one
+        # array; and where each column's final value sits
+        self.folded = [k for k, (j, start, stop, _, _) in enumerate(self.columns)
+                       if self.consumer[j] and stop > start]
+        self.instant = [k for k, (j, start, stop, _, _) in enumerate(self.columns)
+                        if not self.consumer[j] and stop > start]
+        spans = [self.columns[k][1:3] for k in self.folded]
+        longest = max((stop - start for start, stop in spans), default=0)
+        self.fold_at = np.array([[min(start + e, stop - 1) for e in range(longest)]
+                                 for start, stop in spans], np.intp).reshape(len(spans), longest)
+        self.last_folded = np.array([stop - start - 1 for start, stop in spans], np.intp)
+        self.last_instant = np.array([self.columns[k][2] - 1 for k in self.instant], np.intp)
+
+    def _draws(self, seeds, used) -> tuple[np.ndarray, np.ndarray]:
+        """The truth draws (replication x event x attribute) and a random
+        reporter's own draws (replication x event) of every used column."""
+        noise = np.zeros((len(seeds), len(self.offsets), len(self.session.promise)))
+        own = np.zeros(noise.shape[:2])
+        words = _stream_words([_uint32_words(seed) for seed in seeds], self.keys)
+        rng = _generator()
+        bit_generator, normals, uniform = rng.bit_generator, rng.standard_normal, rng.random
+        for r, column in zip(*(index.tolist() for index in np.nonzero(used))):
+            j, start, stop, agent, _ = self.columns[column]
+            if start == stop:
+                continue
+            bit_generator.state = _pcg64_state(words[r, j].tolist())
+            if agent.profile.draws_reports:
+                # one event at a time: the event's truth draws, then the report's
+                truth_draws, own_draws = noise[r], own[r]
+                for e in range(start, stop):
+                    normals(out=truth_draws[e])
+                    own_draws[e] = uniform()
+            else:
+                normals(out=noise[r, start:stop])
+        return noise, own
+
+    def simulate(self, providers, seeds, picks) -> Block:
+        """Simulate a block of replications of the table.
+
+        Replication r runs with providers[r] (profiles of one provider that
+        differ only in honesty_gap) and scenario seed seeds[r], once per
+        roster: picks[r][f][j] is the candidate that roster f puts in slot j.
+        """
+        picks = np.asarray(picks, np.intp)
+        n, k = len(seeds), len(self.session.promise)
+        # the columns that some roster of a replication picks draw; the others
+        # keep zero noise and are never read, and their truth is not finite
+        # only where the picked candidate's truth at the same events is not
+        picked = self.column_of[np.arange(len(self.slots)), picks]  # [r, f, slot] -> column
+        used = np.zeros((n, len(self.columns)), bool)
+        used[np.arange(n)[:, np.newaxis], picked.reshape(n, -1)] = True
+        noise, own = self._draws(seeds, used)
+
+        promise = self.session.promise
+        truth = sample_true_performance(providers, self.offsets, noise)
+        true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, -1)
+        # the noise-free truth: no jitter and, at offset 0, no drift
+        noise_free = sample_true_performance(providers, [0.0], np.zeros((n, 1, k)))
+        ground_truth = instantaneous_trust(noise_free.reshape(n, k), promise).tolist()
+        reported = np.empty_like(true_trust)
+        for profile, at in self.observed.items():
+            reported[:, at] = observe(profile, true_trust[:, at],
+                                      own[:, at] if profile.draws_reports else None)
+        # the first sample seeds each consumer's EWMA, later ones fold into it
+        folded = reported[:, self.fold_at]
+        accumulated = np.empty_like(folded)
+        if folded.size:
+            accumulated[..., 0] = folded[..., 0]
+            for e in range(1, folded.shape[-1]):
+                accumulated[..., e] = update_accumulated(accumulated[..., e - 1], folded[..., e],
+                                                         self.params.alpha)
+        return Block(self, providers, ground_truth, picked.tolist(), reported, accumulated)
+
+
+class Block:
+    """A simulated block: each replication's ground-truth trust, each
+    (replication, roster)'s reports, and its trace on request."""
+
+    def __init__(self, table: SlotTable, providers, ground_truth, picked, reported, accumulated):
+        self.table = table
+        self.providers = providers
+        self.ground_truth = ground_truth
+        self.picked = picked  # [r][f][slot] -> column
+        self.reported = reported
+        self.accumulated = accumulated
+        # each column's final value: a bystander's last report, a consumer's EWMA
+        final = np.empty((len(reported), len(table.columns)))
+        final[:, table.instant] = reported[:, table.last_instant]
+        final[:, table.folded] = accumulated[:, np.arange(len(table.folded)), table.last_folded]
+        self.final = final.tolist()
+
+    def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
+                                            tuple[InstantaneousReport, ...]]]:
+        """(consumer_reports, bystander_reports) of each of replication r's
+        rosters, each in slot order; rosters that pick the same candidate
+        share its report."""
+        table, final = self.table, self.final[r]
+        made: dict[int, AccumulatedReport | InstantaneousReport] = {}
+        rosters = []
+        for roster in self.picked[r]:
+            groups = ([], [])  # bystanders, consumers
+            for j in table.reporting:
+                column = roster[j]
+                report = made.get(column)
+                if report is None:
+                    cls, reporter_id, fields = table.columns[column][4]
+                    report = made[column] = cls(reporter_id, final[column], *fields)
+                groups[table.consumer[j]].append(report)
+            rosters.append((tuple(groups[1]), tuple(groups[0])))
+        return rosters
+
+    def trace(self, r: int, f: int) -> SessionTrace:
+        """Replication r's session under roster f, with each agent's series,
+        bystanders first, and the aggregate of its reports."""
+        table = self.table
+        consumer_reports, bystander_reports = self.reports(r)[f]
+        series = []
+        for j in sorted(range(len(table.slots)), key=table.consumer.__getitem__):
+            column = self.picked[r][f][j]
+            _, start, stop, agent, _ = table.columns[column]
+            accumulated = None
+            if table.consumer[j]:
+                accumulated = ()
+                if stop > start:
+                    row = table.folded.index(column)
+                    accumulated = tuple(self.accumulated[r, row, :stop - start].tolist())
+            series.append(AgentSeries(agent.id, table.times[j],
+                                      tuple(self.reported[r, start:stop].tolist()), accumulated))
+        return SessionTrace(
+            final_breakdown=aggregate(consumer_reports, bystander_reports, table.params),
+            consumer_reports=consumer_reports,
+            bystander_reports=bystander_reports,
+            series=tuple(series),
+            provider=self.providers[r],
+        )
 
 
 def run_scenario(scenario: Scenario) -> SessionTrace:
-    """Simulate one session up to query_time and aggregate what was reported."""
-    provider = scenario.provider
-    q = scenario.query_time
-    alpha = scenario.params.alpha
-    k = len(provider.attributes)
-
-    agents = [(b, _BYSTANDER_GROUP, i) for i, b in enumerate(scenario.bystanders)]
-    agents += [(c, _CONSUMER_GROUP, j) for j, c in enumerate(scenario.consumers)]
-    times = [_event_times(agent, q) for agent, _, _ in agents]
-    sizes = [len(t) for t in times]
-    total = sum(sizes)
-
-    # each agent's draws, in its stream's order, at its events' rows; a
-    # random reporter's own draws sit at the same positions of `own`
-    noise = np.empty((total, k))
-    own = np.empty(total) if any(a.profile.draws_reports for a, _, _ in agents) else None
-    stop = 0
-    for (agent, group, slot), n in zip(agents, sizes):
-        start, stop = stop, stop + n
-        if not n:
-            continue
-        rng = _agent_rng(scenario.seed, group, slot)
-        if agent.profile.draws_reports:
-            # one event at a time: the event's truth draws, then the report's
-            for e in range(start, stop):
-                rng.standard_normal(out=noise[e])
-                own[e] = rng.random()
-        else:
-            rng.standard_normal(out=noise[start:stop])
-
-    # every agent's events at once: truth, its instantaneous trust, and the
-    # reports, with one observe() per distinct profile
-    offsets = [t for ts in times for t in ts]
-    observed = sample_true_performance(provider, offsets, noise)
-    true_trust = instantaneous_trust(observed, scenario.session.promise)
-    profiles = {agent.profile: None for agent, _, _ in agents}
-    if len(profiles) > 1:
-        index = {profile: i for i, profile in enumerate(profiles)}
-        which = np.repeat([index[agent.profile] for agent, _, _ in agents], sizes)
-        reported = np.empty(total)
-        for profile, i in index.items():
-            mask = which == i
-            reported[mask] = observe(profile, true_trust[mask],
-                                     own[mask] if profile.draws_reports else None)
-    elif profiles:
-        reported = observe(next(iter(profiles)), true_trust, own)
-    else:
-        reported = true_trust
-    values = reported.tolist()
-
-    series: list[AgentSeries] = []
-    bystander_reports: list[InstantaneousReport] = []
-    consumer_reports: list[AccumulatedReport] = []
-    stop = 0
-    for (agent, group, _), ts in zip(agents, times):
-        start, stop = stop, stop + len(ts)
-        agent_reported = values[start:stop]
-        if group == _BYSTANDER_GROUP:
-            series.append(AgentSeries(agent.id, ts, tuple(agent_reported), None))
-            if ts:
-                bystander_reports.append(InstantaneousReport(agent.id, agent_reported[-1], ts[-1]))
-            continue
-        # the first sample seeds the EWMA, later ones fold into it
-        accumulated = agent_reported[:1]
-        for value in agent_reported[1:]:
-            accumulated.append(update_accumulated(accumulated[-1], value, alpha))
-        series.append(AgentSeries(agent.id, ts, tuple(agent_reported), tuple(accumulated)))
-        if accumulated:
-            coverage = min(q, agent.usage.usage_end) - agent.usage.usage_start
-            consumer_reports.append(
-                AccumulatedReport(agent.id, accumulated[-1], coverage, len(accumulated)))
-
-    consumer_reports = tuple(consumer_reports)
-    bystander_reports = tuple(bystander_reports)
-    return SessionTrace(
-        final_breakdown=aggregate(consumer_reports, bystander_reports, scenario.params),
-        consumer_reports=consumer_reports,
-        bystander_reports=bystander_reports,
-        series=tuple(series),
-        provider=provider,
-    )
+    """Simulate one session up to query_time and aggregate what was reported:
+    a block of one replication and one roster."""
+    slots = [Slot(i, (b,)) for i, b in enumerate(scenario.bystanders)]
+    slots += [Slot(j, (c,)) for j, c in enumerate(scenario.consumers)]
+    table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
+    return table.simulate((scenario.provider,), (scenario.seed,), [[[0] * len(slots)]]).trace(0, 0)

@@ -63,6 +63,14 @@ def _check_unit(label: str, x: float) -> None:
         raise ValueError(f"{label} must be in [0, 1], got {x}")
 
 
+def _check_unit_array(label: str, x) -> None:
+    """_check_unit for every element of an array (or a scalar), naming the first one out of range."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"{label} must be in [0, 1], got {x[outside].flat[0]}")
+
+
 @dataclass(frozen=True)
 class InstantaneousReport:
     """A bystander's single-probe trust value, stamped with the probe offset."""
@@ -184,7 +192,8 @@ def instantaneous_trust(observation, promise: PerformanceVector):
                 f"promised value for {spec.name!r} is 0; the ratio is undefined"
             )
     with np.errstate(over="ignore"):
-        ratios = np.minimum(1.0, values / promise.values)
+        ratios = values / promise.values
+    np.minimum(1.0, ratios, out=ratios)
     total = 0.0
     for column in ratios.T:
         total = total + column
@@ -192,15 +201,22 @@ def instantaneous_trust(observation, promise: PerformanceVector):
     return float(trust[0]) if single else trust
 
 
-def update_accumulated(previous: float, instantaneous: float, alpha: float = DEFAULT_ALPHA) -> float:
+def update_accumulated(previous: float | np.ndarray, instantaneous: float | np.ndarray,
+                       alpha: float | np.ndarray = DEFAULT_ALPHA):
     """Fold one instantaneous sample into an accumulated trust value.
 
     alpha is the retention: the result is alpha * previous plus
-    (1 - alpha) * instantaneous, a convex blend of the two inputs.
+    (1 - alpha) * instantaneous, a convex blend of the two inputs.  Any of
+    the three may be an array, which folds elementwise; every element is
+    held to the same bounds.
     """
+    if (isinstance(previous, np.ndarray) or isinstance(instantaneous, np.ndarray)
+            or isinstance(alpha, np.ndarray)):
+        for label, x in (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha)):
+            _check_unit_array(label, x)
     # one chained comparison holds all three bounds (NaN fails it); the named
     # checks run only to raise the message for the first input out of range
-    if not 0.0 <= previous <= 1.0 >= instantaneous >= 0.0 <= alpha <= 1.0:
+    elif not 0.0 <= previous <= 1.0 >= instantaneous >= 0.0 <= alpha <= 1.0:
         _check_unit("previous", previous)
         _check_unit("instantaneous", instantaneous)
         _check_unit("alpha", alpha)

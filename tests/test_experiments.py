@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mlt.experiments
@@ -15,16 +16,15 @@ from mlt.experiments import (
     FULL,
     KINDS,
     ExperimentSpec,
+    _block_outcomes,
     _classify_clamped,
-    _composition,
-    _pick,
-    _rep_outcomes,
+    _compositions,
     _slot_agents,
     _Sweep,
     _sweep_points,
     run_experiment_suite,
 )
-from mlt.simulator import _replace_unchecked, run_scenario
+from mlt.simulator import _COMP_TAG, Bystander, Scenario, run_scenario
 from mlt.trust import NORMALIZED, VERBATIM, aggregate
 
 from conftest import SCENARIO_DIR, make_provider, make_scenario
@@ -32,15 +32,26 @@ from conftest import SCENARIO_DIR, make_provider, make_scenario
 REPS = 40  # enough replications for structure checks without slowing the suite
 
 
+def composition_oracle(seed, rep, spec):
+    """One replication's (quality, flags, scenario seed), from a stream built by numpy itself."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
+    lo, hi = spec.trust_range
+    target = lo + (hi - lo) * rng.random()
+    flags = rng.random(64)
+    return target, flags, int(rng.integers(0, 2**63))
+
+
 def synth_roster(kind, query_time, n_slots, flags, frac):
-    return _pick(_slot_agents(kind, query_time, n_slots), flags, frac)
+    """(bystanders, consumers) of the roster whose slot i turns malicious when flags[i] < frac."""
+    roster = [pair[int(flags[i] < frac)] for i, pair in enumerate(_slot_agents(kind, query_time, n_slots))]
+    return tuple(roster[0::2]), tuple(roster[1::2])
 
 
 def variant_oracle(base, spec, kind, n_reporters, frac, rep):
     """One replication's scenario at one point, built on its own and checked in
     full by Scenario: the composition, then each honest slot agent turned
     malicious (random) when its flag is below frac."""
-    target, flags, scenario_seed = _composition(base.seed, rep, spec)
+    target, flags, scenario_seed = composition_oracle(base.seed, rep, spec)
     provider = base.provider
     if spec.vary_provider:
         provider = replace(provider, honesty_gap=1.0 - target)
@@ -96,26 +107,34 @@ class TestSpecValidation:
 class TestComposition:
     def test_same_rep_same_draws(self):
         spec = ExperimentSpec(COUNT_SWEEP)
-        a = _composition(7, 3, spec)
-        b = _composition(7, 3, spec)
+        (a,) = _compositions(7, [3], spec)
+        (b,) = _compositions(7, [3], spec)
         assert a[0] == b[0]
         assert (a[1] == b[1]).all()
         assert a[2] == b[2]
 
     def test_different_reps_differ(self):
         spec = ExperimentSpec(COUNT_SWEEP)
-        assert _composition(7, 0, spec)[2] != _composition(7, 1, spec)[2]
+        first, second = _compositions(7, [0, 1], spec)
+        assert first[2] != second[2]
 
     def test_target_respects_trust_range(self):
         spec = ExperimentSpec(COUNT_SWEEP, trust_range=(0.4, 0.6))
-        for rep in range(50):
-            target, _, _ = _composition(7, rep, spec)
+        for target, _, _ in _compositions(7, range(50), spec):
             assert 0.4 <= target <= 0.6
+
+    @pytest.mark.parametrize("seed", [0, 71, 2**32 + 1])
+    def test_a_block_draws_what_numpy_streams_draw(self, seed):
+        spec = ExperimentSpec(ABLATION)
+        reps = range(45, 55)
+        for rep, (target, flags, scenario_seed) in zip(reps, _compositions(seed, reps, spec)):
+            expected = composition_oracle(seed, rep, spec)
+            assert (target, flags.tolist(), scenario_seed) == (expected[0], expected[1].tolist(), expected[2])
 
 
 class TestSynthRoster:
     def test_slots_alternate_groups(self):
-        _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
+        _, flags, _ = composition_oracle(7, 0, ExperimentSpec(COUNT_SWEEP))
         bystanders, consumers = synth_roster(COUNT_SWEEP, 5400.0, 5, flags, 0.0)
         assert [b.id for b in bystanders] == ["b00", "b01", "b02"]
         assert [c.id for c in consumers] == ["c00", "c01"]
@@ -123,14 +142,14 @@ class TestSynthRoster:
     def test_smaller_roster_is_a_prefix(self):
         # slot schedules depend only on the slot index, so adding a reporter
         # leaves every existing reporter untouched
-        _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
+        _, flags, _ = composition_oracle(7, 0, ExperimentSpec(COUNT_SWEEP))
         small = synth_roster(COUNT_SWEEP, 5400.0, 6, flags, 0.25)
         large = synth_roster(COUNT_SWEEP, 5400.0, 7, flags, 0.25)
         assert large[0][: len(small[0])] == small[0]
         assert large[1][: len(small[1])] == small[1]
 
     def test_adversary_flags_follow_fraction(self):
-        _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
+        _, flags, _ = composition_oracle(7, 0, ExperimentSpec(COUNT_SWEEP))
         all_honest = synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 0.0)
         all_bad = synth_roster(COUNT_SWEEP, 5400.0, 8, flags, 1.0)
         roster = [r.profile.kind for group in all_honest for r in group]
@@ -139,7 +158,7 @@ class TestSynthRoster:
         assert set(roster) == {MALICIOUS}
 
     def test_rosters_fit_inside_the_query_window(self, base):
-        _, flags, _ = _composition(7, 0, ExperimentSpec(COUNT_SWEEP))
+        _, flags, _ = composition_oracle(7, 0, ExperimentSpec(COUNT_SWEEP))
         for kind in (COUNT_SWEEP, ESTIMATOR_COMPARE):
             bystanders, consumers = synth_roster(kind, 5400.0, 16, flags, 0.5)
             for b in bystanders:
@@ -148,23 +167,30 @@ class TestSynthRoster:
                 assert c.usage.usage_end <= 5400.0
 
 
-class TestVariant:
-    """A replication's scenarios come from the per-sweep table, without
-    Scenario's checks; each must equal the one built and checked on its own."""
+def unchecked(scenario, **changes):
+    """dataclasses.replace without Scenario's checks."""
+    new = object.__new__(Scenario)
+    new.__dict__.update(scenario.__dict__, **changes)
+    return new
+
+
+class TestReplications:
+    """A block's replications get their provider, seed and rosters from the
+    per-sweep slot table, without Scenario's checks; each (replication,
+    fraction) must equal the scenario built and checked on its own."""
 
     def test_vary_provider_overrides_gap(self, base):
         spec = ExperimentSpec(COUNT_SWEEP, trust_range=(0.4, 0.6))
-        scenario = _Sweep(base, spec, [(4, 0.0, ("on",))]).scenarios(0)[0.0]
-        target, _, _ = _composition(base.seed, 0, spec)
-        assert scenario.provider.honesty_gap == pytest.approx(1.0 - target)
+        block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(1))
+        target, _, _ = composition_oracle(base.seed, 0, spec)
+        assert block.providers[0].honesty_gap == pytest.approx(1.0 - target)
 
     def test_fixed_provider_keeps_gap(self, base):
         spec = ExperimentSpec(ABLATION, vary_provider=False)
-        scenario = _Sweep(base, spec, [(4, 0.0, ("on",))]).scenarios(0)[0.0]
-        assert scenario.provider.honesty_gap == base.provider.honesty_gap
+        block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(1))
+        assert block.providers[0].honesty_gap == base.provider.honesty_gap
 
     def test_full_kind_keeps_the_scenario_roster(self, base, session, promise, honest):
-        from mlt.simulator import Bystander
         from mlt.agents import ProbeSchedule
 
         roster = make_scenario(
@@ -174,25 +200,24 @@ class TestVariant:
             seed=71,
         )
         spec = ExperimentSpec(FULL)
-        (scenario,) = _Sweep(roster, spec, _sweep_points(roster, spec)).scenarios(0).values()
-        assert scenario.bystanders == roster.bystanders
-        assert scenario.consumers == roster.consumers
+        sweep = _Sweep(roster, spec, _sweep_points(roster, spec))
+        assert [slot.agents for slot in sweep.table.slots] == [roster.bystanders]
+        assert sweep.simulate(range(1)).trace(0, 0) == run_scenario(
+            variant_oracle(roster, spec, FULL, 1, 0.0, 0))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_every_fraction_equals_its_checked_scenario(self, base, kind):
+    def test_every_fraction_equals_its_checked_scenario(self, kind):
+        base, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")  # its own roster for "full"
         spec = ExperimentSpec(kind, adversary_frac=0.5)
         sweep = _Sweep(base, spec, _sweep_points(base, spec))
+        block = sweep.simulate(range(5))
         for rep in range(5):
-            scenarios = sweep.scenarios(rep)
-            assert list(scenarios) == list(sweep.largest)
-            for frac, scenario in scenarios.items():
-                n = sweep.largest[frac]
-                assert scenario == variant_oracle(base, spec, kind, n, frac, rep)
-            # one composition per replication: its fractions share provider and seed
-            assert len({(s.provider, s.seed) for s in scenarios.values()}) == 1
+            for f, frac in enumerate(sweep.fracs):
+                expected = variant_oracle(base, spec, kind, sweep.size, frac, rep)
+                assert block.trace(rep, f) == run_scenario(expected)
 
     def test_the_slot_table_is_checked_once_per_sweep(self, base):
-        late = _replace_unchecked(base, query_time=9000.0)  # past the 7200 s session
+        late = unchecked(base, query_time=9000.0)  # past the 7200 s session
         spec = ExperimentSpec(ABLATION)
         with pytest.raises(ValueError, match=r"^query_time: must lie in \(0, 7200\]"):
             _Sweep(late, spec, _sweep_points(late, spec))
@@ -257,10 +282,12 @@ class TestSuite:
         parallel = run_experiment_suite(base, spec, jobs=2)
         assert [r.counts for r in serial] == [r.counts for r in parallel]
 
-    @pytest.mark.parametrize("replications, jobs, started",
-                             [(2, 4, [2]), (1, 4, []), (3, 2, [2])])
+    @pytest.mark.parametrize("replications, block, jobs, started",
+                             [(2, 1, 4, [2]), (1, 1, 4, []), (3, 1, 2, [2]), (50, 50, 4, []),
+                              (51, 50, 4, [2]), (120, 50, 2, [2])])
     def test_pool_is_never_larger_than_the_work(self, base, monkeypatch,
-                                                replications, jobs, started):
+                                                replications, block, jobs, started):
+        # the pool maps blocks: no pool for one block, never more workers than blocks
         sizes = []
         real_pool = mlt.experiments.Pool
 
@@ -269,6 +296,7 @@ class TestSuite:
             return real_pool(processes)
 
         monkeypatch.setattr(mlt.experiments, "Pool", recording_pool)
+        monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", block)
         spec = ExperimentSpec(COUNT_SWEEP, replications=replications, reporters=2)
         run_experiment_suite(base, spec, jobs=jobs)
         assert sizes == started
@@ -281,6 +309,7 @@ class TestSuite:
         verbatim = replace(base, params=replace(base.params, mode=VERBATIM))
         spec = ExperimentSpec(COUNT_SWEEP, replications=REPS)
         sweep = _Sweep(verbatim, spec, _sweep_points(verbatim, spec))
+        outcomes = _block_outcomes((sweep, range(REPS)))
         modes_disagree = 0
         for rep in range(REPS):
             args = (verbatim, spec, COUNT_SWEEP, spec.reporters, spec.adversary_frac, rep)
@@ -294,7 +323,7 @@ class TestSuite:
                 for mode in (VERBATIM, NORMALIZED)
             }
             # the last point is the N = spec.reporters one simulated above
-            assert _rep_outcomes((sweep, rep))[-1] == level[VERBATIM]
+            assert outcomes[rep][-1] == level[VERBATIM]
             modes_disagree += level[VERBATIM] != level[NORMALIZED]
         assert modes_disagree > 0  # otherwise the check could not tell the modes apart
 
@@ -358,3 +387,31 @@ def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypa
     monkeypatch.setattr(mlt.experiments, "score", recording_score)
     run_experiment_suite(base, spec, jobs=jobs)
     assert rows == per_point_oracle(base, spec)
+
+
+SEAM_REPS = 120  # three default blocks; the 40-replication snapshots fit in one
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_output_does_not_depend_on_the_block_size_or_the_pool(kind, monkeypatch):
+    scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
+    spec = ExperimentSpec(kind, replications=SEAM_REPS)
+    rows = []
+
+    def recording_score(predicted, actual, config):
+        rows.append((list(predicted), list(actual), config))
+        return score(predicted, actual, config)
+
+    monkeypatch.setattr(mlt.experiments, "score", recording_score)
+
+    def scored(block, jobs=1):
+        monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", block)
+        rows.clear()
+        run_experiment_suite(scenario, spec, jobs=jobs)
+        return list(rows)
+
+    expected = scored(mlt.experiments._BLOCK_SIZE)
+    assert expected and all(len(predicted) == SEAM_REPS for predicted, _, _ in expected)
+    for block in (1, 7, SEAM_REPS):
+        assert scored(block) == expected, block
+    assert scored(7, jobs=2) == expected

@@ -1,6 +1,8 @@
 """Event generation, report collection, and reproducibility of session runs."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,8 @@ from mlt.simulator import (
     Consumer,
     ConsumerUsage,
     Scenario,
+    Slot,
+    SlotTable,
     run_scenario,
     scenario_violations,
 )
@@ -273,38 +277,77 @@ def _random_reporters(scenario):
     )
 
 
-class TestStreamReuse:
-    """A session that follows another with the same seed reuses the seeded
-    streams; it must still equal the same session run on its own."""
+def _shorter(scenario):
+    return replace(scenario, query_time=1800.0)
 
-    @staticmethod
-    def run_alone(scenario):
-        simulator._seeded_streams.clear()
-        return run_scenario(scenario)
 
-    @pytest.mark.parametrize("second_first", [False, True])
-    @pytest.mark.parametrize(
-        "change",
-        [_grown, lambda s: replace(s, query_time=1800.0), _random_reporters],
-        ids=["roster-size", "shorter-query-time", "honest-vs-random"],
-    )
-    def test_a_session_after_another_equals_it_alone(self, session, promise, honest,
-                                                     change, second_first):
-        first = noisy_scenario(session, promise, honest, seed=314)
-        second = change(first)
-        if second_first:
-            first, second = second, first
-        alone = self.run_alone(second)
-        run_scenario(first)
-        after = run_scenario(second)
-        assert after == alone
-        assert after.events == alone.events
-        assert {key[0] for key in simulator._seeded_streams} == {second.seed}
+class TestBlocks:
+    """A block simulates several replications of one slot table at once, each
+    under several rosters; every (replication, roster) must equal the same
+    session run alone through run_scenario."""
 
-    def test_a_new_seed_drops_the_last_seeds_streams(self, session, promise, honest):
-        run_scenario(_grown(noisy_scenario(session, promise, honest, seed=1)))
-        run_scenario(noisy_scenario(session, promise, honest, seed=2))
-        assert sorted(simulator._seeded_streams) == [(2, 0, 0), (2, 1, 0)]
+    @pytest.mark.parametrize("change", [_grown, _shorter, _random_reporters],
+                             ids=["roster-size", "shorter-query-time", "honest-vs-random"])
+    def test_a_session_in_a_block_equals_it_alone(self, session, promise, honest, change):
+        scenario = change(noisy_scenario(session, promise, honest, seed=314))
+        noisy = ReporterProfile("malicious", malicious_strategy="random")
+        # each slot holds its agent and the agent turned random; roster 0 keeps
+        # the scenario's profiles, roster 1 turns the first slot of each group random
+        slots = [Slot(i, (a, replace(a, profile=noisy)))
+                 for group in (scenario.bystanders, scenario.consumers)
+                 for i, a in enumerate(group)]
+        firsts = [int(slot.index == 0) for slot in slots]
+        seeds = [314, 2**32 + 5, 0, 7, 2**63 - 1]
+        providers = [replace(scenario.provider, honesty_gap=gap) for gap in (0.2, 0.0, 0.5, 0.9, 0.35)]
+        table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
+        block = table.simulate(providers, seeds, [[[0] * len(slots), firsts]] * len(seeds))
+        for r in (0, 2, 4):  # first, middle and last position
+            for f, picks in enumerate(([0] * len(slots), firsts)):
+                roster = [slot.agents[c] for slot, c in zip(slots, picks)]
+                alone = run_scenario(replace(
+                    scenario, provider=providers[r], seed=seeds[r],
+                    bystanders=tuple(a for a in roster if isinstance(a, Bystander)),
+                    consumers=tuple(a for a in roster if isinstance(a, Consumer))))
+                got = block.trace(r, f)
+                assert got == alone
+                assert got.events == alone.events
+                assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
+                assert block.ground_truth[r] == alone.ground_truth_trust
+
+
+class TestStreamSeeding:
+    """Streams are replayed, not built: their seeded states must be numpy's own."""
+
+    def test_agent_streams_match_numpy(self):
+        rng = np.random.default_rng(20261018)
+        special = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**100, 2**130 + 3]
+        seeds = special + rng.integers(0, 2**63, 300).tolist()
+        keys = [(0, 0), (0, 63), (1, 0), (1, 63)]
+        keys += [(int(g), int(s)) for g, s in zip(rng.integers(0, 2, 6), rng.integers(0, 64, 6))]
+        words = simulator._stream_words([simulator._uint32_words(seed) for seed in seeds], keys)
+        assert len(seeds) * len(keys) >= 3000
+        for seed, row in zip(seeds, words.tolist()):
+            for key, key_words in zip(keys, row):
+                expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+                assert simulator._pcg64_state(key_words) == expected, (seed, key)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**70])
+    def test_composition_streams_match_numpy(self, seed):
+        reps = [0, 1, 49, 50, 2**31]
+        for rep, rng in zip(reps, simulator.composition_streams(seed, reps)):
+            expected = np.random.default_rng(np.random.SeedSequence((seed, simulator._COMP_TAG, rep)))
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.random(3).tolist() == expected.random(3).tolist()
+
+    def test_importing_the_package_does_not_load_numpy_random(self):
+        # the setup that perfbench times, and the --jobs 2 parent's footprint
+        code = ("import sys; import mlt; from mlt.config import load_scenario_file; "
+                f"load_scenario_file({str(SCENARIO_DIR / 'wifi_cafe.json')!r}); "
+                "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSamplingDistribution:

@@ -104,6 +104,35 @@ class TestAccumulated:
             update_accumulated(*args)
         assert str(err.value) == message
 
+    def test_arrays_fold_elementwise_like_scalars(self):
+        previous = np.array([[0.0, 0.4], [1.0, 0.25]])
+        instantaneous = np.array([[1.0, 0.8], [0.0, 0.6]])
+        folded = update_accumulated(previous, instantaneous, 0.7)
+        expected = [[update_accumulated(p, i, 0.7) for p, i in zip(*rows)]
+                    for rows in zip(previous.tolist(), instantaneous.tolist())]
+        assert folded.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((np.array([0.5, math.nan]), 0.5, 0.7), "previous must be in [0, 1], got nan"),
+            ((np.array([0.5, 1.5]), 0.5, 0.7), "previous must be in [0, 1], got 1.5"),
+            ((0.5, np.array([math.nan, 0.5]), 0.7), "instantaneous must be in [0, 1], got nan"),
+            ((0.5, np.array([0.5, -0.25]), 0.7), "instantaneous must be in [0, 1], got -0.25"),
+            ((np.array([0.5]), 0.5, np.array([0.7, math.nan])), "alpha must be in [0, 1], got nan"),
+            ((np.array([0.5]), 0.5, np.array([2.0])), "alpha must be in [0, 1], got 2.0"),
+            ((np.array([0.5, 0.5]), np.array([0.5, 3.0]), math.nan),
+             "instantaneous must be in [0, 1], got 3.0"),
+            ((np.array([0.5]), 0.5, math.nan), "alpha must be in [0, 1], got nan"),
+        ],
+        ids=["previous-nan", "previous-above", "instantaneous-nan", "instantaneous-below",
+             "alpha-nan", "alpha-above", "first-bad-input-named", "scalar-alpha-nan"],
+    )
+    def test_arrays_are_held_to_the_same_bounds(self, args, message):
+        with pytest.raises(ValueError) as err:
+            update_accumulated(*args)
+        assert str(err.value) == message
+
 
 class TestReports:
     @pytest.mark.parametrize(
