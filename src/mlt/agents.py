@@ -163,23 +163,23 @@ def sample_true_performance(profile, offsets, noise) -> np.ndarray:
     only in honesty_gap, one per replication: noise and the result then have
     a leading replication axis.
     """
-    if isinstance(profile, ProviderProfile):
-        gens = profile.attributes
-        base = [gen.mean * (1.0 - profile.honesty_gap) for gen in gens]
-    else:
-        profile, *others = profile
-        gens = profile.attributes
-        if any(p.attributes != gens or p.promise != profile.promise for p in others):
-            raise ValueError("the profiles of one sample must differ only in honesty_gap")
-        base = np.array([[gen.mean * (1.0 - p.honesty_gap) for gen in gens]
-                         for p in (profile, *others)])[:, np.newaxis, :]
+    single = isinstance(profile, ProviderProfile)
+    profiles = (profile,) if single else tuple(profile)
+    first, *others = profiles
+    gens = first.attributes
+    if any(p.attributes != gens or p.promise != first.promise for p in others):
+        raise ValueError("the profiles of one sample must differ only in honesty_gap")
+    base = np.array([[gen.mean * (1.0 - p.honesty_gap) for gen in gens]
+                     for p in profiles])[:, np.newaxis, :]
+    noise = np.asarray(noise, dtype=float)
     hours = np.asarray(offsets, dtype=float) / SECONDS_PER_HOUR
     drift = [gen.drift_per_hour for gen in gens]
     stddev = [gen.jitter_stddev for gen in gens]
     with np.errstate(over="ignore", invalid="ignore"):
         latent = base + np.multiply.outer(hours, drift)
-        latent += np.asarray(noise, dtype=float) * stddev
-    return _clamp(profile.promise.schema, latent)
+        latent += (noise[np.newaxis] if single else noise) * stddev
+    latent = _clamp(first.promise.schema, latent)
+    return latent[0] if single else latent
 
 
 def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:

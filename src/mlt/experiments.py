@@ -15,18 +15,19 @@ the same values at every point whose roster holds it, and count-sweep curves
 are free of between-point sampling noise.
 
 A sweep builds one slot table (see simulator) and hands the engine blocks
-of _BLOCK_SIZE consecutive replications.  Each synthesized slot holds its
-honest and its malicious agent, built and checked once per sweep.  In a
-block, each replication draws its composition, so its provider, its
-scenario seed and, per adversary fraction, a roster that picks each slot's
-agent by its flag; the engine draws each (replication, slot) once for every
-fraction that reads the same draws.  Points that share a fraction share its
-roster: the largest one is simulated, and each smaller point is scored from
-the leading reports of its own prefix of slots (reports follow slot order).
-Every (replication, point, arm) is then scored on its own with aggregate
-and classify, the ground truth once per replication.  A sweep starts at
-most one worker pool, which maps blocks; the output depends neither on the
-block size nor on the number of workers.
+of consecutive replications: as many as keep a block's largest array within
+_BLOCK_CELLS values, at least one and at most _BLOCK_SIZE.  Each synthesized
+slot holds its honest and its malicious agent, built and checked once per
+sweep.  In a block, each replication draws its composition, so its
+provider, its scenario seed and, per adversary fraction, a roster that picks
+each slot's agent by its flag; the engine draws each (replication, slot)
+once for every fraction that reads the same draws.  Points that share a
+fraction share its roster: the largest one is simulated, and each smaller
+point is scored from the leading reports of its own prefix of slots (reports
+follow slot order).  Every (replication, point, arm) is then scored on its
+own with aggregate and classify, the ground truth once per replication.  A
+sweep starts at most one worker pool, which maps blocks; the output depends
+neither on the block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -69,7 +70,8 @@ FULL = "full"
 KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 
 _MAX_SLOTS = 64    # composition always draws this many adversary flags
-_BLOCK_SIZE = 50   # replications per engine call: it bounds the arrays, not the output
+_BLOCK_SIZE = 50   # most replications per engine call; the block size never changes the output
+_BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
@@ -159,8 +161,8 @@ class _Sweep:
     The adversary fractions, in point order, each with one roster per
     replication; the size of the largest roster; the slot table, whose
     synthesized slots are checked once under the scenario_violations rules;
-    and for each roster size the number of bystander and consumer reports
-    its prefix of slots hands in.
+    for each roster size the number of bystander and consumer reports its
+    prefix of slots hands in; and the replications per block.
     """
 
     def __init__(self, base: Scenario, spec: ExperimentSpec, points):
@@ -189,6 +191,7 @@ class _Sweep:
                                           sum(reporting[1:n_reporters:2]))
             slots = [Slot(i // 2, pair) for i, pair in enumerate(pairs)]
         self.table = SlotTable(slots, base.session, q, base.params)
+        self.block_size = max(1, min(_BLOCK_SIZE, _BLOCK_CELLS // max(1, self.table.cells)))
 
     def simulate(self, reps) -> Block:
         """Simulate replications reps as one block.
@@ -278,7 +281,8 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     kind = spec.kind
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
     n = spec.replications
-    args = [(sweep, range(start, min(start + _BLOCK_SIZE, n))) for start in range(0, n, _BLOCK_SIZE)]
+    size = sweep.block_size
+    args = [(sweep, range(start, min(start + size, n))) for start in range(0, n, size)]
     processes = min(jobs, len(args))
     if processes > 1:
         with Pool(processes=processes) as pool:

@@ -51,8 +51,10 @@ with its own provider, scenario seed and rosters (a candidate per slot):
   the EWMA runs one update_accumulated call per event step over every
   consumer candidate.
 
-run_scenario is a block of one replication and one roster.  A SessionTrace
-keeps each agent's series and builds its events only when they are read.
+The ground truth is each replication's provider truth with no jitter and,
+at offset 0, no drift, scored once per replication.  run_scenario is a block
+of one replication and one roster.  A SessionTrace keeps each agent's series
+and builds its events only when they are read.
 """
 
 from __future__ import annotations
@@ -68,10 +70,12 @@ from .agents import (
     ProbeSchedule,
     ProviderProfile,
     ReporterProfile,
-    noise_free_performance,
     observe,
     sample_true_performance,
 )
+# Not called here: perfbench/tracing.py wraps simulator.noise_free_performance
+# as its agents.noise_free_performance layer.
+from .agents import noise_free_performance  # noqa: F401
 from .session import ServiceSession, require_finite
 from .trust import (
     AccumulatedReport,
@@ -212,19 +216,14 @@ class SessionTrace:
     final_breakdown is their aggregate under the scenario's params.  series
     holds every agent's events, bystanders first, in roster order.
     ground_truth_trust scores the provider's noise-free mean performance
-    against its promise; it is computed on first read, so sessions of one
-    provider whose truth is read once score it once.
+    against its promise.
     """
 
     final_breakdown: TrustBreakdown
     consumer_reports: tuple[AccumulatedReport, ...]
     bystander_reports: tuple[InstantaneousReport, ...]
     series: tuple[AgentSeries, ...]
-    provider: ProviderProfile
-
-    @cached_property
-    def ground_truth_trust(self) -> float:
-        return instantaneous_trust(noise_free_performance(self.provider), self.provider.promise)
+    ground_truth_trust: float
 
     @cached_property
     def events(self) -> tuple[TraceEvent, ...]:
@@ -451,8 +450,15 @@ class SlotTable:
         longest = max((stop - start for start, stop in spans), default=0)
         self.fold_at = np.array([[min(start + e, stop - 1) for e in range(longest)]
                                  for start, stop in spans], np.intp).reshape(len(spans), longest)
+        self.fold_row = {column: row for row, column in enumerate(self.folded)}
         self.last_folded = np.array([stop - start - 1 for start, stop in spans], np.intp)
         self.last_instant = np.array([self.columns[k][2] - 1 for k in self.instant], np.intp)
+
+    @property
+    def cells(self) -> int:
+        """The values one replication puts in simulate()'s largest arrays: the
+        truth's (event x attribute) and the folded consumer events'."""
+        return max(len(self.offsets) * len(self.session.promise), self.fold_at.size)
 
     def _draws(self, seeds, used) -> tuple[np.ndarray, np.ndarray]:
         """The truth draws (replication x event x attribute) and a random
@@ -512,16 +518,15 @@ class SlotTable:
             for e in range(1, folded.shape[-1]):
                 accumulated[..., e] = update_accumulated(accumulated[..., e - 1], folded[..., e],
                                                          self.params.alpha)
-        return Block(self, providers, ground_truth, picked.tolist(), reported, accumulated)
+        return Block(self, ground_truth, picked.tolist(), reported, accumulated)
 
 
 class Block:
     """A simulated block: each replication's ground-truth trust, each
     (replication, roster)'s reports, and its trace on request."""
 
-    def __init__(self, table: SlotTable, providers, ground_truth, picked, reported, accumulated):
+    def __init__(self, table: SlotTable, ground_truth, picked, reported, accumulated):
         self.table = table
-        self.providers = providers
         self.ground_truth = ground_truth
         self.picked = picked  # [r][f][slot] -> column
         self.reported = reported
@@ -565,8 +570,8 @@ class Block:
             if table.consumer[j]:
                 accumulated = ()
                 if stop > start:
-                    row = table.folded.index(column)
-                    accumulated = tuple(self.accumulated[r, row, :stop - start].tolist())
+                    accumulated = tuple(self.accumulated[r, table.fold_row[column],
+                                                         :stop - start].tolist())
             series.append(AgentSeries(agent.id, table.times[j],
                                       tuple(self.reported[r, start:stop].tolist()), accumulated))
         return SessionTrace(
@@ -574,7 +579,7 @@ class Block:
             consumer_reports=consumer_reports,
             bystander_reports=bystander_reports,
             series=tuple(series),
-            provider=self.providers[r],
+            ground_truth_trust=self.ground_truth[r],
         )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mlt.experiments
-from mlt.agents import MALICIOUS, RANDOM, ReporterProfile
+from mlt.agents import MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile, noise_free_performance
 from mlt.config import load_scenario_file
 from mlt.evaluation import score
 from mlt.experiments import (
@@ -25,7 +25,7 @@ from mlt.experiments import (
     run_experiment_suite,
 )
 from mlt.simulator import _COMP_TAG, Bystander, Scenario, run_scenario
-from mlt.trust import NORMALIZED, VERBATIM, aggregate
+from mlt.trust import NORMALIZED, VERBATIM, aggregate, instantaneous_trust
 
 from conftest import SCENARIO_DIR, make_provider, make_scenario
 
@@ -66,6 +66,10 @@ def variant_oracle(base, spec, kind, n_reporters, frac, rep):
         bystanders, consumers = roster[0::2], roster[1::2]
     return replace(base, provider=provider, bystanders=bystanders, consumers=consumers,
                    seed=scenario_seed)
+
+
+def ground_truth(provider):
+    return instantaneous_trust(noise_free_performance(provider), provider.promise)
 
 
 @pytest.fixture
@@ -183,12 +187,14 @@ class TestReplications:
         spec = ExperimentSpec(COUNT_SWEEP, trust_range=(0.4, 0.6))
         block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(1))
         target, _, _ = composition_oracle(base.seed, 0, spec)
-        assert block.providers[0].honesty_gap == pytest.approx(1.0 - target)
+        provider = replace(base.provider, honesty_gap=1.0 - target)
+        assert block.ground_truth[0] == ground_truth(provider)
+        assert block.ground_truth[0] != ground_truth(base.provider)
 
     def test_fixed_provider_keeps_gap(self, base):
         spec = ExperimentSpec(ABLATION, vary_provider=False)
-        block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(1))
-        assert block.providers[0].honesty_gap == base.provider.honesty_gap
+        block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(3))
+        assert block.ground_truth == [ground_truth(base.provider)] * 3
 
     def test_full_kind_keeps_the_scenario_roster(self, base, session, promise, honest):
         from mlt.agents import ProbeSchedule
@@ -415,3 +421,27 @@ def test_output_does_not_depend_on_the_block_size_or_the_pool(kind, monkeypatch)
     for block in (1, 7, SEAM_REPS):
         assert scored(block) == expected, block
     assert scored(7, jobs=2) == expected
+
+
+def test_a_scenario_with_many_events_gets_smaller_blocks(base, honest, monkeypatch):
+    # 20,000 probes of 3 attributes: 60,000 values per replication, so 4 per block
+    probes = Bystander("b00", honest, ProbeSchedule(0.1, 0.1, 20_000))
+    scenario = replace(base, bystanders=(probes,))
+    spec = ExperimentSpec(FULL, replications=10)
+    sweep = _Sweep(scenario, spec, _sweep_points(scenario, spec))
+    assert sweep.table.cells == 60_000
+    assert sweep.block_size == mlt.experiments._BLOCK_CELLS // 60_000 == 4
+    sizes = []
+
+    def recording_outcomes(args):
+        sizes.append(len(args[1]))
+        return _block_outcomes(args)
+
+    monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
+    blocked = run_experiment_suite(scenario, spec)
+    assert sizes == [4, 4, 2]
+    # one block of all ten gives the same result
+    monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 10 * 60_000)
+    sizes.clear()
+    assert run_experiment_suite(scenario, spec) == blocked
+    assert sizes == [10]

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mlt.agents import AttributeGenerator, ProbeSchedule, ProviderProfile, ReporterProfile
+from mlt.agents import (
+    AttributeGenerator,
+    ProbeSchedule,
+    ProviderProfile,
+    ReporterProfile,
+    noise_free_performance,
+)
 from mlt import simulator
 from mlt.config import load_scenario_file
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
@@ -27,7 +33,7 @@ from mlt.simulator import (
     run_scenario,
     scenario_violations,
 )
-from mlt.trust import NoEvidenceError, update_accumulated
+from mlt.trust import NoEvidenceError, instantaneous_trust, update_accumulated
 
 from conftest import SCENARIO_DIR, make_provider, make_scenario, run_scenario_oracle
 
@@ -312,7 +318,8 @@ class TestBlocks:
                 assert got == alone
                 assert got.events == alone.events
                 assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
-                assert block.ground_truth[r] == alone.ground_truth_trust
+                assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
+                    noise_free_performance(providers[r]), scenario.session.promise)
 
 
 class TestStreamSeeding:
