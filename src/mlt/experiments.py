@@ -53,9 +53,7 @@ from .simulator import (
     Scenario,
     Slot,
     SlotTable,
-    _event_times,
     composition_streams,
-    scenario_violations,
 )
 # Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
@@ -160,7 +158,7 @@ class _Sweep:
 
     The adversary fractions, in point order, each with one roster per
     replication; the size of the largest roster; the slot table, whose
-    synthesized slots are checked once under the scenario_violations rules;
+    synthesized honest roster is checked once as a Scenario;
     for each roster size the number of bystander and consumer reports its
     prefix of slots hands in; and the replications per block.
     """
@@ -171,7 +169,6 @@ class _Sweep:
         self.points = tuple(points)
         self.fracs = tuple(dict.fromkeys(frac for _, frac, _ in self.points))
         self.size = max(n_reporters for n_reporters, _, _ in self.points)
-        self.cuts: dict[int, tuple[int, int]] = {}
         q = base.query_time
         if spec.kind == FULL:
             slots = [Slot(i, (b,)) for i, b in enumerate(base.bystanders)]
@@ -179,18 +176,14 @@ class _Sweep:
         else:
             pairs = _slot_agents(spec.kind, q, self.size)
             honest = [pair[0] for pair in pairs]
-            violations = scenario_violations(base.session, base.provider, honest[0::2],
-                                             honest[1::2], q, base.seed)
-            if violations:
-                raise ValueError("; ".join(violations))
-            # reports follow slot order, one per agent with an event by the query
-            # time, so a prefix of slots reports a prefix of each report tuple
-            reporting = [len(_event_times(agent, q)) > 0 for agent in honest]
-            for n_reporters, _, _ in self.points:
-                self.cuts[n_reporters] = (sum(reporting[0:n_reporters:2]),
-                                          sum(reporting[1:n_reporters:2]))
+            replace(base, bystanders=honest[0::2], consumers=honest[1::2])  # checks the roster
             slots = [Slot(i // 2, pair) for i, pair in enumerate(pairs)]
         self.table = SlotTable(slots, base.session, q, base.params)
+        # reports follow slot order, one per slot with an event by the query
+        # time, so a prefix of synthesized slots reports a prefix of each report
+        # tuple ("full" has one point, its whole roster, and cuts nothing)
+        reporting = [len(times) > 0 for times in self.table.times]
+        self.cuts = {n: (sum(reporting[0:n:2]), sum(reporting[1:n:2])) for n, _, _ in self.points}
         self.block_size = max(1, min(_BLOCK_SIZE, _BLOCK_CELLS // max(1, self.table.cells)))
 
     def simulate(self, reps) -> Block:

@@ -48,20 +48,19 @@ with its own provider, scenario seed and rosters (a candidate per slot):
   event at a time to keep the order above.
 - Arrays.  Truth, the finiteness check, clamping and instantaneous trust
   run over (replication x event); observe() runs once per distinct profile;
-  the EWMA runs one update_accumulated call per event step over every
-  consumer candidate.
+  the EWMA folds in place on the event axis, one update_accumulated call per
+  step over the consumer columns that have that step.
 
 The ground truth is each replication's provider truth with no jitter and,
 at offset 0, no drift, scored once per replication.  run_scenario is a block
-of one replication and one roster.  A SessionTrace keeps each agent's series
-and builds its events only when they are read.
+of one replication and one roster, and its SessionTrace keeps each agent's
+series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +85,6 @@ from .trust import (
     instantaneous_trust,
     update_accumulated,
 )
-
-PROBE = "probe"
-SAMPLE = "sample"
-ACCUMULATE = "accumulate"
 
 _TIME_EPS = 1e-9  # guards float dust when comparing event offsets to bounds
 
@@ -190,14 +185,6 @@ class Scenario:
             raise ValueError("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    offset: float
-    reporter_id: str
-    kind: str  # probe | sample | accumulate
-    value: float
-
-
 class AgentSeries(NamedTuple):
     """One agent's events: its offsets and reported values, and for a
     consumer the accumulated (EWMA) value after each sample."""
@@ -225,22 +212,6 @@ class SessionTrace:
     series: tuple[AgentSeries, ...]
     ground_truth_trust: float
 
-    @cached_property
-    def events(self) -> tuple[TraceEvent, ...]:
-        """Every event, time-ordered, ties broken by reporter id (a consumer's
-        sample precedes the accumulate it feeds).  Built on first read."""
-        events = []
-        for s in self.series:
-            if s.accumulated is None:
-                events.extend(TraceEvent(t, s.reporter_id, PROBE, v)
-                              for t, v in zip(s.offsets, s.reported))
-                continue
-            for t, v, acc in zip(s.offsets, s.reported, s.accumulated):
-                events.append(TraceEvent(t, s.reporter_id, SAMPLE, v))
-                events.append(TraceEvent(t, s.reporter_id, ACCUMULATE, acc))
-        events.sort(key=lambda e: (e.offset, e.reporter_id))
-        return tuple(events)
-
 
 def _probe_times(schedule: ProbeSchedule, limit: float) -> tuple[float, ...]:
     times = []
@@ -258,21 +229,6 @@ def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
         return ()
     n = int(math.floor((end - usage.usage_start) / usage.sample_interval + _TIME_EPS))
     return tuple(usage.usage_start + m * usage.sample_interval for m in range(n + 1))
-
-
-def _event_times(agent: Bystander | Consumer, limit: float) -> tuple[float, ...]:
-    """An agent's event offsets up to limit.  An agent is immutable, so the
-    offsets at the last limit asked for are kept on it, the way
-    cached_property keeps a value, and a roster reused across sessions
-    computes them once."""
-    memo = agent.__dict__.get("_event_times")
-    if memo is None or memo[0] != limit:
-        if isinstance(agent, Bystander):
-            memo = (limit, _probe_times(agent.schedule, limit))
-        else:
-            memo = (limit, _sample_times(agent.usage, limit))
-        agent.__dict__["_event_times"] = memo
-    return memo[1]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 multiplier
@@ -417,7 +373,9 @@ class SlotTable:
         self.consumer = [isinstance(s.agents[0], Consumer) for s in self.slots]
         self.keys = [(_CONSUMER_GROUP if c else _BYSTANDER_GROUP, s.index)
                      for s, c in zip(self.slots, self.consumer)]
-        self.times = [_event_times(s.agents[0], query_time) for s in self.slots]
+        self.times = [_sample_times(s.agents[0].usage, query_time) if c
+                      else _probe_times(s.agents[0].schedule, query_time)
+                      for s, c in zip(self.slots, self.consumer)]
         self.reporting = [j for j, times in enumerate(self.times) if times]
 
         candidates = max((len(s.agents) for s in self.slots), default=0)
@@ -440,25 +398,21 @@ class SlotTable:
                 observed.setdefault(agent.profile, []).extend(range(start, len(self.offsets)))
         self.observed = {profile: np.array(at, np.intp) for profile, at in observed.items()}
 
-        # each consumer column's events, padded with its last one, folded as one
-        # array; and where each column's final value sits
-        self.folded = [k for k, (j, start, stop, _, _) in enumerate(self.columns)
-                       if self.consumer[j] and stop > start]
-        self.instant = [k for k, (j, start, stop, _, _) in enumerate(self.columns)
-                        if not self.consumer[j] and stop > start]
-        spans = [self.columns[k][1:3] for k in self.folded]
+        # the EWMA's steps: steps[e - 1] holds the event start + e of every
+        # consumer column with more than e events
+        spans = [(start, stop) for j, start, stop, _, _ in self.columns if self.consumer[j]]
         longest = max((stop - start for start, stop in spans), default=0)
-        self.fold_at = np.array([[min(start + e, stop - 1) for e in range(longest)]
-                                 for start, stop in spans], np.intp).reshape(len(spans), longest)
-        self.fold_row = {column: row for row, column in enumerate(self.folded)}
-        self.last_folded = np.array([stop - start - 1 for start, stop in spans], np.intp)
-        self.last_instant = np.array([self.columns[k][2] - 1 for k in self.instant], np.intp)
+        self.steps = [np.array([start + e for start, stop in spans if stop - start > e], np.intp)
+                      for e in range(1, longest)]
+        # each column's last event, where it has one
+        self.ended = [k for k, (_, start, stop, _, _) in enumerate(self.columns) if stop > start]
+        self.last = np.array([self.columns[k][2] - 1 for k in self.ended], np.intp)
 
     @property
     def cells(self) -> int:
-        """The values one replication puts in simulate()'s largest arrays: the
-        truth's (event x attribute) and the folded consumer events'."""
-        return max(len(self.offsets) * len(self.session.promise), self.fold_at.size)
+        """The values one replication puts in simulate()'s largest array, the
+        truth's (event x attribute)."""
+        return len(self.offsets) * len(self.session.promise)
 
     def _draws(self, seeds, used) -> tuple[np.ndarray, np.ndarray]:
         """The truth draws (replication x event x attribute) and a random
@@ -510,14 +464,12 @@ class SlotTable:
         for profile, at in self.observed.items():
             reported[:, at] = observe(profile, true_trust[:, at],
                                       own[:, at] if profile.draws_reports else None)
-        # the first sample seeds each consumer's EWMA, later ones fold into it
-        folded = reported[:, self.fold_at]
-        accumulated = np.empty_like(folded)
-        if folded.size:
-            accumulated[..., 0] = folded[..., 0]
-            for e in range(1, folded.shape[-1]):
-                accumulated[..., e] = update_accumulated(accumulated[..., e - 1], folded[..., e],
-                                                         self.params.alpha)
+        # the first sample seeds each consumer's EWMA, later ones fold into it;
+        # a bystander's accumulated values are its reports
+        accumulated = reported.copy()
+        for at in self.steps:
+            accumulated[:, at] = update_accumulated(accumulated[:, at - 1], reported[:, at],
+                                                    self.params.alpha)
         return Block(self, ground_truth, picked.tolist(), reported, accumulated)
 
 
@@ -533,8 +485,7 @@ class Block:
         self.accumulated = accumulated
         # each column's final value: a bystander's last report, a consumer's EWMA
         final = np.empty((len(reported), len(table.columns)))
-        final[:, table.instant] = reported[:, table.last_instant]
-        final[:, table.folded] = accumulated[:, np.arange(len(table.folded)), table.last_folded]
+        final[:, table.ended] = accumulated[:, table.last]
         self.final = final.tolist()
 
     def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
@@ -568,10 +519,7 @@ class Block:
             _, start, stop, agent, _ = table.columns[column]
             accumulated = None
             if table.consumer[j]:
-                accumulated = ()
-                if stop > start:
-                    accumulated = tuple(self.accumulated[r, table.fold_row[column],
-                                                         :stop - start].tolist())
+                accumulated = tuple(self.accumulated[r, start:stop].tolist())
             series.append(AgentSeries(agent.id, table.times[j],
                                       tuple(self.reported[r, start:stop].tolist()), accumulated))
         return SessionTrace(

@@ -1,8 +1,10 @@
 """Shared fixtures: a small continuous schema and a minimal runnable scenario,
 plus three oracles: plain-mean aggregation, the per-report aggregate and the
-per-sample session run."""
+per-sample session run, and trace_events, a session trace's events in time
+order."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,17 +14,14 @@ import pytest
 from mlt.agents import SECONDS_PER_HOUR, AttributeGenerator, ProviderProfile, ReporterProfile
 from mlt.session import ORDINAL, AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import (
-    ACCUMULATE,
-    PROBE,
-    SAMPLE,
     Bystander,
     Consumer,
     ConsumerUsage,
     ProbeSchedule,
     Scenario,
-    TraceEvent,
     _probe_times,
     _sample_times,
+    run_scenario,
 )
 from mlt.trust import (
     AccumulatedReport,
@@ -150,6 +149,35 @@ def _oracle_trust(values, promise) -> float:
     return total / len(promise.values)
 
 
+PROBE = "probe"
+SAMPLE = "sample"
+ACCUMULATE = "accumulate"
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    offset: float
+    reporter_id: str
+    kind: str  # probe | sample | accumulate
+    value: float
+
+
+def trace_events(trace):
+    """Every event of a SessionTrace, time-ordered, ties broken by reporter id
+    (a consumer's sample precedes the accumulate it feeds)."""
+    events = []
+    for s in trace.series:
+        if s.accumulated is None:
+            events.extend(TraceEvent(t, s.reporter_id, PROBE, v)
+                          for t, v in zip(s.offsets, s.reported))
+            continue
+        for t, v, acc in zip(s.offsets, s.reported, s.accumulated):
+            events.append(TraceEvent(t, s.reporter_id, SAMPLE, v))
+            events.append(TraceEvent(t, s.reporter_id, ACCUMULATE, acc))
+    events.sort(key=lambda e: (e.offset, e.reporter_id))
+    return tuple(events)
+
+
 def run_scenario_oracle(scenario):
     """The per-sample session run: one PerformanceVector, one scalar draw per
     attribute and one reporter draw per event, in each agent's stream order.
@@ -215,6 +243,25 @@ def run_scenario_oracle(scenario):
         consumer_reports=tuple(consumer_reports),
         bystander_reports=tuple(bystander_reports),
     )
+
+
+def assert_matches_the_per_sample_oracle(scenario):
+    """run_scenario gives the oracle's reports, aggregate, ground truth and
+    events exactly, or raises NoEvidenceError where it does."""
+    try:
+        expected = run_scenario_oracle(scenario)
+    except NoEvidenceError:
+        with pytest.raises(NoEvidenceError):
+            run_scenario(scenario)
+        return
+    got = run_scenario(scenario)
+    assert got.consumer_reports == expected.consumer_reports
+    assert got.bystander_reports == expected.bystander_reports
+    assert got.final_breakdown == expected.final_breakdown
+    assert got.ground_truth_trust == expected.ground_truth_trust
+    events = trace_events(got)
+    assert events == expected.events
+    assert all(type(e.value) is float for e in events)
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from mlt.trust import (
 )
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
 
-from conftest import SCENARIO_DIR, aggregate_basic
+from conftest import SCENARIO_DIR, aggregate_basic, trace_events
 
 
 def report(capsys, name, ok, detail):
@@ -309,17 +309,18 @@ def test_cli_reruns_are_byte_identical(capsys, tmp_path):
 def test_trace_replays_to_the_reported_values(capsys):
     scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
     trace = run_scenario(scenario)
+    events = trace_events(trace)
     exact = True
 
     for consumer in trace.consumer_reports:
         samples = [
             e.value
-            for e in trace.events
+            for e in events
             if e.kind == "sample" and e.reporter_id == consumer.reporter_id
         ]
         folded = [
             e.value
-            for e in trace.events
+            for e in events
             if e.kind == "accumulate" and e.reporter_id == consumer.reporter_id
         ]
         acc = samples[0]
@@ -332,7 +333,7 @@ def test_trace_replays_to_the_reported_values(capsys):
     for bystander in trace.bystander_reports:
         probes = [
             e
-            for e in trace.events
+            for e in events
             if e.kind == "probe" and e.reporter_id == bystander.reporter_id
         ]
         last = max(probes, key=lambda e: e.offset)
@@ -346,6 +347,6 @@ def test_trace_replays_to_the_reported_values(capsys):
         capsys,
         "trace-replay",
         exact,
-        f"{n} reports rebuilt from {len(trace.events)} events, exact float match",
+        f"{n} reports rebuilt from {len(events)} events, exact float match",
     )
     assert exact

@@ -17,7 +17,7 @@ from mlt.agents import (
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import Bystander, ConsumerUsage, run_scenario
 
-from conftest import make_provider, make_scenario
+from conftest import make_provider, make_scenario, trace_events
 
 
 def rng(seed=0):
@@ -172,7 +172,7 @@ class TestSampling:
             for _ in range(len(promise.values)):
                 stream.normal(0.0, 0.0)
             expected.append(stream.uniform(0.0, 1.0))
-        assert [e.value for e in run_scenario(scenario).events] == expected
+        assert [e.value for e in trace_events(run_scenario(scenario))] == expected
 
     def test_sampling_is_bit_reproducible(self, promise):
         provider = make_provider(promise, jitter_rel=0.3)

@@ -24,10 +24,16 @@ from mlt.experiments import (
     _sweep_points,
     run_experiment_suite,
 )
-from mlt.simulator import _COMP_TAG, Bystander, Scenario, run_scenario
+from mlt.simulator import _COMP_TAG, Bystander, Consumer, ConsumerUsage, Scenario, run_scenario
 from mlt.trust import NORMALIZED, VERBATIM, aggregate, instantaneous_trust
 
-from conftest import SCENARIO_DIR, make_provider, make_scenario
+from conftest import (
+    SCENARIO_DIR,
+    assert_matches_the_per_sample_oracle,
+    make_provider,
+    make_scenario,
+    trace_events,
+)
 
 REPS = 40  # enough replications for structure checks without slowing the suite
 
@@ -343,7 +349,7 @@ class TestCommonRandomNumbers:
             trace = run_scenario(variant_oracle(scenario, spec, COUNT_SWEEP, n, 0.0, rep=0))
             for report in trace.bystander_reports + trace.consumer_reports:
                 if report.reporter_id in seen:
-                    events = [e for e in trace.events if e.reporter_id == report.reporter_id]
+                    events = [e for e in trace_events(trace) if e.reporter_id == report.reporter_id]
                     seen[report.reporter_id].append((report, events))
         for reporter_id, runs in seen.items():
             assert len(runs) == spec.reporters - 1, reporter_id
@@ -423,25 +429,47 @@ def test_output_does_not_depend_on_the_block_size_or_the_pool(kind, monkeypatch)
     assert scored(7, jobs=2) == expected
 
 
-def test_a_scenario_with_many_events_gets_smaller_blocks(base, honest, monkeypatch):
-    # 20,000 probes of 3 attributes: 60,000 values per replication, so 4 per block
-    probes = Bystander("b00", honest, ProbeSchedule(0.1, 0.1, 20_000))
-    scenario = replace(base, bystanders=(probes,))
+def assert_blocks_fit_the_cells(scenario, events, sizes, monkeypatch):
+    """A "full" sweep of scenario over ten replications counts events x 3
+    attributes per replication, runs blocks of the given sizes, and gives the
+    same result as one block of all ten."""
     spec = ExperimentSpec(FULL, replications=10)
     sweep = _Sweep(scenario, spec, _sweep_points(scenario, spec))
-    assert sweep.table.cells == 60_000
-    assert sweep.block_size == mlt.experiments._BLOCK_CELLS // 60_000 == 4
-    sizes = []
+    cells = events * 3
+    assert len(sweep.table.offsets) == events
+    assert sweep.table.cells == cells
+    assert sweep.block_size == mlt.experiments._BLOCK_CELLS // cells
+    run = []
 
     def recording_outcomes(args):
-        sizes.append(len(args[1]))
+        run.append(len(args[1]))
         return _block_outcomes(args)
 
     monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
     blocked = run_experiment_suite(scenario, spec)
-    assert sizes == [4, 4, 2]
+    assert run == sizes
     # one block of all ten gives the same result
-    monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 10 * 60_000)
-    sizes.clear()
+    monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 10 * cells)
+    run.clear()
     assert run_experiment_suite(scenario, spec) == blocked
-    assert sizes == [10]
+    assert run == [10]
+
+
+def test_a_scenario_with_many_events_gets_smaller_blocks(base, honest, monkeypatch):
+    # 20,000 probes of 3 attributes: 60,000 values per replication, so 4 per block
+    probes = Bystander("b00", honest, ProbeSchedule(0.1, 0.1, 20_000))
+    scenario = replace(base, bystanders=(probes,))
+    assert_blocks_fit_the_cells(scenario, 20_000, [4, 4, 2], monkeypatch)
+
+
+def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
+    # one consumer sampling 2,001 times and nine sampling twice: 2,019 events,
+    # each consumer's once, not every consumer's padded to the longest (20,010),
+    # and a budget of 4 replications' values per block
+    consumers = [Consumer("c00", honest, ConsumerUsage(0.0, 2000.0, 1.0))]
+    consumers += [Consumer(f"c{j:02d}", honest, ConsumerUsage(0.0, 600.0, 600.0))
+                  for j in range(1, 10)]
+    scenario = replace(base, consumers=tuple(consumers))
+    monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 4 * 2_019 * 3)
+    assert_blocks_fit_the_cells(scenario, 2_019, [4, 4, 2], monkeypatch)
+    assert_matches_the_per_sample_oracle(scenario)

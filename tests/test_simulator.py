@@ -21,9 +21,6 @@ from mlt import simulator
 from mlt.config import load_scenario_file
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import (
-    ACCUMULATE,
-    PROBE,
-    SAMPLE,
     Bystander,
     Consumer,
     ConsumerUsage,
@@ -35,7 +32,16 @@ from mlt.simulator import (
 )
 from mlt.trust import NoEvidenceError, instantaneous_trust, update_accumulated
 
-from conftest import SCENARIO_DIR, make_provider, make_scenario, run_scenario_oracle
+from conftest import (
+    ACCUMULATE,
+    PROBE,
+    SAMPLE,
+    SCENARIO_DIR,
+    assert_matches_the_per_sample_oracle,
+    make_provider,
+    make_scenario,
+    trace_events,
+)
 
 
 def noisy_scenario(session, promise, honest, seed=99):
@@ -150,25 +156,26 @@ class TestNoiseFreeRun:
 
 class TestEventStream:
     def test_probe_and_sample_offsets(self, tiny_scenario):
-        trace = run_scenario(tiny_scenario)
-        probes = [e.offset for e in trace.events if e.kind == PROBE]
-        samples = [e.offset for e in trace.events if e.kind == SAMPLE]
+        events = trace_events(run_scenario(tiny_scenario))
+        probes = [e.offset for e in events if e.kind == PROBE]
+        samples = [e.offset for e in events if e.kind == SAMPLE]
         assert probes == [600.0, 1800.0, 3000.0]
         assert samples == [0.0 + 600.0 * m for m in range(7)]
 
     def test_events_sorted_with_sample_before_accumulate(self, session, promise, honest):
-        trace = run_scenario(noisy_scenario(session, promise, honest))
-        keys = [(e.offset, e.reporter_id) for e in trace.events]
+        events = trace_events(run_scenario(noisy_scenario(session, promise, honest)))
+        keys = [(e.offset, e.reporter_id) for e in events]
         assert keys == sorted(keys)
-        for first, second in zip(trace.events, trace.events[1:]):
+        for first, second in zip(events, events[1:]):
             if (first.offset, first.reporter_id) == (second.offset, second.reporter_id):
                 assert (first.kind, second.kind) == (SAMPLE, ACCUMULATE)
 
     def test_accumulate_events_replay_from_samples(self, session, promise, honest):
         scenario = noisy_scenario(session, promise, honest)
         trace = run_scenario(scenario)
-        samples = [e.value for e in trace.events if e.kind == SAMPLE and e.reporter_id == "c00"]
-        folded = [e.value for e in trace.events if e.kind == ACCUMULATE and e.reporter_id == "c00"]
+        events = trace_events(trace)
+        samples = [e.value for e in events if e.kind == SAMPLE and e.reporter_id == "c00"]
+        folded = [e.value for e in events if e.kind == ACCUMULATE and e.reporter_id == "c00"]
         acc = samples[0]
         assert folded[0] == acc
         for value, expected in zip(samples[1:], folded[1:]):
@@ -179,8 +186,8 @@ class TestEventStream:
     def test_shrinking_query_time_only_truncates(self, session, promise, honest):
         full = noisy_scenario(session, promise, honest)
         short = replace(full, query_time=1800.0)
-        full_events = run_scenario(full).events
-        short_events = run_scenario(short).events
+        full_events = trace_events(run_scenario(full))
+        short_events = trace_events(run_scenario(short))
         prefix = tuple(e for e in full_events if e.offset <= 1800.0 + 1e-9)
         assert short_events == prefix
 
@@ -206,21 +213,21 @@ class TestEventStream:
         assert len(after.consumer_reports) == 2
 
         def consumer_events(trace):
-            return [e for e in trace.events if e.reporter_id.startswith("c")]
+            return [e for e in trace_events(trace) if e.reporter_id.startswith("c")]
 
         assert consumer_events(after) == consumer_events(before)
 
     def test_different_seeds_differ(self, session, promise, honest):
         a = run_scenario(noisy_scenario(session, promise, honest, seed=1))
         b = run_scenario(noisy_scenario(session, promise, honest, seed=2))
-        assert a.events != b.events
+        assert trace_events(a) != trace_events(b)
 
 
 class TestReportCollection:
     def test_bystander_report_is_latest_probe_at_query_time(self, session, promise, honest):
         scenario = replace(noisy_scenario(session, promise, honest), query_time=2000.0)
         trace = run_scenario(scenario)
-        probes = [e for e in trace.events if e.kind == PROBE]
+        probes = [e for e in trace_events(trace) if e.kind == PROBE]
         assert [e.offset for e in probes] == [600.0, 1800.0]
         report = trace.bystander_reports[0]
         assert (report.timestamp_offset, report.trust) == (1800.0, probes[-1].value)
@@ -316,7 +323,7 @@ class TestBlocks:
                     consumers=tuple(a for a in roster if isinstance(a, Consumer))))
                 got = block.trace(r, f)
                 assert got == alone
-                assert got.events == alone.events
+                assert trace_events(got) == trace_events(alone)
                 assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
                 assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
                     noise_free_performance(providers[r]), scenario.session.promise)
@@ -401,22 +408,6 @@ class TestSamplingDistribution:
         expected = mu + (1.0 - mu) * (1.0 - cdf) - s * pdf
 
         assert np.mean(values) == pytest.approx(expected, abs=0.01)
-
-
-def assert_matches_the_per_sample_oracle(scenario):
-    try:
-        expected = run_scenario_oracle(scenario)
-    except NoEvidenceError:
-        with pytest.raises(NoEvidenceError):
-            run_scenario(scenario)
-        return
-    got = run_scenario(scenario)
-    assert got.consumer_reports == expected.consumer_reports
-    assert got.bystander_reports == expected.bystander_reports
-    assert got.final_breakdown == expected.final_breakdown
-    assert got.ground_truth_trust == expected.ground_truth_trust
-    assert got.events == expected.events
-    assert all(type(e.value) is float for e in got.events)
 
 
 REPORTERS = (
