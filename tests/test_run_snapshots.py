@@ -1,7 +1,8 @@
 """`mlt run` stdout is pinned byte for byte for every shipped scenario and kind.
 
-tests/data holds one CSV per (scenario, kind), produced by
-`mlt run --replications 40 --seed 5 --jobs 1`.  A speed change must leave
+tests/data holds one CSV and one JSON file per (scenario, kind), produced by
+`mlt run --replications 40 --seed 5 --jobs 1 --format csv` (or `json`; only
+the JSON holds the per-level confusion counts).  A speed change must leave
 every byte as it is.  A deliberate change to the random stream layout (the
 counter-based draws of ROADMAP direction 3) changes the output on purpose:
 it regenerates the snapshots with
@@ -25,18 +26,19 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
 REPLICATIONS = "40"
 SEED = "5"
+FORMATS = ("csv", "json")
 
 
-def snapshot_path(scenario: str, kind: str) -> Path:
-    return DATA_DIR / f"run_{scenario}_{kind}.csv"
+def snapshot_path(scenario: str, kind: str, fmt: str = "csv") -> Path:
+    return DATA_DIR / f"run_{scenario}_{kind}.{fmt}"
 
 
-def run_stdout(scenario: str, kind: str) -> bytes:
+def run_stdout(scenario: str, kind: str, fmt: str = "csv") -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["run", "--scenario", str(SCENARIO_DIR / f"{scenario}.json"),
                      "--experiment", kind, "--replications", REPLICATIONS,
-                     "--seed", SEED, "--jobs", "1"])
+                     "--seed", SEED, "--jobs", "1", "--format", fmt])
     assert code == EXIT_OK
     return out.getvalue().encode("utf-8")
 
@@ -47,13 +49,21 @@ def test_run_output_matches_the_snapshot(scenario, kind):
     assert run_stdout(scenario, kind) == snapshot_path(scenario, kind).read_bytes()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_json_output_matches_the_snapshot(scenario, kind):
+    assert run_stdout(scenario, kind, "json") == snapshot_path(scenario, kind, "json").read_bytes()
+
+
 def test_every_scenario_and_kind_has_a_snapshot():
-    expected = {snapshot_path(s, k).name for s in SCENARIOS for k in KINDS}
-    assert {p.name for p in DATA_DIR.glob("run_*.csv")} == expected
+    for fmt in FORMATS:
+        expected = {snapshot_path(s, k, fmt).name for s in SCENARIOS for k in KINDS}
+        assert {p.name for p in DATA_DIR.glob(f"run_*.{fmt}")} == expected
 
 
 if __name__ == "__main__":
     DATA_DIR.mkdir(exist_ok=True)
     for scenario in SCENARIOS:
         for kind in KINDS:
-            snapshot_path(scenario, kind).write_bytes(run_stdout(scenario, kind))
+            for fmt in FORMATS:
+                snapshot_path(scenario, kind, fmt).write_bytes(run_stdout(scenario, kind, fmt))
