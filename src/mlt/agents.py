@@ -149,37 +149,31 @@ def _clamp(schema, latent: np.ndarray) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, latent, out=latent), out=latent)
 
 
-def sample_true_performance(profile, offsets, noise) -> np.ndarray:
-    """The service's actual performance at session offsets (seconds), one row each.
+def sample_true_performance(profile: ProviderProfile, gaps, offsets, noise) -> np.ndarray:
+    """The service's actual performance at session offsets (seconds), one row
+    per event, for each honesty gap: an array of (gap x event x attribute).
 
-    Each attribute is mean * (1 - honesty_gap), plus drift scaled by the
-    elapsed hours, plus jitter, clamped to the attribute's valid range.
-    noise is an (events x attributes) array of standard normal draws, and an
+    Each attribute is mean * (1 - gap), plus drift scaled by the elapsed
+    hours, plus jitter, clamped to the attribute's valid range; profile gives
+    every field but the gap.  noise holds standard normal draws, (gap x event
+    x attribute) or one (event x attribute) array for every gap, and an
     attribute's jitter is its draw times its jitter_stddev.  The simulator
-    draws one value per attribute per event regardless of the jitter setting,
-    so streams stay aligned across configurations.
-
-    profile may also be a sequence of profiles of one provider that differ
-    only in honesty_gap, one per replication: noise and the result then have
-    a leading replication axis.
+    draws one value per attribute per event regardless of the jitter
+    setting, so streams stay aligned across configurations.  A gap outside
+    [0, 1], or NaN, raises ValueError.
     """
-    single = isinstance(profile, ProviderProfile)
-    profiles = (profile,) if single else tuple(profile)
-    first, *others = profiles
-    gens = first.attributes
-    if any(p.attributes != gens or p.promise != first.promise for p in others):
-        raise ValueError("the profiles of one sample must differ only in honesty_gap")
-    base = np.array([[gen.mean * (1.0 - p.honesty_gap) for gen in gens]
-                     for p in profiles])[:, np.newaxis, :]
-    noise = np.asarray(noise, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    bad = gaps[~((gaps >= 0.0) & (gaps <= 1.0))]
+    if bad.size:
+        raise ValueError(f"honesty_gap must be in [0, 1], got {bad[0]}")
+    means, drift, stddev = zip(*((gen.mean, gen.drift_per_hour, gen.jitter_stddev)
+                                 for gen in profile.attributes))
+    base = np.multiply.outer(1.0 - gaps, means)[:, np.newaxis, :]
     hours = np.asarray(offsets, dtype=float) / SECONDS_PER_HOUR
-    drift = [gen.drift_per_hour for gen in gens]
-    stddev = [gen.jitter_stddev for gen in gens]
     with np.errstate(over="ignore", invalid="ignore"):
         latent = base + np.multiply.outer(hours, drift)
-        latent += (noise[np.newaxis] if single else noise) * stddev
-    latent = _clamp(first.promise.schema, latent)
-    return latent[0] if single else latent
+        latent += np.asarray(noise, dtype=float) * stddev
+    return _clamp(profile.promise.schema, latent)
 
 
 def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:
@@ -189,8 +183,9 @@ def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:
     treated as departures from it.
     """
     schema = profile.promise.schema
-    base = np.array([gen.mean * (1.0 - profile.honesty_gap) for gen in profile.attributes])
-    return PerformanceVector(tuple(_clamp(schema, base).tolist()), schema)
+    zeros = np.zeros((1, len(profile.attributes)))
+    values = sample_true_performance(profile, [profile.honesty_gap], [0.0], zeros)
+    return PerformanceVector(tuple(values[0, 0].tolist()), schema)
 
 
 def observe(profile: ReporterProfile, true_trust, own_draws=None) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Scenario files: strict JSON in, validated Scenario out.
 
 Files are self-describing (a schema_version field) and strictly checked:
-unknown fields anywhere in the document are rejected so typos fail loudly
-instead of silently falling back to defaults.
+unknown fields anywhere in the document, and a field given twice in one
+object, are rejected so typos fail loudly instead of silently falling back
+to defaults or to the last value.
 
 One builder serves both parse_scenario and collect_violations.  Structural
 problems (bad JSON, wrong types, unknown or missing fields, numbers that are
@@ -305,10 +306,22 @@ def load_scenario_file(path) -> tuple[Scenario, Thresholds]:
     return parse_scenario(doc)
 
 
+def _unique_fields(pairs) -> dict:
+    """A JSON object's fields, rejecting a field given twice (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"field {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
 def read_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_fields)
+    except ConfigError as e:  # a ValueError too, but not a JSON syntax error
+        raise ConfigError(f"{path}: {e}") from None
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
     except OSError as e:  # a directory, no permission, a failed read

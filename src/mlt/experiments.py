@@ -18,16 +18,17 @@ A sweep builds one slot table (see simulator) and hands the engine blocks
 of consecutive replications: as many as keep a block's largest array within
 _BLOCK_CELLS values, at least one and at most _BLOCK_SIZE.  Each synthesized
 slot holds its honest and its malicious agent, built and checked once per
-sweep.  In a block, each replication draws its composition, so its
-provider, its scenario seed and, per adversary fraction, a roster that picks
-each slot's agent by its flag; the engine draws each (replication, slot)
-once for every fraction that reads the same draws.  Points that share a
-fraction share its roster: the largest one is simulated, and each smaller
-point is scored from the leading reports of its own prefix of slots (reports
-follow slot order).  Every (replication, point, arm) is then scored on its
-own with aggregate and classify, the ground truth once per replication.  A
-sweep starts at most one worker pool, which maps blocks; the output depends
-neither on the block size nor on the number of workers.
+sweep.  In a block, each replication draws its composition (see
+simulator.compositions), so its honesty gap, its scenario seed and, per
+adversary fraction, a roster that picks each slot's agent by its flag; the
+engine draws each (replication, slot) once for every fraction that reads the
+same draws.  Points that share a fraction share its roster: the largest one
+is simulated, and each smaller point is scored from the leading reports of
+its own prefix of slots (reports follow slot order).  Every (replication,
+point, arm) is then scored on its own with aggregate and classify, the
+ground truth once per replication.  A sweep starts at most one worker pool,
+which maps blocks; the output depends neither on the block size nor on the
+number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -46,6 +47,7 @@ import numpy as np
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
 from .simulator import (
+    COMPOSITION_FLAGS,
     Block,
     Bystander,
     Consumer,
@@ -53,7 +55,7 @@ from .simulator import (
     Scenario,
     Slot,
     SlotTable,
-    composition_streams,
+    compositions,
 )
 # Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
@@ -67,7 +69,6 @@ ESTIMATOR_COMPARE = "estimator-compare"
 FULL = "full"
 KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 
-_MAX_SLOTS = 64    # composition always draws this many adversary flags
 _BLOCK_SIZE = 50   # most replications per engine call; the block size never changes the output
 _BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 
@@ -98,8 +99,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 1 <= self.reporters <= _MAX_SLOTS:
-            raise ValueError(f"reporters must be in [1, {_MAX_SLOTS}]")
+        if not 1 <= self.reporters <= COMPOSITION_FLAGS:
+            raise ValueError(f"reporters must be in [1, {COMPOSITION_FLAGS}]")
         if self.kind == ESTIMATOR_COMPARE and self.reporters < 2:
             raise ValueError("estimator-compare needs at least one bystander and one consumer")
         if not 0.0 <= self.adversary_frac <= 1.0:
@@ -107,17 +108,6 @@ class ExperimentSpec:
         lo, hi = self.trust_range
         if not 0.0 < lo < hi <= 1.0:
             raise ValueError(f"trust_range must satisfy 0 < lo < hi <= 1, got {self.trust_range}")
-
-
-def _compositions(seed: int, reps, spec: ExperimentSpec):
-    """Per-replication draws shared by every sweep point: (quality, flags, seed) per replication."""
-    lo, hi = spec.trust_range
-    draws = []
-    for rng in composition_streams(seed, reps):
-        target = lo + (hi - lo) * rng.random()
-        flags = rng.random(_MAX_SLOTS)
-        draws.append((target, flags, int(rng.integers(0, 2**63))))
-    return draws
 
 
 def _slot_id(slot: int) -> str:
@@ -189,22 +179,24 @@ class _Sweep:
     def simulate(self, reps) -> Block:
         """Simulate replications reps as one block.
 
-        Each replication has one composition, so one provider and one scenario
-        seed for all its rosters; roster f picks slot i's malicious agent when
-        the slot's flag is below fraction f.
+        Each replication has one composition, so one honesty gap (one minus
+        its uniform's point of trust_range, unless the provider is fixed) and
+        one scenario seed for all its rosters; roster f picks slot i's
+        malicious agent when the slot's flag is below fraction f.
         """
         base, spec = self.base, self.spec
-        draws = _compositions(base.seed, reps, spec)
+        uniforms, flags, seeds = compositions(base.seed, reps)
         if spec.vary_provider:
-            providers = [replace(base.provider, honesty_gap=1.0 - target) for target, _, _ in draws]
+            lo, hi = spec.trust_range
+            gaps = 1.0 - (lo + (hi - lo) * uniforms)
         else:
-            providers = [base.provider] * len(draws)
+            gaps = np.full(len(seeds), base.provider.honesty_gap)
         if spec.kind == FULL:
-            picks = np.zeros((len(draws), 1, len(self.table.slots)), np.intp)
+            picks = np.zeros((len(seeds), 1, len(self.table.slots)), np.intp)
         else:
-            flags = np.array([flags[:self.size] for _, flags, _ in draws])
-            picks = (flags[:, np.newaxis, :] < np.array(self.fracs)[:, np.newaxis]).astype(np.intp)
-        return self.table.simulate(providers, [seed for _, _, seed in draws], picks)
+            fracs = np.array(self.fracs)[:, np.newaxis]
+            picks = (flags[:, np.newaxis, :self.size] < fracs).astype(np.intp)
+        return self.table.simulate(base.provider, gaps, seeds, picks)
 
 
 def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:

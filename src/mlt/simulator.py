@@ -21,11 +21,13 @@ stream depends on (group, slot) and not on the roster's size, adding or
 removing agents at the end of either group leaves every other agent's events
 and reports unchanged.
 
-A sweep draws each replication's provider quality, adversary flags and
-scenario seed from its composition stream, the PCG64 stream seeded from
-SeedSequence((seed, _COMP_TAG, rep)) for the base scenario's seed and
-replication rep, kept apart from every agent stream by its entropy tuple and
-independent of the sweep point.
+A sweep draws each replication's composition from its composition stream,
+the PCG64 stream seeded from SeedSequence((seed, _COMP_TAG, rep)) for the
+base scenario's seed and replication rep, kept apart from every agent stream
+by its entropy tuple and independent of the sweep point.  compositions()
+draws, per replication and in this order, one uniform on [0, 1) for the
+provider quality, COMPOSITION_FLAGS uniforms for the adversary flags (one per
+slot a roster can have), and the scenario seed, an integer in [0, 2**63).
 
 No stream is built as SeedSequence and PCG64 objects.  SeedSequence hashes
 its entropy words with uint32 arithmetic on a fixed schedule of constants,
@@ -38,7 +40,7 @@ One engine runs every session.  A SlotTable fixes a roster's slots: each
 slot's stream key, its events up to the query time, and its candidate
 agents, which share an id and events and differ only in profile.
 SlotTable.simulate runs a block of replications of the table at once, each
-with its own provider, scenario seed and rosters (a candidate per slot):
+with its own honesty gap, scenario seed and rosters (a candidate per slot):
 
 - Draws.  Each candidate that one of a replication's rosters picks draws
   once, from its slot's stream at the seeded state, and every roster that
@@ -91,6 +93,7 @@ _TIME_EPS = 1e-9  # guards float dust when comparing event offsets to bounds
 _BYSTANDER_GROUP = 0  # first spawn_key entry of an agent's stream
 _CONSUMER_GROUP = 1
 _COMP_TAG = 9137  # entropy entry separating composition streams from agent streams
+COMPOSITION_FLAGS = 64  # adversary flags every composition draws: the most slots a sweep has
 
 
 @dataclass(frozen=True)
@@ -330,17 +333,21 @@ def _generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def composition_streams(seed: int, reps):
-    """Each replication's composition stream, in turn (see the module docstring).
-
-    The streams are one Generator set to each stream's seeded state in turn,
-    so take a stream's draws before asking for the next.
-    """
+def compositions(seed: int, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composition draws of replications reps (see the module docstring):
+    a uniform per replication, a (replication x COMPOSITION_FLAGS) array of
+    adversary flags, and the scenario seeds."""
     head = _uint32_words(seed) + [_COMP_TAG]
+    words = _stream_words([head + _uint32_words(rep) for rep in reps]).tolist()
+    # each row: the quality's uniform, then the flags, in one call of the stream
+    uniforms = np.empty((len(words), 1 + COMPOSITION_FLAGS))
+    seeds = np.empty(len(words), np.int64)
     rng = _generator()
-    for words in _stream_words([head + _uint32_words(rep) for rep in reps]).tolist():
-        rng.bit_generator.state = _pcg64_state(words)
-        yield rng
+    for r, state in enumerate(words):
+        rng.bit_generator.state = _pcg64_state(state)
+        rng.random(out=uniforms[r])
+        seeds[r] = rng.integers(0, 2**63)
+    return uniforms[:, 0], uniforms[:, 1:], seeds
 
 
 class Slot(NamedTuple):
@@ -419,7 +426,7 @@ class SlotTable:
         reporter's own draws (replication x event) of every used column."""
         noise = np.zeros((len(seeds), len(self.offsets), len(self.session.promise)))
         own = np.zeros(noise.shape[:2])
-        words = _stream_words([_uint32_words(seed) for seed in seeds], self.keys)
+        words = _stream_words([_uint32_words(int(seed)) for seed in seeds], self.keys)
         rng = _generator()
         bit_generator, normals, uniform = rng.bit_generator, rng.standard_normal, rng.random
         for r, column in zip(*(index.tolist() for index in np.nonzero(used))):
@@ -437,12 +444,12 @@ class SlotTable:
                 normals(out=noise[r, start:stop])
         return noise, own
 
-    def simulate(self, providers, seeds, picks) -> Block:
+    def simulate(self, provider: ProviderProfile, gaps, seeds, picks) -> Block:
         """Simulate a block of replications of the table.
 
-        Replication r runs with providers[r] (profiles of one provider that
-        differ only in honesty_gap) and scenario seed seeds[r], once per
-        roster: picks[r][f][j] is the candidate that roster f puts in slot j.
+        Replication r runs with provider at honesty gap gaps[r] and scenario
+        seed seeds[r], once per roster: picks[r][f][j] is the candidate that
+        roster f puts in slot j.
         """
         picks = np.asarray(picks, np.intp)
         n, k = len(seeds), len(self.session.promise)
@@ -455,10 +462,10 @@ class SlotTable:
         noise, own = self._draws(seeds, used)
 
         promise = self.session.promise
-        truth = sample_true_performance(providers, self.offsets, noise)
+        truth = sample_true_performance(provider, gaps, self.offsets, noise)
         true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, -1)
         # the noise-free truth: no jitter and, at offset 0, no drift
-        noise_free = sample_true_performance(providers, [0.0], np.zeros((n, 1, k)))
+        noise_free = sample_true_performance(provider, gaps, [0.0], np.zeros((1, k)))
         ground_truth = instantaneous_trust(noise_free.reshape(n, k), promise).tolist()
         reported = np.empty_like(true_trust)
         for profile, at in self.observed.items():
@@ -537,4 +544,5 @@ def run_scenario(scenario: Scenario) -> SessionTrace:
     slots = [Slot(i, (b,)) for i, b in enumerate(scenario.bystanders)]
     slots += [Slot(j, (c,)) for j, c in enumerate(scenario.consumers)]
     table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
-    return table.simulate((scenario.provider,), (scenario.seed,), [[[0] * len(slots)]]).trace(0, 0)
+    gaps = [scenario.provider.honesty_gap]
+    return table.simulate(scenario.provider, gaps, [scenario.seed], [[[0] * len(slots)]]).trace(0, 0)

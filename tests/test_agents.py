@@ -1,6 +1,7 @@
 """Provider sampling and reporter behaviour."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ def rng(seed=0):
 
 def noise(events, attributes, seed=0):
     return rng(seed).standard_normal((events, attributes))
+
+
+def sample(provider, offsets, draws):
+    """The provider's own truth: the one row of a call with its own gap."""
+    (rows,) = sample_true_performance(provider, [provider.honesty_gap], offsets, draws)
+    return rows
 
 
 def session_between(start_time, end_time):
@@ -114,7 +121,7 @@ class TestSampling:
             AttributeGenerator(80.0),
         )
         provider = ProviderProfile(promise, gens, honesty_gap=0.1)
-        out = sample_true_performance(provider, [3600.0], noise(1, 3))
+        out = sample(provider, [3600.0], noise(1, 3))
         assert out[0, 0] == pytest.approx(9.5)
 
     def test_noise_free_ignores_drift(self, promise):
@@ -129,7 +136,7 @@ class TestSampling:
             AttributeGenerator(80.0),
         )
         provider = ProviderProfile(promise, gens)
-        out = sample_true_performance(provider, [3600.0], noise(1, 3))
+        out = sample(provider, [3600.0], noise(1, 3))
         assert out[0, 0] == 0.0
 
     def test_ordinal_latent_rounds_to_nearest_level(self):
@@ -140,7 +147,7 @@ class TestSampling:
 
         def level_for(mean):
             provider = ProviderProfile(promise, (AttributeGenerator(mean),))
-            return sample_true_performance(provider, [0.0], noise(1, 1))[0, 0]
+            return sample(provider, [0.0], noise(1, 1))[0, 0]
 
         assert level_for(2.4) == 2.0
         assert level_for(2.5) == 3.0   # half rounds up
@@ -154,7 +161,7 @@ class TestSampling:
         schema = AttributeSchema((AttributeSpec("q", kind=kind, ordinal_levels=levels),))
         provider = ProviderProfile(PerformanceVector((2.0,), schema), (AttributeGenerator(2.0),))
         with pytest.raises(ValueError, match="'q': sampled value .* is not finite"):
-            sample_true_performance(provider, [0.0, 60.0], [[0.0], [latent]])
+            sample(provider, [0.0, 60.0], [[0.0], [latent]])
 
     def test_one_draw_per_attribute_even_without_jitter(self, session, promise):
         # the jitterless profile must consume the stream exactly like a
@@ -176,9 +183,39 @@ class TestSampling:
 
     def test_sampling_is_bit_reproducible(self, promise):
         provider = make_provider(promise, jitter_rel=0.3)
-        a = sample_true_performance(provider, [60.0, 120.0], noise(2, 3, seed=123))
-        b = sample_true_performance(provider, [60.0, 120.0], noise(2, 3, seed=123))
+        a = sample(provider, [60.0, 120.0], noise(2, 3, seed=123))
+        b = sample(provider, [60.0, 120.0], noise(2, 3, seed=123))
         assert a.tolist() == b.tolist()
+
+    def test_each_gap_row_equals_the_profile_at_that_gap(self, promise):
+        gens = (
+            AttributeGenerator(10.0, jitter_stddev=1.5, drift_per_hour=0.7),
+            AttributeGenerator(90.0, jitter_stddev=9.0),
+            AttributeGenerator(80.0, drift_per_hour=-3.0),
+        )
+        provider = ProviderProfile(promise, gens, honesty_gap=0.1)
+        gaps = [0.0, 0.37, 1.0, 1.0 - (0.05 + 0.9 * 0.123456789)]
+        offsets = [0.0, 600.0, 5400.0]
+        draws = rng(7).standard_normal((len(gaps), len(offsets), 3))
+        out = sample_true_performance(provider, gaps, offsets, draws)
+        assert out.shape == (len(gaps), len(offsets), 3)
+        for gap, rows, row_draws in zip(gaps, out, draws):
+            alone = sample(replace(provider, honesty_gap=gap), offsets, row_draws)
+            assert rows.tolist() == alone.tolist()
+        # one (event x attribute) array of draws serves every gap
+        shared = sample_true_performance(provider, gaps, offsets, draws[0])
+        for gap, rows in zip(gaps, shared):
+            alone = sample(replace(provider, honesty_gap=gap), offsets, draws[0])
+            assert rows.tolist() == alone.tolist()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan], ids=["above", "below", "nan"])
+    def test_a_gap_outside_the_unit_interval_is_rejected(self, promise, bad):
+        provider = make_provider(promise, honesty_gap=0.1)
+        with pytest.raises(ValueError, match=r"^honesty_gap must be in \[0, 1\], got ") as sampled:
+            sample_true_performance(provider, [0.2, bad], [0.0], noise(1, 3))
+        with pytest.raises(ValueError) as built:
+            replace(provider, honesty_gap=bad)
+        assert str(sampled.value) == str(built.value)
 
 
 class TestObserve:

@@ -315,6 +315,32 @@ class TestValidateAndRunAgree:
         assert main(run_args("full", path)) == code
 
 
+def write_with_a_duplicate(tmp_path, doc, obj, key):
+    """Write doc with obj, an object inside it, giving key twice: first 1.5,
+    then the value obj has, which a plain json.load would keep."""
+    text, own = json.dumps(doc), json.dumps(obj)
+    assert text.count(own) == 1
+    path = tmp_path / "scenario.json"
+    twice = "{" + json.dumps(key) + ": 1.5, " + own[1:]
+    path.write_text(text.replace(own, twice), encoding="utf-8")
+    return str(path)
+
+
+class TestDuplicateFields:
+    """A field given twice in one object is a malformed file, at any depth."""
+
+    @pytest.mark.parametrize("where, key", [(lambda d: d, "seed"),
+                                            (lambda d: d["provider"]["attributes"][0], "mean")],
+                             ids=["top-level", "nested"])
+    def test_validate_and_run_reject_it(self, tmp_path, capsys, where, key):
+        doc = base_doc()
+        path = write_with_a_duplicate(tmp_path, doc, where(doc), key)
+        assert main(["validate", "--scenario", path]) == EXIT_CONFIG
+        assert f"field {key!r} is given more than once" in capsys.readouterr().err
+        assert main(run_args("full", path)) == EXIT_CONFIG
+        assert f"field {key!r} is given more than once" in capsys.readouterr().err
+
+
 def _with_doc(mutate):
     """argv builder: `mlt run --experiment full` on the base document after mutate."""
     def argv(tmp_path):

@@ -18,13 +18,21 @@ from mlt.experiments import (
     ExperimentSpec,
     _block_outcomes,
     _classify_clamped,
-    _compositions,
     _slot_agents,
     _Sweep,
     _sweep_points,
     run_experiment_suite,
 )
-from mlt.simulator import _COMP_TAG, Bystander, Consumer, ConsumerUsage, Scenario, run_scenario
+from mlt.simulator import (
+    _COMP_TAG,
+    Bystander,
+    Consumer,
+    ConsumerUsage,
+    Scenario,
+    SlotTable,
+    compositions,
+    run_scenario,
+)
 from mlt.trust import NORMALIZED, VERBATIM, aggregate, instantaneous_trust
 
 from conftest import (
@@ -116,30 +124,44 @@ class TestSpecValidation:
 
 class TestComposition:
     def test_same_rep_same_draws(self):
-        spec = ExperimentSpec(COUNT_SWEEP)
-        (a,) = _compositions(7, [3], spec)
-        (b,) = _compositions(7, [3], spec)
+        a = compositions(7, [3])
+        b = compositions(7, [3])
         assert a[0] == b[0]
         assert (a[1] == b[1]).all()
         assert a[2] == b[2]
 
     def test_different_reps_differ(self):
-        spec = ExperimentSpec(COUNT_SWEEP)
-        first, second = _compositions(7, [0, 1], spec)
-        assert first[2] != second[2]
+        _, _, seeds = compositions(7, [0, 1])
+        assert seeds[0] != seeds[1]
 
-    def test_target_respects_trust_range(self):
+    def test_target_respects_trust_range(self, base, monkeypatch):
+        # the targets are one minus the honesty gaps the sweep hands the engine
+        handed = []
+        simulate = SlotTable.simulate
+
+        def spy(table, provider, gaps, seeds, picks):
+            handed.append(gaps)
+            return simulate(table, provider, gaps, seeds, picks)
+
+        monkeypatch.setattr(SlotTable, "simulate", spy)
         spec = ExperimentSpec(COUNT_SWEEP, trust_range=(0.4, 0.6))
-        for target, _, _ in _compositions(7, range(50), spec):
-            assert 0.4 <= target <= 0.6
+        _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(50))
+        (gaps,) = handed
+        assert len(gaps) == 50
+        for gap in gaps:
+            assert 0.4 <= 1.0 - gap <= 0.6
 
     @pytest.mark.parametrize("seed", [0, 71, 2**32 + 1])
     def test_a_block_draws_what_numpy_streams_draw(self, seed):
         spec = ExperimentSpec(ABLATION)
+        lo, hi = spec.trust_range
         reps = range(45, 55)
-        for rep, (target, flags, scenario_seed) in zip(reps, _compositions(seed, reps, spec)):
+        uniforms, flags, seeds = compositions(seed, reps)
+        assert flags.shape == (len(reps), 64)
+        for rep, uniform, rep_flags, scenario_seed in zip(reps, uniforms, flags, seeds.tolist()):
+            target = lo + (hi - lo) * uniform
             expected = composition_oracle(seed, rep, spec)
-            assert (target, flags.tolist(), scenario_seed) == (expected[0], expected[1].tolist(), expected[2])
+            assert (target, rep_flags.tolist(), scenario_seed) == (expected[0], expected[1].tolist(), expected[2])
 
 
 class TestSynthRoster:

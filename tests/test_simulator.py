@@ -311,14 +311,16 @@ class TestBlocks:
                  for i, a in enumerate(group)]
         firsts = [int(slot.index == 0) for slot in slots]
         seeds = [314, 2**32 + 5, 0, 7, 2**63 - 1]
-        providers = [replace(scenario.provider, honesty_gap=gap) for gap in (0.2, 0.0, 0.5, 0.9, 0.35)]
+        gaps = [0.2, 0.0, 0.5, 0.9, 0.35]
         table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
-        block = table.simulate(providers, seeds, [[[0] * len(slots), firsts]] * len(seeds))
+        rosters = [[[0] * len(slots), firsts]] * len(seeds)
+        block = table.simulate(scenario.provider, gaps, seeds, rosters)
         for r in (0, 2, 4):  # first, middle and last position
+            provider = replace(scenario.provider, honesty_gap=gaps[r])
             for f, picks in enumerate(([0] * len(slots), firsts)):
                 roster = [slot.agents[c] for slot, c in zip(slots, picks)]
                 alone = run_scenario(replace(
-                    scenario, provider=providers[r], seed=seeds[r],
+                    scenario, provider=provider, seed=seeds[r],
                     bystanders=tuple(a for a in roster if isinstance(a, Bystander)),
                     consumers=tuple(a for a in roster if isinstance(a, Consumer))))
                 got = block.trace(r, f)
@@ -326,7 +328,7 @@ class TestBlocks:
                 assert trace_events(got) == trace_events(alone)
                 assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
                 assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
-                    noise_free_performance(providers[r]), scenario.session.promise)
+                    noise_free_performance(provider), scenario.session.promise)
 
 
 class TestStreamSeeding:
@@ -348,10 +350,14 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**70])
     def test_composition_streams_match_numpy(self, seed):
         reps = [0, 1, 49, 50, 2**31]
-        for rep, rng in zip(reps, simulator.composition_streams(seed, reps)):
+        uniforms, flags, seeds = simulator.compositions(seed, reps)
+        assert flags.shape == (len(reps), simulator.COMPOSITION_FLAGS)
+        for r, rep in enumerate(reps):
             expected = np.random.default_rng(np.random.SeedSequence((seed, simulator._COMP_TAG, rep)))
-            assert rng.bit_generator.state == expected.bit_generator.state
-            assert rng.random(3).tolist() == expected.random(3).tolist()
+            # the draws come in stream order: the quality, the flags, the scenario seed
+            assert uniforms[r] == expected.random()
+            assert flags[r].tolist() == expected.random(simulator.COMPOSITION_FLAGS).tolist()
+            assert seeds[r] == expected.integers(0, 2**63)
 
     def test_importing_the_package_does_not_load_numpy_random(self):
         # the setup that perfbench times, and the --jobs 2 parent's footprint
