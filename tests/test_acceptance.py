@@ -6,10 +6,12 @@ The experiment-based checks run the shipped scenario files at full
 replication counts, so this module carries most of the suite's runtime.
 """
 
+import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +186,8 @@ def test_stripped_aggregate_equals_plain_mean(capsys):
     assert ok
 
 
-def test_credibility_weighting_rescues_adversarial_sessions(capsys):
-    scenario, thresholds = load_scenario_file(SCENARIO_DIR / "acceptance_ablation.json")
+def ablation_accuracies(scenario, thresholds):
+    """(adversary_frac, credibility) -> accuracy of the credibility-ablation regime."""
     spec = ExperimentSpec(
         kind=ABLATION,
         replications=1000,
@@ -194,10 +196,41 @@ def test_credibility_weighting_rescues_adversarial_sessions(capsys):
         thresholds=thresholds,
         vary_provider=False,
     )
-    start = time.perf_counter()
     results = run_experiment_suite(scenario, spec)
+    return {(r.config["adversary_frac"], r.config["credibility"]): r.accuracy for r in results}
+
+
+def count_curve(scenario, thresholds):
+    """Accuracy at 1..10 reporters in the reporter-count regime."""
+    spec = ExperimentSpec(
+        kind=COUNT_SWEEP,
+        replications=1000,
+        reporters=10,
+        adversary_frac=0.25,
+        trust_range=(0.01, 0.99),
+        thresholds=thresholds,
+    )
+    acc = accuracies(run_experiment_suite(scenario, spec), "reporters")
+    return [acc[n] for n in range(1, 11)]
+
+
+def estimator_accuracies(scenario, thresholds):
+    """estimator -> accuracy in the drifting-provider regime."""
+    spec = ExperimentSpec(
+        kind=ESTIMATOR_COMPARE,
+        replications=1000,
+        reporters=2,
+        adversary_frac=0.0,
+        thresholds=thresholds,
+    )
+    return accuracies(run_experiment_suite(scenario, spec), "estimator")
+
+
+def test_credibility_weighting_rescues_adversarial_sessions(capsys):
+    scenario, thresholds = load_scenario_file(SCENARIO_DIR / "acceptance_ablation.json")
+    start = time.perf_counter()
+    acc = ablation_accuracies(scenario, thresholds)
     elapsed = time.perf_counter() - start
-    acc = {(r.config["adversary_frac"], r.config["credibility"]): r.accuracy for r in results}
     gap = acc[(0.25, "on")] - acc[(0.25, "off")]
     clean = abs(acc[(0.0, "on")] - acc[(0.0, "off")])
     ok = gap >= 0.10 and clean < 0.02 and elapsed < 30.0
@@ -213,19 +246,9 @@ def test_credibility_weighting_rescues_adversarial_sessions(capsys):
 
 def test_more_reporters_beat_one_reporter(capsys):
     scenario, thresholds = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
-    spec = ExperimentSpec(
-        kind=COUNT_SWEEP,
-        replications=1000,
-        reporters=10,
-        adversary_frac=0.25,
-        trust_range=(0.01, 0.99),
-        thresholds=thresholds,
-    )
     start = time.perf_counter()
-    results = run_experiment_suite(scenario, spec)
+    curve = count_curve(scenario, thresholds)
     elapsed = time.perf_counter() - start
-    acc = accuracies(results, "reporters")
-    curve = [acc[n] for n in range(1, 11)]
     gap = curve[-1] - curve[0]
     min_step = min(b - a for a, b in zip(curve, curve[1:]))
     ok = gap >= 0.20 and min_step >= -0.02 and elapsed < 120.0
@@ -244,17 +267,9 @@ def test_accumulated_estimator_tracks_a_drifting_provider(capsys):
     # the comparison only means something when performance actually moves
     assert all(g.drift_per_hour != 0.0 for g in scenario.provider.attributes)
     assert all(g.jitter_stddev > 0.0 for g in scenario.provider.attributes)
-    spec = ExperimentSpec(
-        kind=ESTIMATOR_COMPARE,
-        replications=1000,
-        reporters=2,
-        adversary_frac=0.0,
-        thresholds=thresholds,
-    )
     start = time.perf_counter()
-    results = run_experiment_suite(scenario, spec)
+    acc = estimator_accuracies(scenario, thresholds)
     elapsed = time.perf_counter() - start
-    acc = accuracies(results, "estimator")
     ok = acc["accumulated"] >= acc["instantaneous"]
     report(
         capsys,
@@ -264,6 +279,56 @@ def test_accumulated_estimator_tracks_a_drifting_provider(capsys):
         f"(need accumulated >= instantaneous), {elapsed:.1f}s",
     )
     assert ok
+
+
+# The bars are claims about expectations, so each is also checked as one: the
+# statistic at each of a fixed set of scenario seeds, chosen before any stream
+# layout was compared on them, and the lower end of the two-sided 95% t
+# interval on its mean must clear the single-seed test's bar.
+SEEDS = range(1, 21)
+T_95_19 = 2.093  # t quantile at 0.975 with 19 degrees of freedom
+
+
+def assert_bar_across_seeds(capsys, name, file, statistic, bar):
+    scenario, thresholds = load_scenario_file(SCENARIO_DIR / file)
+    start = time.perf_counter()
+    values = np.array([statistic(replace(scenario, seed=seed), thresholds) for seed in SEEDS])
+    elapsed = time.perf_counter() - start
+    mean, sd = values.mean(), values.std(ddof=1)
+    lower = mean - T_95_19 * sd / math.sqrt(len(values))
+    ok = lower >= bar
+    report(
+        capsys,
+        f"{name}-{len(values)}-seeds",
+        ok,
+        f"mean {mean:+.4f}, sd {sd:.4f}, 95% lower bound {lower:+.4f} (need >= {bar:+.2f}), "
+        f"{int((values < bar).sum())} of {len(values)} seeds below the bar, {elapsed:.1f}s",
+    )
+    assert ok
+
+
+def test_credibility_gap_clears_its_bar_across_seeds(capsys):
+    def gap(scenario, thresholds):
+        acc = ablation_accuracies(scenario, thresholds)
+        return acc[(0.25, "on")] - acc[(0.25, "off")]
+
+    assert_bar_across_seeds(capsys, "credibility-ablation", "acceptance_ablation.json", gap, 0.10)
+
+
+def test_reporter_count_gap_clears_its_bar_across_seeds(capsys):
+    def gap(scenario, thresholds):
+        curve = count_curve(scenario, thresholds)
+        return curve[-1] - curve[0]
+
+    assert_bar_across_seeds(capsys, "reporter-count-sweep", "acceptance_countsweep.json", gap, 0.20)
+
+
+def test_accumulated_estimator_wins_across_seeds(capsys):
+    def difference(scenario, thresholds):
+        acc = estimator_accuracies(scenario, thresholds)
+        return acc["accumulated"] - acc["instantaneous"]
+
+    assert_bar_across_seeds(capsys, "drift-estimators", "drifting_provider.json", difference, 0.0)
 
 
 def test_cli_reruns_are_byte_identical(capsys, tmp_path):
