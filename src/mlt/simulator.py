@@ -5,49 +5,48 @@ roster of bystanders and consumers, aggregation parameters, the query time,
 and a master seed.  Running it executes every probe and usage-sampling event
 up to the query time, then aggregates the collected reports.
 
-Random streams are laid out here and nowhere else.  Every agent owns one
-private stream, keyed by its identity within the scenario: the PCG64 stream
-seeded from SeedSequence(seed, spawn_key=(group, slot)), where group is 0 for
-bystanders and 1 for consumers and slot is the agent's index within its
-group.  The stream serves both the provider truth the agent sees and the
-agent's own reporting draws, in chronological order: for each event, one
-standard normal per attribute (the truth's jitter once scaled by
-jitter_stddev, the same value and stream position as a normal(0,
-jitter_stddev) draw), then, for a reporter that draws its reports (malicious
-random), one uniform on [0, 1).  Agents therefore never share state, results
-are bit-reproducible for a fixed seed, and shrinking the query time only
-ever removes events, it never changes the ones that remain.  Because a
-stream depends on (group, slot) and not on the roster's size, adding or
-removing agents at the end of either group leaves every other agent's events
-and reports unchanged.
+Random streams are laid out here and nowhere else.  A scenario seed keys
+every agent stream of its session: key = SeedSequence(seed).generate_state(2,
+uint64), and a stream is numpy's Philox(key=key, counter=[0, kind, slot,
+group]), where group is 0 for bystanders and 1 for consumers, slot is the
+agent's index within its group, and kind names what the stream draws.  The
+first counter word is the stream's own position, which Philox advances as it
+draws.  Each agent has two streams:
+
+- truth (kind 0): one standard normal per attribute per event, taken as one
+  (events x attributes) block in C order, for every agent whatever its
+  profile.  Scaled by jitter_stddev it is the truth's jitter, the same value
+  as a normal(0, jitter_stddev) draw; a zero-jitter attribute still takes
+  its draw.
+- own (kind 1): one uniform on [0, 1) per event, taken as one block, drawn
+  only by a reporter that draws its reports (malicious random).
+
+Agents therefore never share state, results are bit-reproducible for a fixed
+seed, and shrinking the query time only ever removes events, it never
+changes the ones that remain.  Because a stream depends on (group, slot) and
+not on the roster's size, adding or removing agents at the end of either
+group leaves every other agent's events and reports unchanged.  Truth and
+reports never share a stream, so a random reporter's reports do not depend
+on how many attributes the provider has, and the truth an agent sees does
+not depend on its profile.
 
 A sweep draws each replication's composition from its composition stream,
-the PCG64 stream seeded from SeedSequence((seed, _COMP_TAG, rep)) for the
-base scenario's seed and replication rep, kept apart from every agent stream
-by its entropy tuple and independent of the sweep point.  compositions()
-draws, per replication and in this order, one uniform on [0, 1) for the
-provider quality, COMPOSITION_FLAGS uniforms for the adversary flags (one per
-slot a roster can have), and the scenario seed, an integer in [0, 2**63).
-
-No stream is built as SeedSequence and PCG64 objects.  SeedSequence hashes
-its entropy words with uint32 arithmetic on a fixed schedule of constants,
-and PCG64 seeds itself from the hash with two 128-bit steps.  _stream_words
-replays the hash for a whole block of keys at once in numpy, _pcg64_state
-the steps in Python integers, and a stream is that seeded state set on a
-Generator.  The draws are the ones the objects would give.
+numpy's default_rng(SeedSequence((seed, _COMP_TAG, rep))) for the base
+scenario's seed and replication rep, kept apart from every agent stream and
+independent of the sweep point.  compositions() draws, per replication and in
+this order, one uniform on [0, 1) for the provider quality, COMPOSITION_FLAGS
+uniforms for the adversary flags (one per slot a roster can have), and the
+scenario seed, an integer in [0, 2**63).
 
 One engine runs every session.  A SlotTable fixes a roster's slots: each
-slot's stream key, its events up to the query time, and its candidate
+slot's stream counters, its events up to the query time, and its candidate
 agents, which share an id and events and differ only in profile.
 SlotTable.simulate runs a block of replications of the table at once, each
 with its own honesty gap, scenario seed and rosters (a candidate per slot):
 
 - Draws.  Each candidate that one of a replication's rosters picks draws
-  once, from its slot's stream at the seeded state, and every roster that
-  picks it reads the same draws.  A candidate that draws nothing of its own
-  takes all its truth draws as one (events x attributes) block, in C order,
-  the same sequence as drawing event by event; a random reporter steps one
-  event at a time to keep the order above.
+  once, from its slot's streams set on one Generator, and every roster that
+  picks it reads the same draws.
 - Arrays.  Truth, the finiteness check, clamping and instantaneous trust
   run over (replication x event); observe() runs once per distinct profile;
   the EWMA folds in place on the event axis, one update_accumulated call per
@@ -90,8 +89,9 @@ from .trust import (
 
 _TIME_EPS = 1e-9  # guards float dust when comparing event offsets to bounds
 
-_BYSTANDER_GROUP = 0  # first spawn_key entry of an agent's stream
+_BYSTANDER_GROUP = 0  # last counter word of an agent's streams
 _CONSUMER_GROUP = 1
+_TRUTH, _OWN = 0, 1  # second counter word: the kind of an agent's stream
 _COMP_TAG = 9137  # entropy entry separating composition streams from agent streams
 COMPOSITION_FLAGS = 64  # adversary flags every composition draws: the most slots a sweep has
 
@@ -234,117 +234,22 @@ def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
     return tuple(usage.usage_start + m * usage.sample_interval for m in range(n + 1))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 multiplier
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy into the pool
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generating words from the pool
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(n: int) -> list[int]:
-    """A non-negative integer's 32-bit words, least significant first, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_constants(value: int, mult: int):
-    """SeedSequence's running hash constant: (before, after) each step's multiply."""
-    while True:
-        after = value * mult & _MASK32
-        yield value, after
-        value = after
-
-
-def _mix(x, y):
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> _XSHIFT)
-
-
-def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence(...).generate_state(4, np.uint64) for many keys at once.
-
-    entropy holds the keys' assembled entropy words in order, each a uint32
-    array over the keys (the arrays broadcast), padded with zero words to the
-    pool size as SeedSequence pads them.  The result has the broadcast shape
-    plus a last axis of 4 words.  uint32 arrays wrap, as the C code does.
-    """
-    hashes = _hash_constants(_HASH_INIT_A, _HASH_MULT_A)
-
-    def hashmix(value):
-        xor, mult = next(hashes)
-        value = (value ^ xor) * mult
-        return value ^ (value >> _XSHIFT)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    state = np.empty(np.broadcast_shapes(*(p.shape for p in pool)) + (8,), np.uint32)
-    for i, (xor, mult) in zip(range(8), _hash_constants(_HASH_INIT_B, _HASH_MULT_B)):
-        value = (pool[i % _POOL_SIZE] ^ xor) * mult
-        state[..., i] = value ^ (value >> _XSHIFT)
-    return state.view(np.uint64)
-
-
-def _pcg64_state(words: list[int]) -> dict:
-    """The state of PCG64 seeded with these 4 words: its srandom(initstate, initseq)."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-    state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _stream_words(rows: list[list[int]], spawn_keys=None) -> np.ndarray:
-    """The 4 words that seed PCG64 from SeedSequence(row), for each row of
-    entropy words, or, given spawn keys, from SeedSequence(row, spawn_key=key)
-    for each row and key: an array of shape (rows, [keys,] 4)."""
-    shape = (len(rows),) if spawn_keys is None else (len(rows), len(spawn_keys))
-    words = np.empty(shape + (4,), np.uint64)
-    if spawn_keys is not None and not spawn_keys:
-        return words
-    tail = [] if spawn_keys is None else [np.array(word, np.uint32) for word in zip(*spawn_keys)]
-    by_length: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(i)
-    for length, at in by_length.items():
-        head = [np.array([rows[i][w] for i in at], np.uint32) for w in range(length)]
-        head += [np.zeros(len(at), np.uint32)] * (_POOL_SIZE - length)
-        if tail:
-            head = [word[:, np.newaxis] for word in head]
-        words[at] = _seed_words(head + tail)
-    return words
-
-
-def _generator() -> np.random.Generator:
-    """A Generator to set seeded stream states on.  numpy.random is loaded
-    here, when a stream is first needed, not when the package is imported."""
-    return np.random.Generator(np.random.PCG64(0))
+def _philox_state(key: list[int], counter: list[int]) -> dict:
+    """The state of numpy's Philox(key=key, counter=counter), to set on a
+    Generator: setting it costs a fraction of building the Philox."""
+    return {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def compositions(seed: int, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The composition draws of replications reps (see the module docstring):
     a uniform per replication, a (replication x COMPOSITION_FLAGS) array of
     adversary flags, and the scenario seeds."""
-    head = _uint32_words(seed) + [_COMP_TAG]
-    words = _stream_words([head + _uint32_words(rep) for rep in reps]).tolist()
     # each row: the quality's uniform, then the flags, in one call of the stream
-    uniforms = np.empty((len(words), 1 + COMPOSITION_FLAGS))
-    seeds = np.empty(len(words), np.int64)
-    rng = _generator()
-    for r, state in enumerate(words):
-        rng.bit_generator.state = _pcg64_state(state)
+    uniforms = np.empty((len(reps), 1 + COMPOSITION_FLAGS))
+    seeds = np.empty(len(reps), np.int64)
+    for r, rep in enumerate(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
         rng.random(out=uniforms[r])
         seeds[r] = rng.integers(0, 2**63)
     return uniforms[:, 0], uniforms[:, 1:], seeds
@@ -355,7 +260,7 @@ class Slot(NamedTuple):
 
     The candidates are all bystanders or all consumers, share an id and a
     schedule or usage window, and differ only in profile; a roster picks one
-    of them.  The group and the index key the slot's stream.
+    of them.  The group and the index key the slot's streams.
     """
 
     index: int
@@ -378,8 +283,10 @@ class SlotTable:
         self.session = session
         self.params = params
         self.consumer = [isinstance(s.agents[0], Consumer) for s in self.slots]
-        self.keys = [(_CONSUMER_GROUP if c else _BYSTANDER_GROUP, s.index)
-                     for s, c in zip(self.slots, self.consumer)]
+        groups = [_CONSUMER_GROUP if c else _BYSTANDER_GROUP for c in self.consumer]
+        # each slot's (truth, own) stream counters
+        self.counters = [([0, _TRUTH, s.index, g], [0, _OWN, s.index, g])
+                         for s, g in zip(self.slots, groups)]
         self.times = [_sample_times(s.agents[0].usage, query_time) if c
                       else _probe_times(s.agents[0].schedule, query_time)
                       for s, c in zip(self.slots, self.consumer)]
@@ -426,22 +333,22 @@ class SlotTable:
         reporter's own draws (replication x event) of every used column."""
         noise = np.zeros((len(seeds), len(self.offsets), len(self.session.promise)))
         own = np.zeros(noise.shape[:2])
-        words = _stream_words([_uint32_words(int(seed)) for seed in seeds], self.keys)
-        rng = _generator()
-        bit_generator, normals, uniform = rng.bit_generator, rng.standard_normal, rng.random
+        # numpy.random is loaded here, when a stream is first needed, not
+        # when the package is imported
+        keys = [np.random.SeedSequence(int(seed)).generate_state(2, np.uint64).tolist()
+                for seed in seeds]
+        rng = np.random.Generator(np.random.Philox(0))
+        bit_generator, normals, uniforms = rng.bit_generator, rng.standard_normal, rng.random
         for r, column in zip(*(index.tolist() for index in np.nonzero(used))):
             j, start, stop, agent, _ = self.columns[column]
             if start == stop:
                 continue
-            bit_generator.state = _pcg64_state(words[r, j].tolist())
+            truth, reports = self.counters[j]
+            bit_generator.state = _philox_state(keys[r], truth)
+            normals(out=noise[r, start:stop])
             if agent.profile.draws_reports:
-                # one event at a time: the event's truth draws, then the report's
-                truth_draws, own_draws = noise[r], own[r]
-                for e in range(start, stop):
-                    normals(out=truth_draws[e])
-                    own_draws[e] = uniform()
-            else:
-                normals(out=noise[r, start:stop])
+                bit_generator.state = _philox_state(keys[r], reports)
+                uniforms(out=own[r, start:stop])
         return noise, own
 
     def simulate(self, provider: ProviderProfile, gaps, seeds, picks) -> Block:

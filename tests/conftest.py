@@ -179,8 +179,9 @@ def trace_events(trace):
 
 
 def run_scenario_oracle(scenario):
-    """The per-sample session run: one PerformanceVector, one scalar draw per
-    attribute and one reporter draw per event, in each agent's stream order.
+    """The per-sample session run: per event, one PerformanceVector with one
+    scalar draw per attribute from the agent's truth stream and, for a random
+    reporter, one draw from its own stream; each stream is built by numpy.
 
     It returns the fields of a SessionTrace that the batched simulator must
     reproduce exactly.
@@ -207,24 +208,28 @@ def run_scenario_oracle(scenario):
             return float(rng.uniform(0.0, 1.0))
         return 1.0 - true_trust
 
-    def stream(group, slot):
-        return np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(group, slot)))
+    key = np.random.SeedSequence(scenario.seed).generate_state(2, np.uint64)
+
+    def streams(group, slot):
+        """The agent's truth stream and its own stream."""
+        return [np.random.Generator(np.random.Philox(key=key, counter=[0, kind, slot, group]))
+                for kind in (0, 1)]
 
     events, bystander_reports, consumer_reports = [], [], []
     for i, b in enumerate(scenario.bystanders):
-        rng = stream(0, i)
+        truth, own = streams(0, i)
         last = None
         for t in _probe_times(b.schedule, q):
-            reported = observe(b.profile, _oracle_trust(sample(t, rng), promise), rng)
+            reported = observe(b.profile, _oracle_trust(sample(t, truth), promise), own)
             events.append(TraceEvent(t, b.id, PROBE, reported))
             last = (t, reported)
         if last is not None:
             bystander_reports.append(InstantaneousReport(b.id, last[1], last[0]))
     for j, c in enumerate(scenario.consumers):
-        rng = stream(1, j)
+        truth, own = streams(1, j)
         acc, count = None, 0
         for t in _sample_times(c.usage, q):
-            reported = observe(c.profile, _oracle_trust(sample(t, rng), promise), rng)
+            reported = observe(c.profile, _oracle_trust(sample(t, truth), promise), own)
             events.append(TraceEvent(t, c.id, SAMPLE, reported))
             acc = reported if acc is None else update_accumulated(acc, reported, scenario.params.alpha)
             events.append(TraceEvent(t, c.id, ACCUMULATE, acc))

@@ -17,6 +17,7 @@ from mlt.agents import (
 )
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector, ServiceSession
 from mlt.simulator import Bystander, ConsumerUsage, run_scenario
+from mlt.trust import instantaneous_trust
 
 from conftest import make_provider, make_scenario, trace_events
 
@@ -164,22 +165,28 @@ class TestSampling:
             sample(provider, [0.0, 60.0], [[0.0], [latent]])
 
     def test_one_draw_per_attribute_even_without_jitter(self, session, promise):
-        # the jitterless profile must consume the stream exactly like a
-        # jittered one, so configurations stay comparable draw for draw: a
-        # random reporter's reports are the uniforms that follow each event's
-        # attribute draws
-        quiet = make_provider(promise, jitter_rel=0.0)
+        # a zero-jitter attribute must consume the truth stream exactly like a
+        # jittered one, so configurations stay comparable draw for draw; a
+        # random reporter's reports are its own stream's uniforms
+        jittered = make_provider(promise, jitter_rel=0.1)
+        quiet_first = replace(jittered, attributes=(
+            replace(jittered.attributes[0], jitter_stddev=0.0),) + jittered.attributes[1:])
         liar = ReporterProfile("malicious", malicious_strategy="random")
-        scenario = make_scenario(
-            session, quiet, bystanders=[Bystander("b00", liar, ProbeSchedule(600.0, 600.0, 4))]
-        )
-        stream = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0, 0)))
-        expected = []
-        for _ in range(4):
-            for _ in range(len(promise.values)):
-                stream.normal(0.0, 0.0)
-            expected.append(stream.uniform(0.0, 1.0))
-        assert [e.value for e in trace_events(run_scenario(scenario))] == expected
+        offsets = [600.0, 1200.0, 1800.0, 2400.0]
+        scenario = make_scenario(session, quiet_first, bystanders=[
+            Bystander("b00", liar, ProbeSchedule(600.0, 600.0, 4)),
+            Bystander("b01", ReporterProfile("honest"), ProbeSchedule(600.0, 600.0, 4)),
+        ])
+        key = np.random.SeedSequence(scenario.seed).generate_state(2, np.uint64)
+
+        def stream(kind, slot):
+            return np.random.Generator(np.random.Philox(key=key, counter=[0, kind, slot, 0]))
+
+        draws = stream(0, 1).standard_normal((len(offsets), len(promise.values)))
+        expected = instantaneous_trust(sample(quiet_first, offsets, draws), promise)
+        events = trace_events(run_scenario(scenario))
+        assert [e.value for e in events if e.reporter_id == "b00"] == stream(1, 0).random(4).tolist()
+        assert [e.value for e in events if e.reporter_id == "b01"] == expected.tolist()
 
     def test_sampling_is_bit_reproducible(self, promise):
         provider = make_provider(promise, jitter_rel=0.3)

@@ -2,10 +2,11 @@
 
 tests/data holds one CSV and one JSON file per (scenario, kind), produced by
 `mlt run --replications 40 --seed 5 --jobs 1 --format csv` (or `json`; only
-the JSON holds the per-level confusion counts).  A speed change must leave
-every byte as it is.  A deliberate change to the random stream layout (the
-counter-based draws of ROADMAP direction 3) changes the output on purpose:
-it regenerates the snapshots with
+the JSON holds the per-level confusion counts), on the stream layout that the
+`simulator.py` docstring lays out (numpy's Philox, keyed by the scenario seed,
+with the agent and the stream's kind in the counter).  A speed change must
+leave every byte as it is.  Only a deliberate change to that layout changes
+the output on purpose; it regenerates the snapshots with
 
     PYTHONPATH=src python tests/test_run_snapshots.py
 

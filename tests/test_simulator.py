@@ -30,7 +30,7 @@ from mlt.simulator import (
     run_scenario,
     scenario_violations,
 )
-from mlt.trust import NoEvidenceError, instantaneous_trust, update_accumulated
+from mlt.trust import AggregationParams, NoEvidenceError, instantaneous_trust, update_accumulated
 
 from conftest import (
     ACCUMULATE,
@@ -332,20 +332,47 @@ class TestBlocks:
 
 
 class TestStreamSeeding:
-    """Streams are replayed, not built: their seeded states must be numpy's own."""
+    """The engine sets stream states on one Generator instead of building a
+    stream per agent; its draws must be the ones numpy's own streams give."""
 
-    def test_agent_streams_match_numpy(self):
-        rng = np.random.default_rng(20261018)
-        special = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5, 2**100, 2**130 + 3]
-        seeds = special + rng.integers(0, 2**63, 300).tolist()
-        keys = [(0, 0), (0, 63), (1, 0), (1, 63)]
-        keys += [(int(g), int(s)) for g, s in zip(rng.integers(0, 2, 6), rng.integers(0, 64, 6))]
-        words = simulator._stream_words([simulator._uint32_words(seed) for seed in seeds], keys)
-        assert len(seeds) * len(keys) >= 3000
-        for seed, row in zip(seeds, words.tolist()):
-            for key, key_words in zip(keys, row):
-                expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
-                assert simulator._pcg64_state(key_words) == expected, (seed, key)
+    def test_agent_streams_are_numpys_philox(self, session):
+        liar = ReporterProfile("malicious", malicious_strategy="random")
+        honest = ReporterProfile("honest")
+        schedule, usage = ProbeSchedule(600.0, 600.0, 5), ConsumerUsage(0.0, 3600.0, 900.0)
+        slots = [Slot(0, (Bystander("b0", honest, schedule),)),
+                 Slot(7, (Bystander("b7", liar, schedule),)),
+                 Slot(0, (Consumer("c0", liar, usage),)),
+                 Slot(63, (Consumer("c63", honest, usage),))]
+        keys = [(0, 0), (7, 0), (0, 1), (63, 1)]  # each slot's (index, group)
+        table = SlotTable(slots, session, 5400.0, AggregationParams())
+        seeds = [0, 1, 2**32, 2**63 - 1, 2**64 + 5, 2**130 + 3]
+        noise, own = table._draws(seeds, np.ones((len(seeds), len(table.columns)), bool))
+        for r, seed in enumerate(seeds):
+            key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+            for (_, start, stop, agent, _), (index, group) in zip(table.columns, keys):
+                truth, reports = (np.random.Generator(np.random.Philox(
+                    key=key, counter=[0, kind, index, group])) for kind in (0, 1))
+                events = stop - start
+                assert noise[r, start:stop].tolist() == truth.standard_normal((events, 3)).tolist()
+                expected = reports.random(events) if agent.profile.draws_reports else np.zeros(events)
+                assert own[r, start:stop].tolist() == expected.tolist(), (seed, agent.id)
+
+    def test_random_reports_do_not_depend_on_the_attribute_count(self, session, promise):
+        # truth and reports come from separate streams, so a provider with
+        # more attributes moves no report of a random reporter
+        one = AttributeSchema((AttributeSpec("speed", unit="mbps"),))
+        one_promise = PerformanceVector((10.0,), one)
+        liar = ReporterProfile("malicious", malicious_strategy="random")
+
+        def reports(session, promise):
+            provider = make_provider(promise, honesty_gap=0.2, jitter_rel=0.1)
+            scenario = make_scenario(session, provider, seed=2026, bystanders=[
+                Bystander("b00", liar, ProbeSchedule(600.0, 600.0, 6))])
+            return [e.value for e in trace_events(run_scenario(scenario))]
+
+        single = reports(replace(session, promise=one_promise, schema=one), one_promise)
+        assert len(single) == 6
+        assert single == reports(session, promise)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**70])
     def test_composition_streams_match_numpy(self, seed):
