@@ -21,8 +21,8 @@ slot holds its honest and its malicious agent, built and checked once per
 sweep.  In a block, each replication draws its composition (see
 simulator.compositions), so its honesty gap, its scenario seed and, per
 adversary fraction, a roster that picks each slot's agent by its flag; the
-engine draws each (replication, slot) once for every fraction that reads the
-same draws.  Points that share a fraction share its roster: the largest one
+engine draws and scores each (replication, slot)'s truth once for all the
+fractions.  Points that share a fraction share its roster: the largest one
 is simulated, and each smaller point is scored from the leading reports of
 its own prefix of slots (reports follow slot order).  Every (replication,
 point, arm) is then scored on its own with aggregate and classify, the
@@ -174,7 +174,10 @@ class _Sweep:
         # tuple ("full" has one point, its whole roster, and cuts nothing)
         reporting = [len(times) > 0 for times in self.table.times]
         self.cuts = {n: (sum(reporting[0:n:2]), sum(reporting[1:n:2])) for n, _, _ in self.points}
-        self.block_size = max(1, min(_BLOCK_SIZE, _BLOCK_CELLS // max(1, self.table.cells)))
+        # a replication's largest array is its truth or, for a one-attribute
+        # provider under two fractions, its reports (roster x event)
+        cells = max(1, self.table.cells, len(self.fracs) * len(self.table.offsets))
+        self.block_size = max(1, min(_BLOCK_SIZE, _BLOCK_CELLS // cells))
 
     def simulate(self, reps) -> Block:
         """Simulate replications reps as one block.

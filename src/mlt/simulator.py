@@ -44,13 +44,16 @@ agents, which share an id and events and differ only in profile.
 SlotTable.simulate runs a block of replications of the table at once, each
 with its own honesty gap, scenario seed and rosters (a candidate per slot):
 
-- Draws.  Each candidate that one of a replication's rosters picks draws
-  once, from its slot's streams set on one Generator, and every roster that
-  picks it reads the same draws.
-- Arrays.  Truth, the finiteness check, clamping and instantaneous trust
-  run over (replication x event); observe() runs once per distinct profile;
-  the EWMA folds in place on the event axis, one update_accumulated call per
-  step over the consumer columns that have that step.
+- Draws.  Each slot of a replication sets its truth stream once, on one
+  Generator, and its own stream only where some roster picks a candidate
+  that draws its reports; every roster reads the same draws.
+- Arrays.  Each slot's events sit once on the event axis.  Truth, the
+  finiteness check, clamping and instantaneous trust run once over
+  (replication x event) and are broadcast over the rosters.  Reports are
+  (replication x roster x event), one row per session: observe() runs once
+  per distinct profile, over the events whose picked candidate has it, and
+  the EWMA folds in place on the event axis, one update_accumulated call
+  per step over the consumer slots that have that step.
 
 The ground truth is each replication's provider truth with no jitter and,
 at offset 0, no drift, scored once per replication.  run_scenario is a block
@@ -272,9 +275,11 @@ class SlotTable:
     slots and their events, the session, the aggregation params, and the
     array layout that simulate() fills.
 
-    A column is one candidate of one slot: its span of the event axis (the
-    slot's events), the agent, and the report it hands in as (class,
-    reporter id, fields after the trust value).
+    Slot j's events sit once on the event axis, at spans[j], whichever
+    candidate a roster picks; slot_of maps each event to its slot.  A slot
+    hands in one report whatever its candidate, report[j]: (class, reporter
+    id, fields after the trust value).  A candidate's profile is
+    profile_of[j, candidate], an index into profiles.
     """
 
     def __init__(self, slots, session: ServiceSession, query_time: float,
@@ -291,65 +296,63 @@ class SlotTable:
                       else _probe_times(s.agents[0].schedule, query_time)
                       for s, c in zip(self.slots, self.consumer)]
         self.reporting = [j for j, times in enumerate(self.times) if times]
+        self.offsets = [t for times in self.times for t in times]  # the event axis
+        counts = [len(times) for times in self.times]
+        stops = np.cumsum(counts, dtype=np.intp).tolist()
+        self.spans = [(stop - count, stop) for stop, count in zip(stops, counts)]
+        self.slot_of = np.repeat(np.arange(len(self.slots), dtype=np.intp), counts)
 
-        candidates = max((len(s.agents) for s in self.slots), default=0)
-        self.column_of = np.zeros((len(self.slots), candidates), np.intp)  # [slot, candidate]
-        self.columns = []  # (slot, start, stop, agent, report)
-        self.offsets: list[float] = []  # the event axis
-        observed: dict[ReporterProfile, list[int]] = {}  # each profile's events
+        index = {}  # each distinct profile's position in profiles
+        width = max((len(s.agents) for s in self.slots), default=0)
+        self.profile_of = np.zeros((len(self.slots), width), np.intp)  # [slot, candidate]
+        self.report = []
         for j, (slot, times) in enumerate(zip(self.slots, self.times)):
-            for c, agent in enumerate(slot.agents):
-                self.column_of[j, c] = len(self.columns)
-                start = len(self.offsets)
-                self.offsets.extend(times)
-                if self.consumer[j]:
-                    usage = agent.usage
-                    coverage = min(query_time, usage.usage_end) - usage.usage_start
-                    report = (AccumulatedReport, agent.id, (coverage, len(times)))
-                else:
-                    report = (InstantaneousReport, agent.id, times[-1:])
-                self.columns.append((j, start, len(self.offsets), agent, report))
-                observed.setdefault(agent.profile, []).extend(range(start, len(self.offsets)))
-        self.observed = {profile: np.array(at, np.intp) for profile, at in observed.items()}
+            self.profile_of[j, :len(slot.agents)] = [index.setdefault(a.profile, len(index))
+                                                     for a in slot.agents]
+            agent = slot.agents[0]
+            if self.consumer[j]:
+                coverage = min(query_time, agent.usage.usage_end) - agent.usage.usage_start
+                self.report.append((AccumulatedReport, agent.id, (coverage, len(times))))
+            else:
+                self.report.append((InstantaneousReport, agent.id, times[-1:]))
+        self.profiles = tuple(index)
 
         # the EWMA's steps: steps[e - 1] holds the event start + e of every
-        # consumer column with more than e events
-        spans = [(start, stop) for j, start, stop, _, _ in self.columns if self.consumer[j]]
+        # consumer slot with more than e events
+        spans = [span for span, c in zip(self.spans, self.consumer) if c]
         longest = max((stop - start for start, stop in spans), default=0)
         self.steps = [np.array([start + e for start, stop in spans if stop - start > e], np.intp)
                       for e in range(1, longest)]
-        # each column's last event, where it has one
-        self.ended = [k for k, (_, start, stop, _, _) in enumerate(self.columns) if stop > start]
-        self.last = np.array([self.columns[k][2] - 1 for k in self.ended], np.intp)
+        # each reporting slot's last event
+        self.last = np.array([self.spans[j][1] - 1 for j in self.reporting], np.intp)
 
     @property
     def cells(self) -> int:
-        """The values one replication puts in simulate()'s largest array, the
-        truth's (event x attribute)."""
+        """The values one replication puts in simulate()'s truth: event x attribute."""
         return len(self.offsets) * len(self.session.promise)
 
-    def _draws(self, seeds, used) -> tuple[np.ndarray, np.ndarray]:
-        """The truth draws (replication x event x attribute) and a random
-        reporter's own draws (replication x event) of every used column."""
-        noise = np.zeros((len(seeds), len(self.offsets), len(self.session.promise)))
-        own = np.zeros(noise.shape[:2])
+    def _draws(self, seeds, own) -> tuple[np.ndarray, np.ndarray]:
+        """The truth draws (replication x event x attribute) of every slot, and
+        the own draws (replication x event) of each slot j of replication r
+        where own[r][j] is true, zeros elsewhere."""
+        noise = np.empty((len(seeds), len(self.offsets), len(self.session.promise)))
+        drawn = np.zeros(noise.shape[:2])
         # numpy.random is loaded here, when a stream is first needed, not
         # when the package is imported
         keys = [np.random.SeedSequence(int(seed)).generate_state(2, np.uint64).tolist()
                 for seed in seeds]
         rng = np.random.Generator(np.random.Philox(0))
         bit_generator, normals, uniforms = rng.bit_generator, rng.standard_normal, rng.random
-        for r, column in zip(*(index.tolist() for index in np.nonzero(used))):
-            j, start, stop, agent, _ = self.columns[column]
-            if start == stop:
-                continue
-            truth, reports = self.counters[j]
-            bit_generator.state = _philox_state(keys[r], truth)
-            normals(out=noise[r, start:stop])
-            if agent.profile.draws_reports:
-                bit_generator.state = _philox_state(keys[r], reports)
-                uniforms(out=own[r, start:stop])
-        return noise, own
+        for r, (key, asked) in enumerate(zip(keys, own)):
+            for j in self.reporting:
+                start, stop = self.spans[j]
+                truth, reports = self.counters[j]
+                bit_generator.state = _philox_state(key, truth)
+                normals(out=noise[r, start:stop])
+                if asked[j]:
+                    bit_generator.state = _philox_state(key, reports)
+                    uniforms(out=drawn[r, start:stop])
+        return noise, drawn
 
     def simulate(self, provider: ProviderProfile, gaps, seeds, picks) -> Block:
         """Simulate a block of replications of the table.
@@ -360,64 +363,63 @@ class SlotTable:
         """
         picks = np.asarray(picks, np.intp)
         n, k = len(seeds), len(self.session.promise)
-        # the columns that some roster of a replication picks draw; the others
-        # keep zero noise and are never read, and their truth is not finite
-        # only where the picked candidate's truth at the same events is not
-        picked = self.column_of[np.arange(len(self.slots)), picks]  # [r, f, slot] -> column
-        used = np.zeros((n, len(self.columns)), bool)
-        used[np.arange(n)[:, np.newaxis], picked.reshape(n, -1)] = True
-        noise, own = self._draws(seeds, used)
+        chosen = self.profile_of[np.arange(len(self.slots)), picks]  # [r, f, slot] -> profile
+        # a slot draws its own stream where some roster picks a random reporter
+        random = np.array([p.draws_reports for p in self.profiles], bool)
+        noise, own = self._draws(seeds, random[chosen].any(axis=1).tolist())
 
         promise = self.session.promise
         truth = sample_true_performance(provider, gaps, self.offsets, noise)
-        true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, -1)
+        true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, 1, -1)
         # the noise-free truth: no jitter and, at offset 0, no drift
         noise_free = sample_true_performance(provider, gaps, [0.0], np.zeros((1, k)))
         ground_truth = instantaneous_trust(noise_free.reshape(n, k), promise).tolist()
-        reported = np.empty_like(true_trust)
-        for profile, at in self.observed.items():
-            reported[:, at] = observe(profile, true_trust[:, at],
-                                      own[:, at] if profile.draws_reports else None)
+        profile = chosen[..., self.slot_of]  # [r, f, event] -> profile
+        true_trust = np.broadcast_to(true_trust, profile.shape)
+        own = np.broadcast_to(own[:, np.newaxis], profile.shape)
+        reported = np.empty(profile.shape)
+        for p, reporter in enumerate(self.profiles):
+            at = profile == p
+            reported[at] = observe(reporter, true_trust[at],
+                                   own[at] if reporter.draws_reports else None)
         # the first sample seeds each consumer's EWMA, later ones fold into it;
         # a bystander's accumulated values are its reports
         accumulated = reported.copy()
         for at in self.steps:
-            accumulated[:, at] = update_accumulated(accumulated[:, at - 1], reported[:, at],
-                                                    self.params.alpha)
-        return Block(self, ground_truth, picked.tolist(), reported, accumulated)
+            accumulated[..., at] = update_accumulated(accumulated[..., at - 1],
+                                                      reported[..., at], self.params.alpha)
+        return Block(self, ground_truth, picks.tolist(), reported, accumulated)
 
 
 class Block:
     """A simulated block: each replication's ground-truth trust, each
-    (replication, roster)'s reports, and its trace on request."""
+    (replication, roster)'s reports, and its trace on request.  Its arrays
+    hold one row per session: (replication x roster x event) and, in final,
+    each reporting slot's last report or EWMA value."""
 
-    def __init__(self, table: SlotTable, ground_truth, picked, reported, accumulated):
+    def __init__(self, table: SlotTable, ground_truth, picks, reported, accumulated):
         self.table = table
         self.ground_truth = ground_truth
-        self.picked = picked  # [r][f][slot] -> column
+        self.picks = picks  # [r][f][slot] -> candidate
         self.reported = reported
         self.accumulated = accumulated
-        # each column's final value: a bystander's last report, a consumer's EWMA
-        final = np.empty((len(reported), len(table.columns)))
-        final[:, table.ended] = accumulated[:, table.last]
-        self.final = final.tolist()
+        self.final = accumulated[..., table.last].tolist()  # [r][f][reporting slot]
 
     def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
                                             tuple[InstantaneousReport, ...]]]:
         """(consumer_reports, bystander_reports) of each of replication r's
         rosters, each in slot order; rosters that pick the same candidate
         share its report."""
-        table, final = self.table, self.final[r]
-        made: dict[int, AccumulatedReport | InstantaneousReport] = {}
+        table = self.table
+        made: dict[tuple[int, int], AccumulatedReport | InstantaneousReport] = {}
         rosters = []
-        for roster in self.picked[r]:
+        for roster, final in zip(self.picks[r], self.final[r]):
             groups = ([], [])  # bystanders, consumers
-            for j in table.reporting:
-                column = roster[j]
-                report = made.get(column)
+            for j, value in zip(table.reporting, final):
+                report = made.get((j, roster[j]))
                 if report is None:
-                    cls, reporter_id, fields = table.columns[column][4]
-                    report = made[column] = cls(reporter_id, final[column], *fields)
+                    cls, reporter_id, fields = table.report[j]
+                    report = made[j, roster[j]] = cls(reporter_id, value, *fields)
                 groups[table.consumer[j]].append(report)
             rosters.append((tuple(groups[1]), tuple(groups[0])))
         return rosters
@@ -429,13 +431,11 @@ class Block:
         consumer_reports, bystander_reports = self.reports(r)[f]
         series = []
         for j in sorted(range(len(table.slots)), key=table.consumer.__getitem__):
-            column = self.picked[r][f][j]
-            _, start, stop, agent, _ = table.columns[column]
-            accumulated = None
-            if table.consumer[j]:
-                accumulated = tuple(self.accumulated[r, start:stop].tolist())
-            series.append(AgentSeries(agent.id, table.times[j],
-                                      tuple(self.reported[r, start:stop].tolist()), accumulated))
+            start, stop = table.spans[j]
+            agent = table.slots[j].agents[self.picks[r][f][j]]
+            series.append(AgentSeries(
+                agent.id, table.times[j], tuple(self.reported[r, f, start:stop].tolist()),
+                tuple(self.accumulated[r, f, start:stop].tolist()) if table.consumer[j] else None))
         return SessionTrace(
             final_breakdown=aggregate(consumer_reports, bystander_reports, table.params),
             consumer_reports=consumer_reports,

@@ -210,16 +210,8 @@ def update_accumulated(previous: float | np.ndarray, instantaneous: float | np.n
     the three may be an array, which folds elementwise; every element is
     held to the same bounds.
     """
-    if (isinstance(previous, np.ndarray) or isinstance(instantaneous, np.ndarray)
-            or isinstance(alpha, np.ndarray)):
-        for label, x in (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha)):
-            _check_unit_array(label, x)
-    # one chained comparison holds all three bounds (NaN fails it); the named
-    # checks run only to raise the message for the first input out of range
-    elif not 0.0 <= previous <= 1.0 >= instantaneous >= 0.0 <= alpha <= 1.0:
-        _check_unit("previous", previous)
-        _check_unit("instantaneous", instantaneous)
-        _check_unit("alpha", alpha)
+    for label, x in (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha)):
+        _check_unit_array(label, x)
     return alpha * previous + (1.0 - alpha) * instantaneous
 
 

@@ -219,27 +219,31 @@ class TestRunErrors:
         assert "scenario invariant violation:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario, attribute, generator",
+        "kind, scenario, attribute, generator",
         [
-            (BASE, 0, {"mean": 10, "jitter_stddev": 1e308}),
-            (BASE, 0, {"mean": 1e308, "drift_per_hour": 1e308}),
-            (WIFI, 1, {"mean": 2, "jitter_stddev": 1e308}),
-            (WIFI, 1, {"mean": 1e308, "drift_per_hour": 1e308}),
-            (WIFI, 0, {"mean": 10, "drift_per_hour": -1.7e308}),
+            pytest.param(kind, scenario, attribute, generator, id=name + suffix)
+            for kind, suffix in (("full", ""), ("ablation", "-ablation"))
+            for name, scenario, attribute, generator in (
+                ("huge-jitter", BASE, 0, {"mean": 10, "jitter_stddev": 1e308}),
+                ("huge-mean-and-drift", BASE, 0, {"mean": 1e308, "drift_per_hour": 1e308}),
+                ("ordinal-huge-jitter", WIFI, 1, {"mean": 2, "jitter_stddev": 1e308}),
+                ("ordinal-huge-mean-and-drift", WIFI, 1,
+                 {"mean": 1e308, "drift_per_hour": 1e308}),
+                ("continuous-minus-infinity", WIFI, 0, {"mean": 10, "drift_per_hour": -1.7e308}),
+            )
         ],
-        ids=["huge-jitter", "huge-mean-and-drift", "ordinal-huge-jitter",
-             "ordinal-huge-mean-and-drift", "continuous-minus-infinity"],
     )
-    def test_overflowing_sample_is_an_invariant_violation(self, tmp_path, capsys, scenario,
+    def test_overflowing_sample_is_an_invariant_violation(self, tmp_path, capsys, kind, scenario,
                                                           attribute, generator):
         # finite numbers that validate, but whose samples overflow to infinity
-        # (an ordinal one would otherwise be rounded, a -inf one floored at 0)
+        # (an ordinal one would otherwise be rounded, a -inf one floored at 0);
+        # "ablation" runs two candidates per slot under two rosters
         with open(scenario, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["provider"]["attributes"][attribute] = generator
         path = write_doc(tmp_path, doc)
         assert main(["validate", "--scenario", path]) == EXIT_OK
-        assert main(run_args("full", path)) == EXIT_INVARIANT
+        assert main(run_args(kind, path)) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert err.startswith("scenario invariant violation:")
         assert "is not finite" in err

@@ -294,6 +294,18 @@ def _shorter(scenario):
     return replace(scenario, query_time=1800.0)
 
 
+def _two_candidate_table(scenario):
+    """Each slot holds its agent and the agent turned random: the slots, the
+    picks of the roster that turns the first slot of each group random, and
+    the slot table."""
+    noisy = ReporterProfile("malicious", malicious_strategy="random")
+    slots = [Slot(i, (a, replace(a, profile=noisy)))
+             for group in (scenario.bystanders, scenario.consumers)
+             for i, a in enumerate(group)]
+    firsts = [int(slot.index == 0) for slot in slots]
+    return slots, firsts, SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
+
+
 class TestBlocks:
     """A block simulates several replications of one slot table at once, each
     under several rosters; every (replication, roster) must equal the same
@@ -303,16 +315,9 @@ class TestBlocks:
                              ids=["roster-size", "shorter-query-time", "honest-vs-random"])
     def test_a_session_in_a_block_equals_it_alone(self, session, promise, honest, change):
         scenario = change(noisy_scenario(session, promise, honest, seed=314))
-        noisy = ReporterProfile("malicious", malicious_strategy="random")
-        # each slot holds its agent and the agent turned random; roster 0 keeps
-        # the scenario's profiles, roster 1 turns the first slot of each group random
-        slots = [Slot(i, (a, replace(a, profile=noisy)))
-                 for group in (scenario.bystanders, scenario.consumers)
-                 for i, a in enumerate(group)]
-        firsts = [int(slot.index == 0) for slot in slots]
+        slots, firsts, table = _two_candidate_table(scenario)
         seeds = [314, 2**32 + 5, 0, 7, 2**63 - 1]
         gaps = [0.2, 0.0, 0.5, 0.9, 0.35]
-        table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
         rosters = [[[0] * len(slots), firsts]] * len(seeds)
         block = table.simulate(scenario.provider, gaps, seeds, rosters)
         for r in (0, 2, 4):  # first, middle and last position
@@ -330,6 +335,35 @@ class TestBlocks:
                 assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
                     noise_free_performance(provider), scenario.session.promise)
 
+    def test_each_slot_is_drawn_and_observed_once(self, session, promise, honest, monkeypatch):
+        scenario = _grown(noisy_scenario(session, promise, honest, seed=314))
+        slots, firsts, table = _two_candidate_table(scenario)
+        seeds, gaps = [314, 2**32 + 5, 0], [0.2, 0.0, 0.5]
+        events = sum(map(len, table.times))
+        assert len(table.offsets) == events  # a slot's events are held once, not per candidate
+        truth_states, observed = [], []
+        philox_state, observe = simulator._philox_state, simulator.observe
+
+        def state_spy(key, counter):
+            if counter[1] == simulator._TRUTH:
+                truth_states.append((tuple(key), *counter[2:]))
+            return philox_state(key, counter)
+
+        def observe_spy(profile, true_trust, own_draws=None):
+            observed.append(np.size(true_trust))
+            return observe(profile, true_trust, own_draws)
+
+        monkeypatch.setattr(simulator, "_philox_state", state_spy)
+        monkeypatch.setattr(simulator, "observe", observe_spy)
+        # the rosters pick different candidates of each group's first slot,
+        # and every replication still sets each slot's truth stream once
+        table.simulate(scenario.provider, gaps, seeds, [[[0] * len(slots), firsts]] * len(seeds))
+        assert len(truth_states) == len(set(truth_states)) == len(seeds) * len(table.reporting)
+        # one roster: observe sees each event of each replication once
+        observed.clear()
+        table.simulate(scenario.provider, gaps, seeds, [[firsts]] * len(seeds))
+        assert sum(observed) == len(seeds) * events
+
 
 class TestStreamSeeding:
     """The engine sets stream states on one Generator instead of building a
@@ -346,16 +380,18 @@ class TestStreamSeeding:
         keys = [(0, 0), (7, 0), (0, 1), (63, 1)]  # each slot's (index, group)
         table = SlotTable(slots, session, 5400.0, AggregationParams())
         seeds = [0, 1, 2**32, 2**63 - 1, 2**64 + 5, 2**130 + 3]
-        noise, own = table._draws(seeds, np.ones((len(seeds), len(table.columns)), bool))
+        # own draws asked for a checkerboard of (replication, slot)
+        asked = [[(r + j) % 2 == 0 for j in range(len(slots))] for r in range(len(seeds))]
+        noise, own = table._draws(seeds, asked)
         for r, seed in enumerate(seeds):
             key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-            for (_, start, stop, agent, _), (index, group) in zip(table.columns, keys):
+            for j, ((start, stop), (index, group)) in enumerate(zip(table.spans, keys)):
                 truth, reports = (np.random.Generator(np.random.Philox(
                     key=key, counter=[0, kind, index, group])) for kind in (0, 1))
                 events = stop - start
                 assert noise[r, start:stop].tolist() == truth.standard_normal((events, 3)).tolist()
-                expected = reports.random(events) if agent.profile.draws_reports else np.zeros(events)
-                assert own[r, start:stop].tolist() == expected.tolist(), (seed, agent.id)
+                expected = reports.random(events) if asked[r][j] else np.zeros(events)
+                assert own[r, start:stop].tolist() == expected.tolist(), (seed, j)
 
     def test_random_reports_do_not_depend_on_the_attribute_count(self, session, promise):
         # truth and reports come from separate streams, so a provider with
