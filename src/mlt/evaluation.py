@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -84,14 +85,17 @@ def confusion(predicted: list[TrustLevel], actual: list[TrustLevel]) -> Confusio
         )
     if not predicted:
         raise ValueError("need at least one sample to score")
+    n = len(predicted)
+    pairs = Counter(zip(predicted, actual))  # one pass; each level's counts come from the pairs
     per_level = {}
     for level in TrustLevel:
-        correct = sum(1 for p, a in zip(predicted, actual) if p == a == level)
-        detected = sum(1 for p in predicted if p == level)
-        actual_n = sum(1 for a in actual if a == level)
-        correct_not = sum(1 for p, a in zip(predicted, actual) if p != level and a != level)
+        correct = pairs[level, level]
+        detected = sum(count for (p, _), count in pairs.items() if p == level)
+        actual_n = sum(count for (_, a), count in pairs.items() if a == level)
+        # neither predicted nor was this level: what the three counts above leave
+        correct_not = n - detected - actual_n + correct
         per_level[level] = LevelCounts(correct, detected, actual_n, correct_not)
-    return ConfusionCounts(samples=len(predicted), per_level=per_level)
+    return ConfusionCounts(samples=n, per_level=per_level)
 
 
 @dataclass(frozen=True)

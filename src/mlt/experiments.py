@@ -23,12 +23,22 @@ simulator.compositions), so its honesty gap, its scenario seed and, per
 adversary fraction, a roster that picks each slot's agent by its flag; the
 engine draws and scores each (replication, slot)'s truth once for all the
 fractions.  Points that share a fraction share its roster: the largest one
-is simulated, and each smaller point is scored from the leading reports of
-its own prefix of slots (reports follow slot order).  Every (replication,
-point, arm) is then scored on its own with aggregate and classify, the
-ground truth once per replication.  A sweep starts at most one worker pool,
-which maps blocks; the output depends neither on the block size nor on the
-number of workers.
+is simulated, and each smaller point is scored from the reports of its own
+prefix of slots.
+
+A report's weight inputs, a consumer's coverage and a bystander's last probe
+offset, are fixed per slot, so each (point, arm)'s weights are worked out
+once per sweep with coverage_weights and freshness_weights.  A block is then
+scored as arrays over (replication x report), one (point, arm) at a time,
+with aggregate's float order: sums add columns left to right from 0.0, a
+credibility is 1.0 - abs(value - mean) and a term is (credibility * weight)
+* trust.  Every operation is elementwise IEEE arithmetic, so each overall
+value equals aggregate's bit for bit.  Levels come from the same clamp and
+cuts as classify; the ground truth is classified the same way.  The first
+replication of each block is also scored through its report objects,
+aggregate and classify, and a block whose array scores differ raises
+RuntimeError.  A sweep starts at most one worker pool, which maps blocks;
+the output depends neither on the block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -41,6 +51,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +72,14 @@ from .simulator import (
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
 # instrumentation into src.
 from .simulator import run_scenario  # noqa: F401
-from .trust import aggregate
+from .trust import (
+    NORMALIZED,
+    AggregationParams,
+    NoEvidenceError,
+    aggregate,
+    coverage_weights,
+    freshness_weights,
+)
 
 ABLATION = "ablation"
 COUNT_SWEEP = "count-sweep"
@@ -75,6 +93,15 @@ _BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
 _PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a slot's agents, indexed by its adversary flag
+
+# Each arm's (scores consumers, scores bystanders, damps by credibility)
+_ARMS = {
+    "on": (True, True, True),
+    "off": (True, True, False),
+    "instantaneous": (False, True, True),
+    "accumulated": (True, False, True),
+}
+_LEVELS = np.array(list(TrustLevel), dtype=object)  # a level index's TrustLevel
 
 
 @dataclass(frozen=True)
@@ -148,9 +175,8 @@ class _Sweep:
 
     The adversary fractions, in point order, each with one roster per
     replication; the size of the largest roster; the slot table, whose
-    synthesized honest roster is checked once as a Scenario;
-    for each roster size the number of bystander and consumer reports its
-    prefix of slots hands in; and the replications per block.
+    synthesized honest roster is checked once as a Scenario; each
+    (point, arm)'s column; and the replications per block.
     """
 
     def __init__(self, base: Scenario, spec: ExperimentSpec, points):
@@ -169,11 +195,7 @@ class _Sweep:
             replace(base, bystanders=honest[0::2], consumers=honest[1::2])  # checks the roster
             slots = [Slot(i // 2, pair) for i, pair in enumerate(pairs)]
         self.table = SlotTable(slots, base.session, q, base.params)
-        # reports follow slot order, one per slot with an event by the query
-        # time, so a prefix of synthesized slots reports a prefix of each report
-        # tuple ("full" has one point, its whole roster, and cuts nothing)
-        reporting = [len(times) > 0 for times in self.table.times]
-        self.cuts = {n: (sum(reporting[0:n:2]), sum(reporting[1:n:2])) for n, _, _ in self.points}
+        self.columns = self._columns()
         # a replication's largest array is its truth or, for a one-attribute
         # provider under two fractions, its reports (roster x event)
         cells = max(1, self.table.cells, len(self.fracs) * len(self.table.offsets))
@@ -201,43 +223,145 @@ class _Sweep:
             picks = (flags[:, np.newaxis, :self.size] < fracs).astype(np.intp)
         return self.table.simulate(base.provider, gaps, seeds, picks)
 
+    def _columns(self) -> list[_Column]:
+        """Each (point, arm)'s column, in output order.
+
+        A point's reports are those of its prefix of slots ("full" has one
+        point, its whole roster).  The weights read each slot's report
+        fields, never a trust value, so a placeholder trust of 0.0 stands in.
+        """
+        table = self.table
+        roster_of = {frac: f for f, frac in enumerate(self.fracs)}
+        columns = []
+        for n_reporters, frac, arms in self.points:
+            at = ([], [])  # bystander, consumer positions on Block.final's reporting-slot axis
+            reports = ([], [])
+            for k, j in enumerate(table.reporting):
+                if j < n_reporters:
+                    cls, reporter_id, fields = table.report[j]
+                    at[table.consumer[j]].append(k)
+                    reports[table.consumer[j]].append(cls(reporter_id, 0.0, *fields))
+            weights_c = coverage_weights(reports[1]) if reports[1] else []
+            weights_b = freshness_weights(reports[0])[0] if reports[0] else []
+            for arm in arms:
+                consumers, bystanders, use_credibility = _ARMS[arm]
+                columns.append(_Column(
+                    n_reporters, frac, arm, roster_of[frac],
+                    np.array((at[1] if consumers else []) + (at[0] if bystanders else []), np.intp),
+                    np.array(weights_c if consumers else []),
+                    np.array(weights_b if bystanders else []),
+                    use_credibility))
+        return columns
+
+
+class _Column(NamedTuple):
+    """One (point, arm) of a sweep: its roster, its reports' positions on
+    Block.final's reporting-slot axis (consumers first, then bystanders, each
+    in slot order), each group's weights, and whether credibility damps them."""
+
+    n_reporters: int
+    frac: float
+    arm: str
+    roster: int
+    at: np.ndarray
+    weights_c: np.ndarray
+    weights_b: np.ndarray
+    use_credibility: bool
+
+
+def _overall_rows(values, weights_c, weights_b, params: AggregationParams,
+                  use_credibility: bool = True) -> np.ndarray:
+    """aggregate(...).overall of each row of values, bit for bit.
+
+    values is (rows x reports): the trust values of len(weights_c) consumer
+    reports, then of len(weights_b) bystander reports, whose coverage and
+    freshness weights those are.  The float order is aggregate's: sum(x.T,
+    0.0) adds x's columns elementwise, left to right from 0.0, as sum()
+    adds aggregate's lists (np.sum adds pairwise and can differ in the last
+    bit).  A group weight mass of zero in normalized mode raises
+    ZeroDivisionError, as aggregate does.
+    """
+    values = np.asarray(values, dtype=float)
+    n_c = len(weights_c)
+    if values.shape[1] == 0:
+        raise NoEvidenceError("no consumer or bystander reports to aggregate")
+    if use_credibility:
+        mean = sum(values.T, 0.0) / values.shape[1]
+        creds = 1.0 - np.abs(values - mean[:, np.newaxis])
+    terms = []
+    for group, weights in ((slice(0, n_c), weights_c), (slice(n_c, None), weights_b)):
+        if len(weights) == 0:
+            continue
+        trusts = values[:, group]
+        if use_credibility:
+            damped = creds[:, group] * weights
+        else:
+            damped = np.broadcast_to(weights, trusts.shape)
+        term = sum((damped * trusts).T, 0.0)
+        if params.mode == NORMALIZED:
+            mass = sum(damped.T, 0.0)
+            if not mass.all():
+                raise ZeroDivisionError("float division by zero")
+            term = term / mass
+        terms.append(term)
+    if len(terms) == 2:
+        return params.beta * terms[0] + (1.0 - params.beta) * terms[1]
+    return terms[0]
+
+
+def _levels(trust, thresholds: Thresholds) -> np.ndarray:
+    """The level index (into TrustLevel) of each trust value, clamped to
+    [0, 1] and cut as classify cuts it.  A value that is not finite raises
+    ValueError, where the clamp would quietly make a NaN lowly."""
+    trust = np.asarray(trust, dtype=float)
+    bad = ~np.isfinite(trust)
+    if bad.any():
+        raise ValueError(f"trust must be finite, got {trust[bad].flat[0]}")
+    cuts = [thresholds.low_cut, thresholds.high_cut]
+    return np.searchsorted(cuts, np.clip(trust, 0.0, 1.0), side="right")
+
 
 def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
     return classify(min(1.0, max(0.0, overall)), thresholds)
 
 
-# How each arm scores a point's reports
-_ARMS = {
-    "on": lambda cr, br, params: aggregate(cr, br, params),
-    "off": lambda cr, br, params: aggregate(cr, br, params, use_credibility=False),
-    "instantaneous": lambda cr, br, params: aggregate((), br, params),
-    "accumulated": lambda cr, br, params: aggregate(cr, (), params),
-}
+def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
+    """Score the block's first replication, rep, through its report objects,
+    aggregate and classify, and raise RuntimeError where its array scores
+    differ: overall holds each column's value, and row the level indices,
+    the ground truth's first."""
+    th = sweep.spec.thresholds
+    if _LEVELS[row[0]] != _classify_clamped(block.ground_truth[0], th):
+        raise RuntimeError(f"array scoring differs from classify at replication {rep}'s "
+                           "ground truth")
+    rosters = block.reports(0)
+    for column, x, level in zip(sweep.columns, overall, row[1:]):
+        cr, br = rosters[column.roster]
+        expected = aggregate(cr[:len(column.weights_c)], br[:len(column.weights_b)],
+                             sweep.base.params, use_credibility=column.use_credibility).overall
+        if x != expected or _LEVELS[level] != _classify_clamped(expected, th):
+            raise RuntimeError(
+                f"array scoring differs from aggregate at replication {rep}, point "
+                f"({column.n_reporters} reporters, adversary_frac {column.frac}), "
+                f"arm {column.arm!r}: {x!r} against {expected!r}")
 
 
-def _block_outcomes(args) -> list[tuple[TrustLevel, ...]]:
-    """Classify each replication of a block under every (point, arm): (actual, *predicted).
-
-    A smaller point keeps the leading reports of its own prefix of slots.
-    """
+def _block_outcomes(args) -> np.ndarray:
+    """Classify each replication of a block under every (point, arm): a
+    (replication x 1 + column) array of TrustLevels, (actual, *predicted)."""
     sweep, reps = args
     block = sweep.simulate(reps)
     th = sweep.spec.thresholds
-    params = sweep.base.params
-    roster_of = {frac: f for f, frac in enumerate(sweep.fracs)}
-    outcomes = []
-    for r in range(len(reps)):
-        rosters = block.reports(r)
-        predicted = []
-        for n_reporters, frac, arms in sweep.points:
-            cr, br = rosters[roster_of[frac]]
-            if n_reporters != sweep.size:
-                n_b, n_c = sweep.cuts[n_reporters]
-                cr, br = cr[:n_c], br[:n_b]
-            for arm in arms:
-                predicted.append(_classify_clamped(_ARMS[arm](cr, br, params).overall, th))
-        outcomes.append((_classify_clamped(block.ground_truth[r], th), *predicted))
-    return outcomes
+    levels = [_levels(block.ground_truth, th)]
+    first = []
+    for column in sweep.columns:
+        overall = _overall_rows(block.final[:, column.roster, column.at], column.weights_c,
+                                column.weights_b, sweep.base.params, column.use_credibility)
+        levels.append(_levels(overall, th))
+        first.append(float(overall[0]))
+    levels = np.stack(levels, axis=1)
+    _check_first(sweep, block, reps[0], first, levels[0])
+    return _LEVELS[levels]
 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
@@ -277,23 +401,21 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
             blocks = pool.map(_block_outcomes, args)
     else:
         blocks = [_block_outcomes(a) for a in args]
-    outcomes = [outcome for block in blocks for outcome in block]
+    outcomes = np.concatenate(blocks)
 
-    actual = [o[0] for o in outcomes]
-    columns = [(n_reporters, frac, arm) for n_reporters, frac, arms in sweep.points for arm in arms]
+    actual = outcomes[:, 0].tolist()
     results = []
-    for column, (n_reporters, frac, arm) in enumerate(columns, start=1):
-        predicted = [o[column] for o in outcomes]
+    for c, column in enumerate(sweep.columns, start=1):
         config = {
             "kind": kind,
-            "reporters": n_reporters,
-            "adversary_frac": frac,
+            "reporters": column.n_reporters,
+            "adversary_frac": column.frac,
             "replications": spec.replications,
             "seed": base_scenario.seed,
         }
         if kind == ABLATION:
-            config["credibility"] = arm
+            config["credibility"] = column.arm
         elif kind == ESTIMATOR_COMPARE:
-            config["estimator"] = arm
-        results.append(score(predicted, actual, config))
+            config["estimator"] = column.arm
+        results.append(score(outcomes[:, c].tolist(), actual, config))
     return results

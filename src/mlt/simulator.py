@@ -403,7 +403,7 @@ class Block:
         self.picks = picks  # [r][f][slot] -> candidate
         self.reported = reported
         self.accumulated = accumulated
-        self.final = accumulated[..., table.last].tolist()  # [r][f][reporting slot]
+        self.final = accumulated[..., table.last]  # [r, f, reporting slot]
 
     def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
                                             tuple[InstantaneousReport, ...]]]:
@@ -413,7 +413,7 @@ class Block:
         table = self.table
         made: dict[tuple[int, int], AccumulatedReport | InstantaneousReport] = {}
         rosters = []
-        for roster, final in zip(self.picks[r], self.final[r]):
+        for roster, final in zip(self.picks[r], self.final[r].tolist()):
             groups = ([], [])  # bystanders, consumers
             for j, value in zip(table.reporting, final):
                 report = made.get((j, roster[j]))

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import mlt
 import mlt.cli
+import mlt.experiments
 import mlt.trust
+from mlt.config import load_scenario_file
+
+from conftest import SCENARIO_DIR
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,9 +51,8 @@ def test_every_mlt_name_the_query_workload_reads_exists():
     assert sorted(name for name in used if not hasattr(mlt, name)) == []
 
 
-def test_aggregate_calls_each_traced_helper_once(monkeypatch):
-    # the traced trust.credibilities and *_weights metrics read 0 if aggregate()
-    # stops calling these helpers through mlt.trust's globals
+def _count_calls(monkeypatch, owner, names) -> dict:
+    """Replace each of owner's names with a wrapper that counts its calls."""
     calls = {}
 
     def counted(name, fn):
@@ -58,11 +61,28 @@ def test_aggregate_calls_each_traced_helper_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+def test_aggregate_calls_each_traced_helper_once(monkeypatch):
+    # the traced trust.credibilities and *_weights metrics read 0 if aggregate()
+    # stops calling these helpers through mlt.trust's globals
     helpers = ("credibilities", "coverage_weights", "freshness_weights")
-    for name in helpers:
-        monkeypatch.setattr(mlt.trust, name, counted(name, getattr(mlt.trust, name)))
+    calls = _count_calls(monkeypatch, mlt.trust, helpers)
     mlt.trust.aggregate(
         [mlt.AccumulatedReport("c0", 0.8, 60.0), mlt.AccumulatedReport("c1", 0.6, 30.0)],
         [mlt.InstantaneousReport("b0", 0.7, 10.0), mlt.InstantaneousReport("b1", 0.5, 20.0)],
     )
     assert calls == dict.fromkeys(helpers, 1)
+
+
+def test_a_sweep_calls_the_traced_aggregate_and_classify(monkeypatch):
+    # perfbench's traced sweep divides by the calls to experiments' aggregate
+    # and classify, which a sweep makes only to check each block's first
+    # replication against its array scores
+    calls = _count_calls(monkeypatch, mlt.experiments, ("aggregate", "classify"))
+    scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
+    mlt.run_experiment_suite(scenario, mlt.ExperimentSpec("ablation", replications=3))
+    assert calls.get("aggregate", 0) >= 1 and calls.get("classify", 0) >= 1
