@@ -14,6 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .trust import left_sum
+
 
 class TrustLevel(enum.Enum):
     LOWLY = "lowly"
@@ -127,7 +129,7 @@ def _macro(values: list[float | None]) -> float | None:
     defined = [v for v in values if v is not None]
     if not defined:
         return None
-    return sum(defined) / len(defined)
+    return left_sum(defined) / len(defined)
 
 
 def score(

@@ -30,14 +30,12 @@ A report's weight inputs, a consumer's coverage and a bystander's last probe
 offset, are fixed per slot, so each (point, arm)'s weights are worked out
 once per sweep with coverage_weights and freshness_weights.  A block is then
 scored as arrays over (replication x report), one (point, arm) at a time,
-with aggregate's float order: sums add columns left to right from 0.0, a
-credibility is 1.0 - abs(value - mean) and a term is (credibility * weight)
-* trust.  Every operation is elementwise IEEE arithmetic, so each overall
-value equals aggregate's bit for bit.  Levels come from the same clamp and
-cuts as classify; the ground truth is classified the same way.  The first
-replication of each block is also scored through its report objects,
-aggregate and classify, and a block whose array scores differ raises
-RuntimeError.  A sweep starts at most one worker pool, which maps blocks;
+by trust.aggregate_overall, whose every value equals aggregate's overall bit
+for bit.  Levels come from the same clamp and cuts as classify; the ground
+truth is classified the same way.  The first replication of each block is
+also scored through its report objects, aggregate and classify, and a block
+whose array scores differ raises RuntimeError.  A sweep starts at most one
+worker pool, which maps blocks;
 the output depends neither on the block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
@@ -72,14 +70,7 @@ from .simulator import (
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
 # instrumentation into src.
 from .simulator import run_scenario  # noqa: F401
-from .trust import (
-    NORMALIZED,
-    AggregationParams,
-    NoEvidenceError,
-    aggregate,
-    coverage_weights,
-    freshness_weights,
-)
+from .trust import aggregate, aggregate_overall, coverage_weights, freshness_weights
 
 ABLATION = "ablation"
 COUNT_SWEEP = "count-sweep"
@@ -269,46 +260,6 @@ class _Column(NamedTuple):
     use_credibility: bool
 
 
-def _overall_rows(values, weights_c, weights_b, params: AggregationParams,
-                  use_credibility: bool = True) -> np.ndarray:
-    """aggregate(...).overall of each row of values, bit for bit.
-
-    values is (rows x reports): the trust values of len(weights_c) consumer
-    reports, then of len(weights_b) bystander reports, whose coverage and
-    freshness weights those are.  The float order is aggregate's: sum(x.T,
-    0.0) adds x's columns elementwise, left to right from 0.0, as sum()
-    adds aggregate's lists (np.sum adds pairwise and can differ in the last
-    bit).  A group weight mass of zero in normalized mode raises
-    ZeroDivisionError, as aggregate does.
-    """
-    values = np.asarray(values, dtype=float)
-    n_c = len(weights_c)
-    if values.shape[1] == 0:
-        raise NoEvidenceError("no consumer or bystander reports to aggregate")
-    if use_credibility:
-        mean = sum(values.T, 0.0) / values.shape[1]
-        creds = 1.0 - np.abs(values - mean[:, np.newaxis])
-    terms = []
-    for group, weights in ((slice(0, n_c), weights_c), (slice(n_c, None), weights_b)):
-        if len(weights) == 0:
-            continue
-        trusts = values[:, group]
-        if use_credibility:
-            damped = creds[:, group] * weights
-        else:
-            damped = np.broadcast_to(weights, trusts.shape)
-        term = sum((damped * trusts).T, 0.0)
-        if params.mode == NORMALIZED:
-            mass = sum(damped.T, 0.0)
-            if not mass.all():
-                raise ZeroDivisionError("float division by zero")
-            term = term / mass
-        terms.append(term)
-    if len(terms) == 2:
-        return params.beta * terms[0] + (1.0 - params.beta) * terms[1]
-    return terms[0]
-
-
 def _levels(trust, thresholds: Thresholds) -> np.ndarray:
     """The level index (into TrustLevel) of each trust value, clamped to
     [0, 1] and cut as classify cuts it.  A value that is not finite raises
@@ -355,8 +306,8 @@ def _block_outcomes(args) -> np.ndarray:
     levels = [_levels(block.ground_truth, th)]
     first = []
     for column in sweep.columns:
-        overall = _overall_rows(block.final[:, column.roster, column.at], column.weights_c,
-                                column.weights_b, sweep.base.params, column.use_credibility)
+        overall = aggregate_overall(block.final[:, column.roster, column.at], column.weights_c,
+                                    column.weights_b, sweep.base.params, column.use_credibility)
         levels.append(_levels(overall, th))
         first.append(float(overall[0]))
     levels = np.stack(levels, axis=1)

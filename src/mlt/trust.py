@@ -20,17 +20,21 @@ unanimous crowd reporting t score exactly t and keeps fixed classification
 thresholds meaningful.
 
 The aggregate is a few whole-list passes, not a loop per report.  Its float
-order is fixed: sums run left to right with the built-in sum(), a term is
+order is fixed: every sum adds left to right from 0.0 (left_sum), a term is
 (credibility * weight) * trust, a weight is value / total, and a credibility
 is 1.0 - abs(value - mean).  A weight sum that passes the float range is
 taken over the values divided by their largest one.  The per-reporter terms
 of a TrustBreakdown are built only when they are first read.
+aggregate_overall scores many sessions over one set of weights as arrays in
+the same float order, so each of its values equals aggregate's overall bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -56,6 +60,21 @@ class UndefinedRatioError(ValueError):
 
 class NoEvidenceError(ValueError):
     """No reports at all were available to aggregate."""
+
+
+def _sum_left(values):
+    """values added left to right from 0.0, one rounding per addition; an
+    iterable of arrays is added elementwise."""
+    total = 0.0
+    for x in values:
+        total = total + x
+    return total
+
+
+# Through CPython 3.11 the built-in sum() adds floats exactly so, at C speed.
+# From 3.12 it compensates the rounding (Neumaier), which can change the last
+# bit, so the loop stands in for it there.
+left_sum = sum if sys.version_info < (3, 12) else _sum_left
 
 
 def _check_unit(label: str, x: float) -> None:
@@ -194,10 +213,7 @@ def instantaneous_trust(observation, promise: PerformanceVector):
     with np.errstate(over="ignore"):
         ratios = values / promise.values
     np.minimum(1.0, ratios, out=ratios)
-    total = 0.0
-    for column in ratios.T:
-        total = total + column
-    trust = total / len(promise.values)
+    trust = _sum_left(ratios.T) / len(promise.values)
     return float(trust[0]) if single else trust
 
 
@@ -221,7 +237,7 @@ def _shares(values: list[float], total: float) -> list[float]:
     if total == math.inf:
         top = max(values)
         values = [v / top for v in values]
-        total = sum(values)
+        total = left_sum(values)
     return [v / total for v in values]
 
 
@@ -236,7 +252,7 @@ def freshness_weights(reports: list[InstantaneousReport]) -> tuple[list[float], 
     if not reports:
         raise ValueError("freshness weights need at least one report")
     offsets = [r.timestamp_offset for r in reports]
-    total = sum(offsets)
+    total = left_sum(offsets)
     if total <= 0:
         n = len(reports)
         return [1.0 / n] * n, True
@@ -248,7 +264,7 @@ def coverage_weights(reports: list[AccumulatedReport]) -> list[float]:
     if not reports:
         raise ValueError("coverage weights need at least one report")
     durations = [r.coverage_duration for r in reports]
-    return _shares(durations, sum(durations))
+    return _shares(durations, left_sum(durations))
 
 
 def credibilities(values: list[float]) -> list[float]:
@@ -261,7 +277,7 @@ def credibilities(values: list[float]) -> list[float]:
     if not values:
         raise ValueError("credibilities need at least one value")
     # min() and max() step over a NaN that is not first; the sum does not
-    total = sum(values) if 0.0 <= min(values) and max(values) <= 1.0 else math.nan
+    total = left_sum(values) if 0.0 <= min(values) and max(values) <= 1.0 else math.nan
     if total != total:
         for v in values:
             _check_unit("trust value", v)
@@ -272,8 +288,8 @@ def credibilities(values: list[float]) -> list[float]:
 def _group_term(trusts, weights: list[float], creds, normalized: bool) -> float:
     """Sum of (credibility * weight) * trust, over the weight mass when normalized."""
     damped = list(map(mul, creds, weights))
-    weighted = sum(map(mul, damped, trusts))
-    return weighted / sum(damped) if normalized else weighted
+    weighted = left_sum(map(mul, damped, trusts))
+    return weighted / left_sum(damped) if normalized else weighted
 
 
 def aggregate(
@@ -324,3 +340,43 @@ def aggregate(
         overall, consumer_term, bystander_term, degenerate,
         reports, (*weights_c, *weights_b), tuple(creds),
     )
+
+
+def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = AggregationParams(),
+                      use_credibility: bool = True) -> np.ndarray:
+    """aggregate(...).overall of each row of values, bit for bit.
+
+    values is (rows x reports): the trust values of len(weights_c) consumer
+    reports, then of len(weights_b) bystander reports, whose coverage and
+    freshness weights those are, so every row shares one set of weights.
+    Each operation is aggregate's, elementwise over the rows: sums add
+    columns left to right from 0.0 (np.sum adds pairwise and can differ in
+    the last bit).  A group weight mass of zero in normalized mode raises
+    ZeroDivisionError, as aggregate does.
+    """
+    values = np.asarray(values, dtype=float)
+    n_c = len(weights_c)
+    if values.shape[1] == 0:
+        raise NoEvidenceError("no consumer or bystander reports to aggregate")
+    if use_credibility:
+        mean = _sum_left(values.T) / values.shape[1]
+        creds = 1.0 - np.abs(values - mean[:, np.newaxis])
+    terms = []
+    for group, weights in ((slice(0, n_c), weights_c), (slice(n_c, None), weights_b)):
+        if len(weights) == 0:
+            continue
+        trusts = values[:, group]
+        if use_credibility:
+            damped = creds[:, group] * weights
+        else:
+            damped = np.broadcast_to(weights, trusts.shape)
+        term = _sum_left((damped * trusts).T)
+        if params.mode == NORMALIZED:
+            mass = _sum_left(damped.T)
+            if not mass.all():
+                raise ZeroDivisionError("float division by zero")
+            term = term / mass
+        terms.append(term)
+    if len(terms) == 2:
+        return params.beta * terms[0] + (1.0 - params.beta) * terms[1]
+    return terms[0]

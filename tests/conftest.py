@@ -44,6 +44,14 @@ def aggregate_basic(consumer_reports, bystander_reports) -> float:
     return sum(values) / len(values)
 
 
+def _left_sum(values):
+    """values added left to right from 0.0, the order aggregate() is held to."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def _oracle_check_unit(label: str, x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{label} must be in [0, 1], got {x}")
@@ -53,7 +61,7 @@ def freshness_weights_oracle(reports):
     """Bystander weights, one report at a time: offset over the sum of offsets."""
     if not reports:
         raise ValueError("freshness weights need at least one report")
-    total = sum(r.timestamp_offset for r in reports)
+    total = _left_sum(r.timestamp_offset for r in reports)
     if total <= 0:
         n = len(reports)
         return [1.0 / n] * n, True
@@ -64,7 +72,7 @@ def coverage_weights_oracle(reports):
     """Consumer weights, one report at a time: duration over the sum of durations."""
     if not reports:
         raise ValueError("coverage weights need at least one report")
-    total = sum(r.coverage_duration for r in reports)
+    total = _left_sum(r.coverage_duration for r in reports)
     return [r.coverage_duration / total for r in reports]
 
 
@@ -74,7 +82,7 @@ def credibilities_oracle(values):
         raise ValueError("credibilities need at least one value")
     for v in values:
         _oracle_check_unit("trust value", v)
-    mean = sum(values) / len(values)
+    mean = _left_sum(values) / len(values)
     return [1.0 - abs(v - mean) for v in values]
 
 
@@ -104,9 +112,9 @@ def aggregate_oracle(consumer_reports, bystander_reports, params=AggregationPara
         weights_b, degenerate = freshness_weights_oracle(bystander_reports)
 
     def group_term(trusts, weights, creds_):
-        weighted = sum(c * w * t for c, w, t in zip(creds_, weights, trusts))
+        weighted = _left_sum(c * w * t for c, w, t in zip(creds_, weights, trusts))
         if params.mode == "normalized":
-            return weighted / sum(c * w for c, w in zip(creds_, weights))
+            return weighted / _left_sum(c * w for c, w in zip(creds_, weights))
         return weighted
 
     consumer_term = bystander_term = 0.0
@@ -143,10 +151,7 @@ def _oracle_clamp(spec, latent: float) -> float:
 
 
 def _oracle_trust(values, promise) -> float:
-    total = 0.0  # left to right, as Python 3.11's sum() adds floats
-    for o, p in zip(values, promise.values):
-        total += min(1.0, o / p)
-    return total / len(promise.values)
+    return _left_sum(min(1.0, o / p) for o, p in zip(values, promise.values)) / len(promise.values)
 
 
 PROBE = "probe"

@@ -4,8 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import mlt.experiments
 from mlt.agents import MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile, noise_free_performance
@@ -21,7 +19,6 @@ from mlt.experiments import (
     _block_outcomes,
     _classify_clamped,
     _levels,
-    _overall_rows,
     _slot_agents,
     _Sweep,
     _sweep_points,
@@ -40,12 +37,9 @@ from mlt.simulator import (
 from mlt.trust import (
     NORMALIZED,
     VERBATIM,
-    AccumulatedReport,
     AggregationParams,
-    InstantaneousReport,
     aggregate,
-    coverage_weights,
-    freshness_weights,
+    aggregate_overall,
     instantaneous_trust,
 )
 
@@ -511,65 +505,6 @@ def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
     assert_matches_the_per_sample_oracle(scenario)
 
 
-trust_value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
-huge = st.floats(min_value=1e307, max_value=1.7e308)  # a group's sum passes the float range
-offset = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9), huge)
-coverage = st.one_of(st.just(1.0), st.floats(min_value=1e-300, max_value=1e9), huge)
-
-
-@st.composite
-def scored_rows(draw):
-    """Trust rows over one set of reports: each row's (consumer reports,
-    bystander reports), the params and whether credibility damps them."""
-    n_c = draw(st.integers(min_value=0, max_value=6))
-    n_b = draw(st.integers(min_value=0, max_value=6))
-    rows = draw(st.integers(min_value=1, max_value=4))
-    durations = [draw(coverage) for _ in range(n_c)]
-    offsets = [0.0] * n_b if draw(st.booleans()) else [draw(offset) for _ in range(n_b)]
-    reports = [
-        ([AccumulatedReport(f"c{i}", draw(trust_value), d) for i, d in enumerate(durations)],
-         [InstantaneousReport(f"b{i}", draw(trust_value), o) for i, o in enumerate(offsets)])
-        for _ in range(rows)
-    ]
-    params = AggregationParams(
-        beta=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))),
-        mode=draw(st.sampled_from([VERBATIM, NORMALIZED])),
-    )
-    return reports, params, draw(st.booleans())
-
-
-def _bits_or_raised(fn):
-    """Each value's exact bits, or the type and message of what fn raised."""
-    try:
-        return [float(x).hex() for x in fn()]
-    except Exception as exc:  # the array scorer and aggregate() must fail alike
-        return type(exc), str(exc)
-
-
-@given(scored_rows())
-@settings(max_examples=400, deadline=None)
-def test_array_scores_match_aggregate_bit_for_bit(case):
-    reports, params, use_credibility = case
-    consumers, bystanders = reports[0]
-    weights_c = coverage_weights(consumers) if consumers else []
-    weights_b = freshness_weights(bystanders)[0] if bystanders else []
-    values = [[r.trust for r in cr + br] for cr, br in reports]
-    expected = _bits_or_raised(lambda: [
-        aggregate(cr, br, params, use_credibility=use_credibility).overall for cr, br in reports])
-    assert _bits_or_raised(
-        lambda: _overall_rows(values, weights_c, weights_b, params, use_credibility)) == expected
-
-
-@pytest.mark.parametrize("use_credibility", [True, False])
-def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
-    params = AggregationParams(mode=NORMALIZED)
-    with pytest.raises(ZeroDivisionError):
-        _overall_rows([[0.5, 0.7], [0.2, 0.4]], [], [0.0, 0.0], params, use_credibility)
-    # verbatim adds the terms up without dividing by their mass
-    verbatim = AggregationParams(mode=VERBATIM)
-    assert _overall_rows([[0.5, 0.7]], [], [0.0, 0.0], verbatim).tolist() == [0.0]
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_trust_value_that_is_not_finite_is_not_classified(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -578,7 +513,7 @@ def test_a_trust_value_that_is_not_finite_is_not_classified(bad):
 
 def test_a_nan_report_gives_an_error_not_a_lowly_level():
     # max(0.0, nan) is 0.0, so the per-call clamp would make this lowly
-    overall = _overall_rows([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
+    overall = aggregate_overall([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
     with pytest.raises(ValueError, match="finite"):
         _levels(overall, Thresholds())
 

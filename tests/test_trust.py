@@ -19,11 +19,13 @@ from mlt.trust import (
     NoEvidenceError,
     SchemaMismatchError,
     UndefinedRatioError,
+    _sum_left,
     aggregate,
     coverage_weights,
     credibilities,
     freshness_weights,
     instantaneous_trust,
+    left_sum,
     update_accumulated,
 )
 
@@ -203,6 +205,24 @@ class TestWeights:
             got = aggregate([], huge, AggregationParams(mode=mode))
             want = aggregate([], unit_offsets, AggregationParams(mode=mode))
             assert (got.overall, got.per_reporter) == (want.overall, want.per_reporter)
+
+
+class TestSums:
+    def test_sums_add_left_to_right_without_compensation(self):
+        # math.fsum, and sum() from Python 3.12, compensate the rounding and give 2.0
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert math.fsum(values) == 2.0
+        assert left_sum(values) == _sum_left(values) == 0.0
+
+    def test_a_weight_is_its_value_over_the_left_to_right_total(self):
+        # ten 0.1s add up to 0.9999999999999999 left to right, to 1.0 compensated
+        reports = [AccumulatedReport(f"c{i}", 0.5, 0.1) for i in range(10)]
+        assert coverage_weights(reports) == [0.1 / 0.9999999999999999] * 10
+        assert coverage_weights(reports)[0] != 0.1
+
+    def test_rows_of_arrays_add_elementwise(self):
+        rows = np.array([[0.1] * 10, [1.0, 1e100, 1.0, -1e100] + [0.0] * 6]).T
+        assert _sum_left(rows).tolist() == [0.9999999999999999, 0.0]
 
 
 class TestCredibility:

@@ -9,15 +9,19 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
 from mlt.trust import (
+    NORMALIZED,
+    VERBATIM,
     AccumulatedReport,
     AggregationParams,
     InstantaneousReport,
     aggregate,
+    aggregate_overall,
     coverage_weights,
     credibilities,
     freshness_weights,
@@ -257,3 +261,61 @@ def test_aggregate_matches_the_oracle_on_a_query_workload_cycle():
         != _outcome(aggregate_oracle, consumers, bystanders, queries.PARAMS)
     ]
     assert mismatched == []
+
+
+huge = st.floats(min_value=1e307, max_value=1.7e308)  # a group's sum passes the float range
+huge_offset = st.one_of(offset, huge)
+huge_coverage = st.one_of(coverage, huge)
+
+
+@st.composite
+def scored_rows(draw):
+    """Trust rows over one set of reports: each row's (consumer reports,
+    bystander reports), the params and whether credibility damps them."""
+    n_c = draw(st.integers(min_value=0, max_value=6))
+    n_b = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    durations = [draw(huge_coverage) for _ in range(n_c)]
+    offsets = [0.0] * n_b if draw(st.booleans()) else [draw(huge_offset) for _ in range(n_b)]
+    reports = [
+        ([AccumulatedReport(f"c{i}", draw(trust_value), d) for i, d in enumerate(durations)],
+         [InstantaneousReport(f"b{i}", draw(trust_value), o) for i, o in enumerate(offsets)])
+        for _ in range(rows)
+    ]
+    params = AggregationParams(
+        beta=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))),
+        mode=draw(st.sampled_from([VERBATIM, NORMALIZED])),
+    )
+    return reports, params, draw(st.booleans())
+
+
+def _bits_or_raised(fn):
+    """Each value's exact bits, or the type and message of what fn raised."""
+    try:
+        return [float(x).hex() for x in fn()]
+    except Exception as exc:  # aggregate_overall and aggregate() must fail alike
+        return type(exc), str(exc)
+
+
+@given(scored_rows())
+@settings(max_examples=400, deadline=None)
+def test_array_scores_match_aggregate_bit_for_bit(case):
+    reports, params, use_credibility = case
+    consumers, bystanders = reports[0]
+    weights_c = coverage_weights(consumers) if consumers else []
+    weights_b = freshness_weights(bystanders)[0] if bystanders else []
+    values = [[r.trust for r in cr + br] for cr, br in reports]
+    expected = _bits_or_raised(lambda: [
+        aggregate(cr, br, params, use_credibility=use_credibility).overall for cr, br in reports])
+    assert _bits_or_raised(
+        lambda: aggregate_overall(values, weights_c, weights_b, params, use_credibility)) == expected
+
+
+@pytest.mark.parametrize("use_credibility", [True, False])
+def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
+    params = AggregationParams(mode=NORMALIZED)
+    with pytest.raises(ZeroDivisionError):
+        aggregate_overall([[0.5, 0.7], [0.2, 0.4]], [], [0.0, 0.0], params, use_credibility)
+    # verbatim adds the terms up without dividing by their mass
+    verbatim = AggregationParams(mode=VERBATIM)
+    assert aggregate_overall([[0.5, 0.7]], [], [0.0, 0.0], verbatim).tolist() == [0.0]
