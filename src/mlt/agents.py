@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import ORDINAL, PerformanceVector, require_finite
+from .session import ORDINAL, PerformanceVector, require_finite, require_unit, require_unit_array
 
 HONEST = "honest"
 BIASED = "biased"
@@ -66,8 +66,7 @@ class ProviderProfile:
                 f"expected {len(self.promise.schema)} attribute generators, "
                 f"got {len(self.attributes)}"
             )
-        if not 0.0 <= self.honesty_gap <= 1.0:
-            raise ValueError(f"honesty_gap must be in [0, 1], got {self.honesty_gap}")
+        require_unit("honesty_gap", self.honesty_gap)
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,7 @@ def sample_true_performance(profile: ProviderProfile, gaps, offsets, noise) -> n
     setting, so streams stay aligned across configurations.  A gap outside
     [0, 1], or NaN, raises ValueError.
     """
-    gaps = np.asarray(gaps, dtype=float)
-    bad = gaps[~((gaps >= 0.0) & (gaps <= 1.0))]
-    if bad.size:
-        raise ValueError(f"honesty_gap must be in [0, 1], got {bad[0]}")
+    gaps = require_unit_array("honesty_gap", gaps)
     means, drift, stddev = zip(*((gen.mean, gen.drift_per_hour, gen.jitter_stddev)
                                  for gen in profile.attributes))
     base = np.multiply.outer(1.0 - gaps, means)[:, np.newaxis, :]
@@ -195,9 +191,7 @@ def observe(profile: ReporterProfile, true_trust, own_draws=None) -> np.ndarray:
     reports own_draws instead: its own uniform draws on [0, 1), one per value,
     which the simulator takes from the reporter's stream.
     """
-    true_trust = np.asarray(true_trust, dtype=float)
-    if true_trust.size and not (0.0 <= true_trust.min() and true_trust.max() <= 1.0):
-        raise ValueError(f"true_trust must be in [0, 1], got {true_trust}")
+    true_trust = require_unit_array("true_trust", true_trust)
     if profile.kind == HONEST:
         return true_trust
     if profile.kind == BIASED:

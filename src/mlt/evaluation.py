@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .session import require_unit
 from .trust import left_sum
 
 
@@ -45,8 +46,7 @@ DEFAULT_THRESHOLDS = Thresholds()
 
 def classify(trust: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> TrustLevel:
     """Bucket a trust value in [0, 1] into one of the three levels."""
-    if not 0.0 <= trust <= 1.0:
-        raise ValueError(f"trust must be in [0, 1], got {trust}")
+    require_unit("trust", trust)
     if trust < thresholds.low_cut:
         return TrustLevel.LOWLY
     if trust < thresholds.high_cut:

@@ -55,6 +55,7 @@ import numpy as np
 
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
+from .session import require_unit
 from .simulator import (
     COMPOSITION_FLAGS,
     Block,
@@ -65,6 +66,7 @@ from .simulator import (
     Slot,
     SlotTable,
     compositions,
+    configured_slots,
 )
 # Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
@@ -121,8 +123,7 @@ class ExperimentSpec:
             raise ValueError(f"reporters must be in [1, {COMPOSITION_FLAGS}]")
         if self.kind == ESTIMATOR_COMPARE and self.reporters < 2:
             raise ValueError("estimator-compare needs at least one bystander and one consumer")
-        if not 0.0 <= self.adversary_frac <= 1.0:
-            raise ValueError(f"adversary_frac must be in [0, 1], got {self.adversary_frac}")
+        require_unit("adversary_frac", self.adversary_frac)
         lo, hi = self.trust_range
         if not 0.0 < lo < hi <= 1.0:
             raise ValueError(f"trust_range must satisfy 0 < lo < hi <= 1, got {self.trust_range}")
@@ -178,8 +179,7 @@ class _Sweep:
         self.size = max(n_reporters for n_reporters, _, _ in self.points)
         q = base.query_time
         if spec.kind == FULL:
-            slots = [Slot(i, (b,)) for i, b in enumerate(base.bystanders)]
-            slots += [Slot(j, (c,)) for j, c in enumerate(base.consumers)]
+            slots = configured_slots(base)
         else:
             pairs = _slot_agents(spec.kind, q, self.size)
             honest = [pair[0] for pair in pairs]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 CONTINUOUS = "continuous"
 ORDINAL = "ordinal"
 
@@ -25,6 +27,21 @@ def require_finite(**fields: float) -> None:
     for name, value in fields.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_unit(label: str, x: float) -> None:
+    """Raise ValueError unless x lies in [0, 1]; NaN is outside."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{label} must be in [0, 1], got {x}")
+
+
+def require_unit_array(label: str, x) -> np.ndarray:
+    """require_unit for each element of x, naming the first one out of range; returns x as floats."""
+    x = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"{label} must be in [0, 1], got {x[outside].flat[0]}")
+    return x
 
 
 @dataclass(frozen=True)

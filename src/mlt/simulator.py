@@ -270,6 +270,12 @@ class Slot(NamedTuple):
     agents: tuple
 
 
+def configured_slots(scenario: Scenario) -> list[Slot]:
+    """A scenario's roster as configured, one agent per slot: bystanders, then consumers."""
+    return ([Slot(i, (b,)) for i, b in enumerate(scenario.bystanders)]
+            + [Slot(j, (c,)) for j, c in enumerate(scenario.consumers)])
+
+
 class SlotTable:
     """What every session simulated from one roster of slots shares: the
     slots and their events, the session, the aggregation params, and the
@@ -408,19 +414,14 @@ class Block:
     def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
                                             tuple[InstantaneousReport, ...]]]:
         """(consumer_reports, bystander_reports) of each of replication r's
-        rosters, each in slot order; rosters that pick the same candidate
-        share its report."""
+        rosters, each in slot order."""
         table = self.table
-        made: dict[tuple[int, int], AccumulatedReport | InstantaneousReport] = {}
         rosters = []
-        for roster, final in zip(self.picks[r], self.final[r].tolist()):
+        for final in self.final[r].tolist():
             groups = ([], [])  # bystanders, consumers
             for j, value in zip(table.reporting, final):
-                report = made.get((j, roster[j]))
-                if report is None:
-                    cls, reporter_id, fields = table.report[j]
-                    report = made[j, roster[j]] = cls(reporter_id, value, *fields)
-                groups[table.consumer[j]].append(report)
+                cls, reporter_id, fields = table.report[j]
+                groups[table.consumer[j]].append(cls(reporter_id, value, *fields))
             rosters.append((tuple(groups[1]), tuple(groups[0])))
         return rosters
 
@@ -448,8 +449,7 @@ class Block:
 def run_scenario(scenario: Scenario) -> SessionTrace:
     """Simulate one session up to query_time and aggregate what was reported:
     a block of one replication and one roster."""
-    slots = [Slot(i, (b,)) for i, b in enumerate(scenario.bystanders)]
-    slots += [Slot(j, (c,)) for j, c in enumerate(scenario.consumers)]
+    slots = configured_slots(scenario)
     table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
     gaps = [scenario.provider.honesty_gap]
     return table.simulate(scenario.provider, gaps, [scenario.seed], [[[0] * len(slots)]]).trace(0, 0)

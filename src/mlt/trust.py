@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .session import PerformanceVector
+from .session import PerformanceVector, require_unit, require_unit_array
 
 VERBATIM = "verbatim"
 NORMALIZED = "normalized"
@@ -77,19 +77,6 @@ def _sum_left(values):
 left_sum = sum if sys.version_info < (3, 12) else _sum_left
 
 
-def _check_unit(label: str, x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{label} must be in [0, 1], got {x}")
-
-
-def _check_unit_array(label: str, x) -> None:
-    """_check_unit for every element of an array (or a scalar), naming the first one out of range."""
-    x = np.asarray(x, dtype=float)
-    outside = ~((0.0 <= x) & (x <= 1.0))
-    if outside.any():
-        raise ValueError(f"{label} must be in [0, 1], got {x[outside].flat[0]}")
-
-
 @dataclass(frozen=True)
 class InstantaneousReport:
     """A bystander's single-probe trust value, stamped with the probe offset."""
@@ -101,7 +88,7 @@ class InstantaneousReport:
     def __post_init__(self):
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
-        _check_unit(f"report from {self.reporter_id!r}: trust", self.trust)
+        require_unit(f"report from {self.reporter_id!r}: trust", self.trust)
         if not math.isfinite(self.timestamp_offset) or self.timestamp_offset < 0:
             raise ValueError(
                 f"report from {self.reporter_id!r}: timestamp_offset must be finite and >= 0"
@@ -120,7 +107,7 @@ class AccumulatedReport:
     def __post_init__(self):
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
-        _check_unit(f"report from {self.reporter_id!r}: trust", self.trust)
+        require_unit(f"report from {self.reporter_id!r}: trust", self.trust)
         if not math.isfinite(self.coverage_duration) or self.coverage_duration <= 0:
             raise ValueError(
                 f"report from {self.reporter_id!r}: coverage_duration must be finite and positive"
@@ -140,8 +127,8 @@ class AggregationParams:
     mode: str = VERBATIM
 
     def __post_init__(self):
-        _check_unit("alpha", self.alpha)
-        _check_unit("beta", self.beta)
+        require_unit("alpha", self.alpha)
+        require_unit("beta", self.beta)
         if self.mode not in (VERBATIM, NORMALIZED):
             raise ValueError(f"mode must be {VERBATIM!r} or {NORMALIZED!r}, got {self.mode!r}")
 
@@ -227,7 +214,7 @@ def update_accumulated(previous: float | np.ndarray, instantaneous: float | np.n
     held to the same bounds.
     """
     for label, x in (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha)):
-        _check_unit_array(label, x)
+        require_unit_array(label, x)
     return alpha * previous + (1.0 - alpha) * instantaneous
 
 
@@ -280,7 +267,7 @@ def credibilities(values: list[float]) -> list[float]:
     total = left_sum(values) if 0.0 <= min(values) and max(values) <= 1.0 else math.nan
     if total != total:
         for v in values:
-            _check_unit("trust value", v)
+            require_unit("trust value", v)
     mean = total / len(values)
     return [1.0 - abs(v - mean) for v in values]
 

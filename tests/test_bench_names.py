@@ -84,5 +84,5 @@ def test_a_sweep_calls_the_traced_aggregate_and_classify(monkeypatch):
     # replication against its array scores
     calls = _count_calls(monkeypatch, mlt.experiments, ("aggregate", "classify"))
     scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
-    mlt.run_experiment_suite(scenario, mlt.ExperimentSpec("ablation", replications=3))
+    mlt.experiments.run_experiment_suite(scenario, mlt.experiments.ExperimentSpec("ablation", replications=3))
     assert calls.get("aggregate", 0) >= 1 and calls.get("classify", 0) >= 1
