@@ -19,7 +19,10 @@ from mlt.config import (
     parse_scenario,
     read_document,
 )
+from mlt.agents import AttributeGenerator, ProviderProfile, ReporterProfile
 from mlt.evaluation import Thresholds
+from mlt.session import AttributeSpec
+from mlt.trust import AggregationParams
 
 from conftest import SCENARIO_DIR
 
@@ -159,6 +162,29 @@ class TestStructuralErrors:
             (lambda d: d.update(query_time=10**400), "$.query_time: expected a finite number"),
             (lambda d: d["bystanders"][0]["schedule"].update(count=10**400),
              "bystanders[0].schedule.count: expected a finite number"),
+            (lambda d: d["session"].update(id=3), "session.id: expected a string"),
+            (lambda d: d["session"].update(provider_id=None), "session.provider_id: expected a string"),
+            (lambda d: d["session"].update(service_type=[]), "session.service_type: expected a string"),
+            (lambda d: d["session"].update(attributes={}), "session.attributes: expected a list"),
+            (lambda d: d["session"]["attributes"][0].update(kind=1),
+             "session.attributes[0].kind: expected a string"),
+            (lambda d: d["session"]["attributes"][0].update(unit=None),
+             "session.attributes[0].unit: expected a string"),
+            (lambda d: d["session"]["attributes"][1].update(levels="Low"),
+             "session.attributes[1].levels: expected a list of strings"),
+            (lambda d: d["session"]["attributes"][1].update(base=1.5),
+             "session.attributes[1].base: expected an integer"),
+            (lambda d: d["provider"].update(honesty_gap="0.1"), "provider.honesty_gap: expected a number"),
+            (lambda d: d["bystanders"][0]["reporter"].update(bias_offset=None),
+             "bystanders[0].reporter.bias_offset: expected a number"),
+            (lambda d: d["consumers"][0]["reporter"].update(strategy=0),
+             "consumers[0].reporter.strategy: expected a string"),
+            (lambda d: d["bystanders"][0].update(id=5), "bystanders[0].id: expected a string"),
+            (lambda d: d["consumers"][0].update(usage_start="0"),
+             "consumers[0].usage_start: expected a number"),
+            (lambda d: d.update(params={"gamma": 1}), "params: unknown field(s): gamma"),
+            (lambda d: d.update(params={"alpha": "0.5"}), "params.alpha: expected a number"),
+            (lambda d: d.update(params={"mode": 1}), "params.mode: expected a string"),
         ],
     )
     def test_malformed_documents_name_the_path(self, mutate, fragment):
@@ -167,6 +193,22 @@ class TestStructuralErrors:
         with pytest.raises(ConfigError) as err:
             parse_scenario(doc)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [("params", "params: expected an object"), ("thresholds", "thresholds: expected [low_cut, high_cut]")],
+    )
+    def test_null_optional_block_is_not_omitted(self, tmp_path, key, message):
+        doc = base_doc()
+        doc[key] = None
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == message
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _cli("validate", "--scenario", str(path)) == 2
+        assert _cli("run", "--scenario", str(path), "--experiment", "full", "--replications", "2",
+                    "--jobs", "1") == 2
 
     def test_collect_violations_reraises_structural_errors(self):
         doc = base_doc()
@@ -319,6 +361,45 @@ def _mutate(doc, mutation):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+
+
+# An optional file key and the value its model takes when the key is omitted.
+# A reporter's strategy is left out: its default, None, has no JSON spelling
+# that the file accepts (null is a wrong type, not an omission).
+_DEFAULTS = [
+    (("session", "attributes", 0, "kind"), AttributeSpec.kind),
+    (("session", "attributes", 1, "unit"), AttributeSpec.unit),
+    (("session", "attributes", 0, "levels"), list(AttributeSpec.ordinal_levels)),
+    (("session", "attributes", 1, "base"), AttributeSpec.ordinal_base),
+    (("provider", "attributes", 1, "jitter_stddev"), AttributeGenerator.jitter_stddev),
+    (("provider", "attributes", 1, "drift_per_hour"), AttributeGenerator.drift_per_hour),
+    (("provider", "honesty_gap"), ProviderProfile.honesty_gap),
+    (("bystanders", 0, "reporter", "bias_offset"), ReporterProfile.bias_offset),
+    (("bystanders", 0, "id"), "b00"),
+    (("consumers", 0, "id"), "c00"),
+    (("params",), {}),
+    (("params", "alpha"), AggregationParams.alpha),
+    (("params", "beta"), AggregationParams.beta),
+    (("params", "mode"), AggregationParams.mode),
+    (("thresholds",), [Thresholds.low_cut, Thresholds.high_cut]),
+]
+
+
+@pytest.mark.parametrize("path,default", _DEFAULTS, ids=[".".join(map(str, p)) for p, _ in _DEFAULTS])
+def test_an_omitted_optional_field_takes_the_model_default(path, default):
+    given, omitted = base_doc(), base_doc()
+    if len(path) > 1 and path[0] == "params":
+        given["params"], omitted["params"] = {}, {}
+    _mutate(given, ("set", path, default))
+    if path[-1] in _get(omitted, path[:-1]):
+        _mutate(omitted, ("drop", path, None))
+    assert parse_scenario(given) == parse_scenario(omitted)
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _cli(*argv) -> int:

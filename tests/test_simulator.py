@@ -69,6 +69,12 @@ class TestScenarioValidation:
             with pytest.raises(ValueError, match="seed"):
                 make_scenario(session, provider, seed=bad)
 
+    def test_bool_seed_rejected(self, session, promise):
+        # True is an int to isinstance, but a scenario file's seed may not be a bool
+        scenario = make_scenario(session, make_provider(promise))
+        with pytest.raises(ValueError, match="seed"):
+            replace(scenario, seed=True)
+
     def test_promise_mismatch_rejected(self, session, promise, schema):
         from mlt.session import PerformanceVector
 
