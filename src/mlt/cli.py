@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import ConfigError, collect_violations, load_scenario_file, read_document
 from .experiments import ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL, KINDS
@@ -91,17 +91,7 @@ def format_json(kind: str, results) -> str:
                 "recall": r.macro_recall,
                 "macro_accuracy": r.macro_accuracy,
                 "per_level": {
-                    level.value: {
-                        "precision": m.precision,
-                        "recall": m.recall,
-                        "accuracy": m.accuracy,
-                        "counts": {
-                            "correct": r.counts.per_level[level].correct,
-                            "detected": r.counts.per_level[level].detected,
-                            "actual": r.counts.per_level[level].actual,
-                            "correct_not": r.counts.per_level[level].correct_not,
-                        },
-                    }
+                    level.value: {**asdict(m), "counts": asdict(r.counts.per_level[level])}
                     for level, m in r.per_level.items()
                 },
             }

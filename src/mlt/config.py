@@ -5,6 +5,12 @@ unknown fields anywhere in the document, and a field given twice in one
 object, are rejected so typos fail loudly instead of silently falling back
 to defaults or to the last value.
 
+Each JSON object is read through one field table that names each file key
+once, with its reader and the model argument it fills.  _fields rejects
+unknown, then missing keys, reads only the keys the document gives, and
+passes them on as keyword arguments, so an omitted key takes the model
+dataclass's own default.  A key that is given is read: null is not omitted.
+
 One builder serves both parse_scenario and collect_violations.  Structural
 problems (bad JSON, wrong types, unknown or missing fields, numbers that are
 NaN or infinite) raise ConfigError at once.  A structurally sound document
@@ -23,20 +29,8 @@ import math
 
 from .agents import AttributeGenerator, ProbeSchedule, ProviderProfile, ReporterProfile
 from .evaluation import Thresholds
-from .session import (
-    CONTINUOUS,
-    AttributeSchema,
-    AttributeSpec,
-    ServiceSession,
-    numerize,
-)
-from .simulator import (
-    Bystander,
-    Consumer,
-    ConsumerUsage,
-    Scenario,
-    scenario_violations,
-)
+from .session import AttributeSchema, AttributeSpec, ServiceSession, numerize
+from .simulator import Bystander, Consumer, ConsumerUsage, Scenario, scenario_violations
 from .trust import AggregationParams
 
 SCHEMA_VERSION = 1
@@ -46,15 +40,25 @@ class ConfigError(ValueError):
     """The document is malformed: bad JSON, wrong types, unknown fields."""
 
 
-def _check_obj(d, path, required=(), optional=()):
+def _fields(d, path, table, required) -> dict:
+    """The keyword arguments that object d gives, read through table.
+
+    The first `required` keys of table must be given; the rest may be omitted.
+    """
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(d) - set(required) - set(optional))
+    unknown = sorted(set(d) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown field(s): {', '.join(unknown)}")
-    missing = sorted(k for k in required if k not in d)
+    missing = sorted(k for k in list(table)[:required] if k not in d)
     if missing:
         raise ConfigError(f"{path}: missing field(s): {', '.join(missing)}")
+    kw = {}
+    for key, entry in table.items():
+        if key in d:
+            arg, read = entry if isinstance(entry, tuple) else (key, entry)
+            kw[arg] = read(d[key], f"{path}.{key}")
+    return kw
 
 
 def _finite(v, path) -> float:
@@ -69,188 +73,137 @@ def _finite(v, path) -> float:
     return x
 
 
-def _num(d, path, key, default=None):
-    if key not in d:
-        return default
-    return _finite(d[key], f"{path}.{key}")
-
-
-def _int(d, path, key, default=None):
-    if key not in d:
-        return default
-    v = d[key]
+def _integer(v, path) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    _finite(v, f"{path}.{key}")  # integer fields are used as floats too
+        raise ConfigError(f"{path}: expected an integer, got {v!r}")
+    _finite(v, path)  # integer fields are used as floats too
     return v
 
 
-def _str(d, path, key, default=None):
-    if key not in d:
-        return default
-    v = d[key]
+def _string(v, path) -> str:
     if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
+        raise ConfigError(f"{path}: expected a string, got {v!r}")
     return v
 
 
-def _list(d, path, key):
-    v = d.get(key)
+def _list(v, path) -> list:
     if not isinstance(v, list):
-        raise ConfigError(f"{path}.{key}: expected a list")
+        raise ConfigError(f"{path}: expected a list")
     return v
 
 
-def _attribute(d, path):
-    _check_obj(d, path, required=("name",), optional=("kind", "unit", "levels", "base"))
-    kind = _str(d, path, "kind", CONTINUOUS)
-    levels = d.get("levels", [])
-    if not isinstance(levels, list) or not all(isinstance(s, str) for s in levels):
-        raise ConfigError(f"{path}.levels: expected a list of strings")
-    return AttributeSpec(
-        name=_str(d, path, "name"),
-        kind=kind,
-        unit=_str(d, path, "unit", ""),
-        ordinal_levels=tuple(levels),
-        ordinal_base=_int(d, path, "base", 1),
-    )
+def _items(read):
+    """A reader for a list: each item read by read, giving a tuple."""
+    return lambda v, path: tuple(read(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path)))
+
+
+def _model(model, table, required):
+    """A reader for an object: model built from the fields that table reads."""
+    return lambda v, path: model(**_fields(v, path, table, required))
+
+
+def _levels(v, path) -> list:
+    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+        raise ConfigError(f"{path}: expected a list of strings")
+    return v
+
+
+def _location(v, path) -> tuple:
+    if len(_list(v, path)) != 2:
+        raise ConfigError(f"{path}: expected [latitude, longitude]")
+    return _items(_finite)(v, path)
+
+
+def _promise(v, path) -> list:
+    for i, entry in enumerate(_list(v, path)):
+        if not isinstance(entry, str):
+            _finite(entry, f"{path}[{i}]")
+    return v  # numerized as written once the schema is built
+
+
+def _version(v, path) -> int:
+    if _integer(v, path) != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: expected {SCHEMA_VERSION}, got {v}")
+    return v
+
+
+def _given(v, path):
+    return v
+
+
+# Field tables, one per file object: file key -> reader, or (model argument,
+# reader) where the two names differ.  Required keys come first.
+_ATTRIBUTE = {
+    "name": _string, "kind": _string, "unit": _string,
+    "levels": ("ordinal_levels", _levels), "base": ("ordinal_base", _integer),
+}
+_attributes = _items(_model(AttributeSpec, _ATTRIBUTE, required=1))
+_SESSION = {
+    "id": _string, "location": _location, "start_time": _finite, "end_time": _finite,
+    "provider_id": _string, "service_type": _string,
+    "attributes": ("schema", lambda v, path: AttributeSchema(_attributes(v, path))),
+    "promise": _promise,
+}
+_GENERATOR = {"mean": _finite, "jitter_stddev": _finite, "drift_per_hour": _finite}
+_PROVIDER = {
+    "attributes": _items(_model(AttributeGenerator, _GENERATOR, required=1)), "honesty_gap": _finite,
+}
+_REPORTER = {"kind": _string, "bias_offset": _finite, "strategy": ("malicious_strategy", _string)}
+_SCHEDULE = {"first_offset": _finite, "interval": _finite, "count": _integer}
+_BYSTANDER = {
+    "reporter": ("profile", _model(ReporterProfile, _REPORTER, required=1)),
+    "schedule": _model(ProbeSchedule, _SCHEDULE, required=3),
+    "id": _string,
+}
+_CONSUMER = {  # the ConsumerUsage fields sit in the consumer object itself
+    "reporter": ("profile", _model(ReporterProfile, _REPORTER, required=1)),
+    "usage_start": _finite, "usage_end": _finite, "sample_interval": _finite,
+    "id": _string,
+}
+_PARAMS = {"alpha": _finite, "beta": _finite, "mode": _string}
+# _build builds the components given as they are, to collect their violations.
+_TOP = {
+    "schema_version": _version, "session": _given, "provider": _given,
+    "bystanders": _list, "consumers": _list, "query_time": _finite, "seed": _integer,
+    "params": _given, "thresholds": _given,
+}
 
 
 def _session(d):
-    path = "session"
-    _check_obj(
-        d,
-        path,
-        required=(
-            "id", "location", "start_time", "end_time",
-            "provider_id", "service_type", "attributes", "promise",
-        ),
-    )
-    loc = _list(d, path, "location")
-    if len(loc) != 2:
-        raise ConfigError(f"{path}.location: expected [latitude, longitude]")
-    location = tuple(_finite(x, f"{path}.location[{i}]") for i, x in enumerate(loc))
-    schema = AttributeSchema(
-        tuple(_attribute(a, f"{path}.attributes[{i}]") for i, a in enumerate(_list(d, path, "attributes")))
-    )
-    promise_raw = _list(d, path, "promise")
-    for i, entry in enumerate(promise_raw):
-        if not isinstance(entry, str):
-            _finite(entry, f"{path}.promise[{i}]")
-    return ServiceSession(
-        id=_str(d, path, "id"),
-        location=location,
-        start_time=_num(d, path, "start_time"),
-        end_time=_num(d, path, "end_time"),
-        provider_id=_str(d, path, "provider_id"),
-        service_type=_str(d, path, "service_type"),
-        promise=numerize(schema, promise_raw),
-        schema=schema,
-    )
+    kw = _fields(d, "session", _SESSION, required=8)
+    return ServiceSession(**{**kw, "promise": numerize(kw["schema"], kw["promise"])})
 
 
 def _provider(d, session):
-    path = "provider"
-    _check_obj(d, path, required=("attributes",), optional=("honesty_gap",))
-    gens = []
-    for i, g in enumerate(_list(d, path, "attributes")):
-        gpath = f"{path}.attributes[{i}]"
-        _check_obj(g, gpath, required=("mean",), optional=("jitter_stddev", "drift_per_hour"))
-        gens.append(
-            AttributeGenerator(
-                mean=_num(g, gpath, "mean"),
-                jitter_stddev=_num(g, gpath, "jitter_stddev", 0.0),
-                drift_per_hour=_num(g, gpath, "drift_per_hour", 0.0),
-            )
-        )
-    honesty_gap = _num(d, path, "honesty_gap", 0.0)
+    kw = _fields(d, "provider", _PROVIDER, required=1)
     if session is None:  # the session failed to build, so there is no promise
         return None
-    return ProviderProfile(promise=session.promise, attributes=tuple(gens), honesty_gap=honesty_gap)
-
-
-def _reporter(d, path):
-    _check_obj(d, path, required=("kind",), optional=("bias_offset", "strategy"))
-    return ReporterProfile(
-        kind=_str(d, path, "kind"),
-        bias_offset=_num(d, path, "bias_offset", 0.0),
-        malicious_strategy=_str(d, path, "strategy", None),
-    )
+    return ProviderProfile(promise=session.promise, **kw)
 
 
 def _bystander(d, i):
-    path = f"bystanders[{i}]"
-    _check_obj(d, path, required=("reporter", "schedule"), optional=("id",))
-    spath = f"{path}.schedule"
-    s = d["schedule"]
-    _check_obj(s, spath, required=("first_offset", "interval", "count"))
-    return Bystander(
-        id=_str(d, path, "id", f"b{i:02d}"),
-        profile=_reporter(d["reporter"], f"{path}.reporter"),
-        schedule=ProbeSchedule(
-            first_offset=_num(s, spath, "first_offset"),
-            interval=_num(s, spath, "interval"),
-            count=_int(s, spath, "count"),
-        ),
-    )
+    kw = _fields(d, f"bystanders[{i}]", _BYSTANDER, required=2)
+    return Bystander(kw.pop("id", f"b{i:02d}"), **kw)
 
 
 def _consumer(d, i):
-    path = f"consumers[{i}]"
-    _check_obj(
-        d, path,
-        required=("reporter", "usage_start", "usage_end", "sample_interval"),
-        optional=("id",),
-    )
-    return Consumer(
-        id=_str(d, path, "id", f"c{i:02d}"),
-        profile=_reporter(d["reporter"], f"{path}.reporter"),
-        usage=ConsumerUsage(
-            usage_start=_num(d, path, "usage_start"),
-            usage_end=_num(d, path, "usage_end"),
-            sample_interval=_num(d, path, "sample_interval"),
-        ),
-    )
+    kw = _fields(d, f"consumers[{i}]", _CONSUMER, required=4)
+    return Consumer(kw.pop("id", f"c{i:02d}"), kw.pop("profile"), ConsumerUsage(**kw))
 
 
 def _params(d):
-    if d is None:
-        return AggregationParams()
-    path = "params"
-    _check_obj(d, path, optional=("alpha", "beta", "mode"))
-    return AggregationParams(
-        alpha=_num(d, path, "alpha", AggregationParams.alpha),
-        beta=_num(d, path, "beta", AggregationParams.beta),
-        mode=_str(d, path, "mode", AggregationParams.mode),
-    )
+    return AggregationParams(**_fields(d, "params", _PARAMS, required=0))
 
 
 def _thresholds(v):
-    if v is None:
-        return Thresholds()
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError("thresholds: expected [low_cut, high_cut]")
     return Thresholds(*(_finite(x, f"thresholds[{i}]") for i, x in enumerate(v)))
 
 
-_TOP_REQUIRED = ("schema_version", "session", "provider", "bystanders", "consumers", "query_time", "seed")
-_TOP_OPTIONAL = ("params", "thresholds")
-
-
-def _check_top(doc):
-    _check_obj(doc, "$", required=_TOP_REQUIRED, optional=_TOP_OPTIONAL)
-    version = _int(doc, "$", "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"$.schema_version: expected {SCHEMA_VERSION}, got {version}")
-    _list(doc, "$", "bystanders")
-    _list(doc, "$", "consumers")
-
-
 def _build(doc) -> tuple[Scenario | None, Thresholds | None, list[str]]:
     """The scenario builder: (scenario, thresholds, []) or (None, None, violations)."""
-    _check_top(doc)
-    query_time = _num(doc, "$", "query_time")
-    seed = _int(doc, "$", "seed")
+    top = _fields(doc, "$", _TOP, required=7)
     violations: list[str] = []
 
     def build(label, make, *args):
@@ -263,18 +216,20 @@ def _build(doc) -> tuple[Scenario | None, Thresholds | None, list[str]]:
             violations.append(f"{label}: {e}")
             return None
 
-    session = build("session", _session, doc["session"])
-    provider = build("provider", _provider, doc["provider"], session)
-    bystanders = [build(f"bystander {i}", _bystander, b, i) for i, b in enumerate(doc["bystanders"])]
-    consumers = [build(f"consumer {i}", _consumer, c, i) for i, c in enumerate(doc["consumers"])]
-    params = build("params", _params, doc.get("params"))
-    thresholds = build("thresholds", _thresholds, doc.get("thresholds"))
+    session = build("session", _session, top["session"])
+    provider = build("provider", _provider, top["provider"], session)
+    bystanders = [build(f"bystander {i}", _bystander, b, i) for i, b in enumerate(top["bystanders"])]
+    consumers = [build(f"consumer {i}", _consumer, c, i) for i, c in enumerate(top["consumers"])]
+    # an omitted block takes its model's default: Scenario's params, or Thresholds()
+    params = {"params": build("params", _params, top["params"])} if "params" in top else {}
+    thresholds = build("thresholds", _thresholds, top["thresholds"]) if "thresholds" in top else Thresholds()
     bystanders = tuple(b for b in bystanders if b is not None)
     consumers = tuple(c for c in consumers if c is not None)
+    query_time, seed = top["query_time"], top["seed"]
     violations += scenario_violations(session, provider, bystanders, consumers, query_time, seed)
     if violations:
         return None, None, violations
-    scenario = Scenario(session, provider, bystanders, consumers, params, query_time, seed)
+    scenario = Scenario(session, provider, bystanders, consumers, query_time=query_time, seed=seed, **params)
     return scenario, thresholds, []
 
 

@@ -141,7 +141,7 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
     whose session or provider failed to build.
     """
     violations = []
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         violations.append(f"seed: must be a non-negative integer, got {seed!r}")
     ids = [b.id for b in bystanders] + [c.id for c in consumers]
     if not all(ids):
