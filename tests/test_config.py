@@ -125,6 +125,24 @@ class TestParsing:
         assert scenario.session.promise.values[1] == 2.0
 
 
+# (mutation, ConfigError fragment): each document has a domain fault and,
+# later in the same object, a structural one.
+_BEHIND_A_DOMAIN_FAULT = [
+    (lambda d: (d["provider"]["attributes"][0].update(mean=-1),
+                d["provider"]["attributes"][1].update(color="red")),
+     "provider.attributes[1]: unknown field(s): color"),
+    (lambda d: (d["session"]["attributes"][0].update(kind="x"),
+                d["session"]["promise"].__setitem__(0, math.nan)),
+     "session.promise[0]: expected a finite number"),
+    (lambda d: (d["bystanders"][0]["reporter"].update(kind="biased", bias_offset=5),
+                d["bystanders"][0]["schedule"].update(count="3")),
+     "bystanders[0].schedule.count: expected an integer"),
+    (lambda d: (d["consumers"][0]["reporter"].update(kind="x"),
+                d["consumers"][0].update(sample_interval="x")),
+     "consumers[0].sample_interval: expected a number"),
+]
+
+
 class TestStructuralErrors:
     @pytest.mark.parametrize(
         "mutate,fragment",
@@ -185,6 +203,8 @@ class TestStructuralErrors:
             (lambda d: d.update(params={"gamma": 1}), "params: unknown field(s): gamma"),
             (lambda d: d.update(params={"alpha": "0.5"}), "params.alpha: expected a number"),
             (lambda d: d.update(params={"mode": 1}), "params.mode: expected a string"),
+            # a domain fault earlier in the same object does not hide a structural one
+            *_BEHIND_A_DOMAIN_FAULT,
         ],
     )
     def test_malformed_documents_name_the_path(self, mutate, fragment):
@@ -209,6 +229,14 @@ class TestStructuralErrors:
         assert _cli("validate", "--scenario", str(path)) == 2
         assert _cli("run", "--scenario", str(path), "--experiment", "full", "--replications", "2",
                     "--jobs", "1") == 2
+
+    def test_validate_exits_2_on_a_structural_fault_behind_a_domain_fault(self, tmp_path):
+        mutate, _ = _BEHIND_A_DOMAIN_FAULT[0]
+        doc = base_doc()
+        mutate(doc)
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _cli("validate", "--scenario", str(path)) == 2
 
     def test_collect_violations_reraises_structural_errors(self):
         doc = base_doc()
@@ -266,6 +294,16 @@ class TestDomainViolations:
         assert len(messages) == 2
         assert messages[0].startswith("session:") and "ratio" in messages[0]
         assert messages[1].startswith("provider:") and "mean" in messages[1]
+
+    def test_provider_gap_is_listed_next_to_a_failed_session(self):
+        doc = base_doc()
+        doc["session"]["promise"][0] = 0.0
+        doc["provider"]["honesty_gap"] = 1.5
+        assert collect_violations(doc) == [
+            "session: session 'doc-test': promised value for 'speed' is 0, "
+            "which makes the observed-to-promised ratio undefined",
+            "provider: honesty_gap must be in [0, 1], got 1.5",
+        ]
 
     def test_empty_reporter_id_is_a_violation(self):
         # the simulator's reports refuse an empty id, so the run would fail
