@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import ORDINAL, PerformanceVector, require_finite, require_unit, require_unit_array
+from .session import (ORDINAL, AttributeSchema, PerformanceVector, require_finite, require_unit,
+                      require_unit_array)
 
 HONEST = "honest"
 BIASED = "biased"
@@ -53,19 +54,13 @@ class AttributeGenerator:
 
 @dataclass(frozen=True)
 class ProviderProfile:
-    """Advertised promise plus the generator of what the service really does."""
+    """How the service really performs: a generator per attribute of the session's schema."""
 
-    promise: PerformanceVector
     attributes: tuple[AttributeGenerator, ...]
     honesty_gap: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        if len(self.attributes) != len(self.promise.schema):
-            raise ValueError(
-                f"expected {len(self.promise.schema)} attribute generators, "
-                f"got {len(self.attributes)}"
-            )
         require_unit("honesty_gap", self.honesty_gap)
 
 
@@ -148,19 +143,23 @@ def _clamp(schema, latent: np.ndarray) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, latent, out=latent), out=latent)
 
 
-def sample_true_performance(profile: ProviderProfile, gaps, offsets, noise) -> np.ndarray:
+def sample_true_performance(profile: ProviderProfile, schema: AttributeSchema, gaps,
+                            offsets, noise) -> np.ndarray:
     """The service's actual performance at session offsets (seconds), one row
     per event, for each honesty gap: an array of (gap x event x attribute).
 
     Each attribute is mean * (1 - gap), plus drift scaled by the elapsed
-    hours, plus jitter, clamped to the attribute's valid range; profile gives
-    every field but the gap.  noise holds standard normal draws, (gap x event
-    x attribute) or one (event x attribute) array for every gap, and an
-    attribute's jitter is its draw times its jitter_stddev.  The simulator
-    draws one value per attribute per event regardless of the jitter
-    setting, so streams stay aligned across configurations.  A gap outside
-    [0, 1], or NaN, raises ValueError.
+    hours, plus jitter, clamped to its range in schema; profile gives every
+    field but the gap, one generator per attribute of schema.  noise holds
+    standard normal draws, (gap x event x attribute) or one (event x
+    attribute) array for every gap, and an attribute's jitter is its draw
+    times its jitter_stddev.  The simulator draws one value per attribute per
+    event regardless of the jitter setting, so streams stay aligned across
+    configurations.  A gap outside [0, 1] or NaN, or a generator count other
+    than len(schema), raises ValueError.
     """
+    if len(profile.attributes) != len(schema):
+        raise ValueError(f"expected {len(schema)} attribute generators, got {len(profile.attributes)}")
     gaps = require_unit_array("honesty_gap", gaps)
     means, drift, stddev = zip(*((gen.mean, gen.drift_per_hour, gen.jitter_stddev)
                                  for gen in profile.attributes))
@@ -169,18 +168,17 @@ def sample_true_performance(profile: ProviderProfile, gaps, offsets, noise) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         latent = base + np.multiply.outer(hours, drift)
         latent += np.asarray(noise, dtype=float) * stddev
-    return _clamp(profile.promise.schema, latent)
+    return _clamp(schema, latent)
 
 
-def noise_free_performance(profile: ProviderProfile) -> PerformanceVector:
-    """The provider's stationary mean performance: no jitter, no drift.
+def noise_free_performance(profile: ProviderProfile, schema: AttributeSchema) -> PerformanceVector:
+    """The provider's stationary mean performance on schema: no jitter, no drift.
 
     This is the reference the simulator scores against; drift and jitter are
     treated as departures from it.
     """
-    schema = profile.promise.schema
-    zeros = np.zeros((1, len(profile.attributes)))
-    values = sample_true_performance(profile, [profile.honesty_gap], [0.0], zeros)
+    zeros = np.zeros((1, len(schema)))
+    values = sample_true_performance(profile, schema, [profile.honesty_gap], [0.0], zeros)
     return PerformanceVector(tuple(values[0, 0].tolist()), schema)
 
 

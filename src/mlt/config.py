@@ -13,13 +13,15 @@ dataclass's own default.  A key that is given is read: null is not omitted.
 
 One builder serves both parse_scenario and collect_violations.  Structural
 problems (bad JSON, wrong types, unknown or missing fields, numbers that are
-NaN or infinite) raise ConfigError at once.  A structurally sound document
-whose contents break a domain invariant (a probe schedule past the session
-end, a zero promise element) does not stop the build: each component that
-fails to construct is recorded as "<component>: <message>", the
-cross-component rules of simulator.scenario_violations are added, and the
-Scenario is built only when that list is empty.  parse_scenario raises one
-ValueError listing every violation; collect_violations returns the list.
+NaN or infinite) raise ConfigError.  Each component (the session, the
+provider, each reporter) is read whole, its nested objects left as plain
+fields, before any model in it is built, so a domain fault never hides a
+structural one.  A domain fault (a probe schedule past the session end, a
+zero promise element) does not stop the build: each component that fails to
+construct is recorded as "<component>: <message>", the cross-component rules
+of simulator.scenario_violations are added, and the Scenario is built only
+when that list is empty.  parse_scenario raises one ValueError listing every
+violation; collect_violations returns the list.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ def _items(read):
     return lambda v, path: tuple(read(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path)))
 
 
-def _model(model, table, required):
-    """A reader for an object: model built from the fields that table reads."""
-    return lambda v, path: model(**_fields(v, path, table, required))
+def _object(table, required):
+    """A reader for an object: the fields that table reads, left unbuilt."""
+    return lambda v, path: _fields(v, path, table, required)
 
 
 def _levels(v, path) -> list:
@@ -137,26 +139,21 @@ _ATTRIBUTE = {
     "name": _string, "kind": _string, "unit": _string,
     "levels": ("ordinal_levels", _levels), "base": ("ordinal_base", _integer),
 }
-_attributes = _items(_model(AttributeSpec, _ATTRIBUTE, required=1))
 _SESSION = {
     "id": _string, "location": _location, "start_time": _finite, "end_time": _finite,
     "provider_id": _string, "service_type": _string,
-    "attributes": ("schema", lambda v, path: AttributeSchema(_attributes(v, path))),
-    "promise": _promise,
+    "attributes": _items(_object(_ATTRIBUTE, required=1)), "promise": _promise,
 }
 _GENERATOR = {"mean": _finite, "jitter_stddev": _finite, "drift_per_hour": _finite}
-_PROVIDER = {
-    "attributes": _items(_model(AttributeGenerator, _GENERATOR, required=1)), "honesty_gap": _finite,
-}
+_PROVIDER = {"attributes": _items(_object(_GENERATOR, required=1)), "honesty_gap": _finite}
 _REPORTER = {"kind": _string, "bias_offset": _finite, "strategy": ("malicious_strategy", _string)}
 _SCHEDULE = {"first_offset": _finite, "interval": _finite, "count": _integer}
 _BYSTANDER = {
-    "reporter": ("profile", _model(ReporterProfile, _REPORTER, required=1)),
-    "schedule": _model(ProbeSchedule, _SCHEDULE, required=3),
+    "reporter": _object(_REPORTER, required=1), "schedule": _object(_SCHEDULE, required=3),
     "id": _string,
 }
 _CONSUMER = {  # the ConsumerUsage fields sit in the consumer object itself
-    "reporter": ("profile", _model(ReporterProfile, _REPORTER, required=1)),
+    "reporter": _object(_REPORTER, required=1),
     "usage_start": _finite, "usage_end": _finite, "sample_interval": _finite,
     "id": _string,
 }
@@ -171,24 +168,26 @@ _TOP = {
 
 def _session(d):
     kw = _fields(d, "session", _SESSION, required=8)
-    return ServiceSession(**{**kw, "promise": numerize(kw["schema"], kw["promise"])})
+    schema = AttributeSchema(tuple(AttributeSpec(**a) for a in kw.pop("attributes")))
+    return ServiceSession(**{**kw, "promise": numerize(schema, kw["promise"])})
 
 
-def _provider(d, session):
+def _provider(d):
     kw = _fields(d, "provider", _PROVIDER, required=1)
-    if session is None:  # the session failed to build, so there is no promise
-        return None
-    return ProviderProfile(promise=session.promise, **kw)
+    generators = tuple(AttributeGenerator(**a) for a in kw.pop("attributes"))
+    return ProviderProfile(generators, **kw)
 
 
 def _bystander(d, i):
     kw = _fields(d, f"bystanders[{i}]", _BYSTANDER, required=2)
-    return Bystander(kw.pop("id", f"b{i:02d}"), **kw)
+    profile, schedule = ReporterProfile(**kw["reporter"]), ProbeSchedule(**kw["schedule"])
+    return Bystander(kw.get("id", f"b{i:02d}"), profile, schedule)
 
 
 def _consumer(d, i):
     kw = _fields(d, f"consumers[{i}]", _CONSUMER, required=4)
-    return Consumer(kw.pop("id", f"c{i:02d}"), kw.pop("profile"), ConsumerUsage(**kw))
+    profile = ReporterProfile(**kw.pop("reporter"))
+    return Consumer(kw.pop("id", f"c{i:02d}"), profile, ConsumerUsage(**kw))
 
 
 def _params(d):
@@ -217,7 +216,7 @@ def _build(doc) -> tuple[Scenario | None, Thresholds | None, list[str]]:
             return None
 
     session = build("session", _session, top["session"])
-    provider = build("provider", _provider, top["provider"], session)
+    provider = build("provider", _provider, top["provider"])
     bystanders = [build(f"bystander {i}", _bystander, b, i) for i, b in enumerate(top["bystanders"])]
     consumers = [build(f"consumer {i}", _consumer, c, i) for i, c in enumerate(top["consumers"])]
     # an omitted block takes its model's default: Scenario's params, or Thresholds()

@@ -180,8 +180,7 @@ class ServiceSession:
     end_time: float
     provider_id: str
     service_type: str
-    promise: PerformanceVector
-    schema: AttributeSchema
+    promise: PerformanceVector  # its schema is the session's attribute schema
 
     def __post_init__(self):
         if not self.id:
@@ -192,9 +191,7 @@ class ServiceSession:
             raise ValueError(f"session {self.id!r}: location {self.location} out of range")
         if not self.start_time < self.end_time:
             raise ValueError(f"session {self.id!r}: start_time must precede end_time")
-        if self.promise.schema != self.schema:
-            raise ValueError(f"session {self.id!r}: promise does not conform to the schema")
-        for spec, v in zip(self.schema.attributes, self.promise.values):
+        for spec, v in zip(self.promise.schema.attributes, self.promise.values):
             if v == 0:
                 # A zero promise element makes the observed/promised ratio
                 # undefined, so it can never be part of a valid promise.

@@ -153,8 +153,9 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
     duration = session.duration
     if not 0.0 < query_time <= duration + _TIME_EPS:
         violations.append(f"query_time: must lie in (0, {duration:g}], got {query_time}")
-    if provider is not None and provider.promise != session.promise:
-        violations.append("provider: promise does not match the session promise")
+    if provider is not None and len(provider.attributes) != len(session.promise):
+        violations.append(f"provider: expected {len(session.promise)} attribute generators, "
+                          f"got {len(provider.attributes)}")
     for b in bystanders:
         last = b.schedule.last_offset
         if last > duration + _TIME_EPS:
@@ -209,7 +210,7 @@ class SessionTrace:
     final_breakdown is their aggregate under the scenario's params.  series
     holds every agent's events, bystanders first, in roster order.
     ground_truth_trust scores the provider's noise-free mean performance
-    against its promise.
+    against the session's promise.
     """
 
     final_breakdown: TrustBreakdown
@@ -375,10 +376,10 @@ class SlotTable:
         noise, own = self._draws(seeds, random[chosen].any(axis=1).tolist())
 
         promise = self.session.promise
-        truth = sample_true_performance(provider, gaps, self.offsets, noise)
+        truth = sample_true_performance(provider, promise.schema, gaps, self.offsets, noise)
         true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, 1, -1)
         # the noise-free truth: no jitter and, at offset 0, no drift
-        noise_free = sample_true_performance(provider, gaps, [0.0], np.zeros((1, k)))
+        noise_free = sample_true_performance(provider, promise.schema, gaps, [0.0], np.zeros((1, k)))
         ground_truth = instantaneous_trust(noise_free.reshape(n, k), promise).tolist()
         profile = chosen[..., self.slot_of]  # [r, f, event] -> profile
         true_trust = np.broadcast_to(true_trust, profile.shape)

@@ -291,7 +291,7 @@ def promise(schema):
 
 
 @pytest.fixture
-def session(schema, promise):
+def session(promise):
     return ServiceSession(
         id="s-test",
         location=(48.2, 16.37),
@@ -300,7 +300,6 @@ def session(schema, promise):
         provider_id="prov",
         service_type="wifi-hotspot",
         promise=promise,
-        schema=schema,
     )
 
 
@@ -311,7 +310,7 @@ def make_provider(promise, honesty_gap=0.0, jitter_rel=0.0, drift_rel=0.0):
         )
         for p in promise.values
     )
-    return ProviderProfile(promise=promise, attributes=gens, honesty_gap=honesty_gap)
+    return ProviderProfile(attributes=gens, honesty_gap=honesty_gap)
 
 
 def make_scenario(session, provider, bystanders=(), consumers=(),

@@ -30,16 +30,16 @@ def noise(events, attributes, seed=0):
     return rng(seed).standard_normal((events, attributes))
 
 
-def sample(provider, offsets, draws):
+def sample(provider, schema, offsets, draws):
     """The provider's own truth: the one row of a call with its own gap."""
-    (rows,) = sample_true_performance(provider, [provider.honesty_gap], offsets, draws)
+    (rows,) = sample_true_performance(provider, schema, [provider.honesty_gap], offsets, draws)
     return rows
 
 
 def session_between(start_time, end_time):
     schema = AttributeSchema((AttributeSpec("speed"),))
     return ServiceSession("s", (0.0, 0.0), start_time, end_time, "p", "t",
-                          PerformanceVector((10.0,), schema), schema)
+                          PerformanceVector((10.0,), schema))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -75,8 +75,9 @@ def test_probe_count_must_be_an_integer():
 
 class TestProfiles:
     def test_provider_generator_count_must_match(self, promise):
-        with pytest.raises(ValueError, match="attribute generators"):
-            ProviderProfile(promise, (AttributeGenerator(1.0),))
+        provider = ProviderProfile((AttributeGenerator(1.0),))
+        with pytest.raises(ValueError, match="^expected 3 attribute generators, got 1$"):
+            sample_true_performance(provider, promise.schema, [0.0], [0.0], noise(1, 3))
 
     def test_honesty_gap_range(self, promise):
         with pytest.raises(ValueError, match="honesty_gap"):
@@ -112,7 +113,7 @@ class TestProfiles:
 class TestSampling:
     def test_noise_free_gap_scales_mean(self, promise):
         provider = make_provider(promise, honesty_gap=0.1)
-        assert noise_free_performance(provider).values == (9.0, 81.0, 72.0)
+        assert noise_free_performance(provider, promise.schema).values == (9.0, 81.0, 72.0)
 
     def test_drift_accrues_per_hour(self, promise):
         # mean 10, gap 0.1, drift +0.5/h at one hour: 9.0 + 0.5 = 9.5
@@ -121,14 +122,14 @@ class TestSampling:
             AttributeGenerator(90.0),
             AttributeGenerator(80.0),
         )
-        provider = ProviderProfile(promise, gens, honesty_gap=0.1)
-        out = sample(provider, [3600.0], noise(1, 3))
+        provider = ProviderProfile(gens, honesty_gap=0.1)
+        out = sample(provider, promise.schema, [3600.0], noise(1, 3))
         assert out[0, 0] == pytest.approx(9.5)
 
     def test_noise_free_ignores_drift(self, promise):
         gens = tuple(AttributeGenerator(p, drift_per_hour=-5.0) for p in promise.values)
-        provider = ProviderProfile(promise, gens)
-        assert noise_free_performance(provider).values == promise.values
+        provider = ProviderProfile(gens)
+        assert noise_free_performance(provider, promise.schema).values == promise.values
 
     def test_negative_latent_clamps_to_zero(self, promise):
         gens = (
@@ -136,19 +137,18 @@ class TestSampling:
             AttributeGenerator(90.0),
             AttributeGenerator(80.0),
         )
-        provider = ProviderProfile(promise, gens)
-        out = sample(provider, [3600.0], noise(1, 3))
+        provider = ProviderProfile(gens)
+        out = sample(provider, promise.schema, [3600.0], noise(1, 3))
         assert out[0, 0] == 0.0
 
     def test_ordinal_latent_rounds_to_nearest_level(self):
         schema = AttributeSchema(
             (AttributeSpec("q", kind="ordinal", ordinal_levels=("L", "M", "H")),)
         )
-        promise = PerformanceVector((2.0,), schema)
 
         def level_for(mean):
-            provider = ProviderProfile(promise, (AttributeGenerator(mean),))
-            return sample(provider, [0.0], noise(1, 1))[0, 0]
+            provider = ProviderProfile((AttributeGenerator(mean),))
+            return sample(provider, schema, [0.0], noise(1, 1))[0, 0]
 
         assert level_for(2.4) == 2.0
         assert level_for(2.5) == 3.0   # half rounds up
@@ -160,9 +160,9 @@ class TestSampling:
     def test_non_finite_latent_is_rejected_before_clamping(self, kind, latent):
         levels = ("L", "M", "H") if kind == "ordinal" else ()
         schema = AttributeSchema((AttributeSpec("q", kind=kind, ordinal_levels=levels),))
-        provider = ProviderProfile(PerformanceVector((2.0,), schema), (AttributeGenerator(2.0),))
+        provider = ProviderProfile((AttributeGenerator(2.0),))
         with pytest.raises(ValueError, match="'q': sampled value .* is not finite"):
-            sample(provider, [0.0, 60.0], [[0.0], [latent]])
+            sample(provider, schema, [0.0, 60.0], [[0.0], [latent]])
 
     def test_one_draw_per_attribute_even_without_jitter(self, session, promise):
         # a zero-jitter attribute must consume the truth stream exactly like a
@@ -183,15 +183,15 @@ class TestSampling:
             return np.random.Generator(np.random.Philox(key=key, counter=[0, kind, slot, 0]))
 
         draws = stream(0, 1).standard_normal((len(offsets), len(promise.values)))
-        expected = instantaneous_trust(sample(quiet_first, offsets, draws), promise)
+        expected = instantaneous_trust(sample(quiet_first, promise.schema, offsets, draws), promise)
         events = trace_events(run_scenario(scenario))
         assert [e.value for e in events if e.reporter_id == "b00"] == stream(1, 0).random(4).tolist()
         assert [e.value for e in events if e.reporter_id == "b01"] == expected.tolist()
 
     def test_sampling_is_bit_reproducible(self, promise):
         provider = make_provider(promise, jitter_rel=0.3)
-        a = sample(provider, [60.0, 120.0], noise(2, 3, seed=123))
-        b = sample(provider, [60.0, 120.0], noise(2, 3, seed=123))
+        a = sample(provider, promise.schema, [60.0, 120.0], noise(2, 3, seed=123))
+        b = sample(provider, promise.schema, [60.0, 120.0], noise(2, 3, seed=123))
         assert a.tolist() == b.tolist()
 
     def test_each_gap_row_equals_the_profile_at_that_gap(self, promise):
@@ -200,26 +200,26 @@ class TestSampling:
             AttributeGenerator(90.0, jitter_stddev=9.0),
             AttributeGenerator(80.0, drift_per_hour=-3.0),
         )
-        provider = ProviderProfile(promise, gens, honesty_gap=0.1)
+        provider = ProviderProfile(gens, honesty_gap=0.1)
         gaps = [0.0, 0.37, 1.0, 1.0 - (0.05 + 0.9 * 0.123456789)]
         offsets = [0.0, 600.0, 5400.0]
         draws = rng(7).standard_normal((len(gaps), len(offsets), 3))
-        out = sample_true_performance(provider, gaps, offsets, draws)
+        out = sample_true_performance(provider, promise.schema, gaps, offsets, draws)
         assert out.shape == (len(gaps), len(offsets), 3)
         for gap, rows, row_draws in zip(gaps, out, draws):
-            alone = sample(replace(provider, honesty_gap=gap), offsets, row_draws)
+            alone = sample(replace(provider, honesty_gap=gap), promise.schema, offsets, row_draws)
             assert rows.tolist() == alone.tolist()
         # one (event x attribute) array of draws serves every gap
-        shared = sample_true_performance(provider, gaps, offsets, draws[0])
+        shared = sample_true_performance(provider, promise.schema, gaps, offsets, draws[0])
         for gap, rows in zip(gaps, shared):
-            alone = sample(replace(provider, honesty_gap=gap), offsets, draws[0])
+            alone = sample(replace(provider, honesty_gap=gap), promise.schema, offsets, draws[0])
             assert rows.tolist() == alone.tolist()
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan], ids=["above", "below", "nan"])
     def test_a_gap_outside_the_unit_interval_is_rejected(self, promise, bad):
         provider = make_provider(promise, honesty_gap=0.1)
         with pytest.raises(ValueError, match=r"^honesty_gap must be in \[0, 1\], got ") as sampled:
-            sample_true_performance(provider, [0.2, bad], [0.0], noise(1, 3))
+            sample_true_performance(provider, promise.schema, [0.2, bad], [0.0], noise(1, 3))
         with pytest.raises(ValueError) as built:
             replace(provider, honesty_gap=bad)
         assert str(sampled.value) == str(built.value)

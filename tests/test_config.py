@@ -121,7 +121,7 @@ class TestParsing:
 
     def test_ordinal_promise_parsed_from_label(self):
         scenario, _ = parse_scenario(base_doc())
-        assert scenario.session.schema.attributes[1].kind == "ordinal"
+        assert scenario.session.promise.schema.attributes[1].kind == "ordinal"
         assert scenario.session.promise.values[1] == 2.0
 
 

@@ -90,8 +90,8 @@ def variant_oracle(base, spec, kind, n_reporters, frac, rep):
                    seed=scenario_seed)
 
 
-def ground_truth(provider):
-    return instantaneous_trust(noise_free_performance(provider), provider.promise)
+def ground_truth(provider, promise):
+    return instantaneous_trust(noise_free_performance(provider, promise.schema), promise)
 
 
 @pytest.fixture
@@ -224,13 +224,13 @@ class TestReplications:
         block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(1))
         target, _, _ = composition_oracle(base.seed, 0, spec)
         provider = replace(base.provider, honesty_gap=1.0 - target)
-        assert block.ground_truth[0] == ground_truth(provider)
-        assert block.ground_truth[0] != ground_truth(base.provider)
+        assert block.ground_truth[0] == ground_truth(provider, base.session.promise)
+        assert block.ground_truth[0] != ground_truth(base.provider, base.session.promise)
 
     def test_fixed_provider_keeps_gap(self, base):
         spec = ExperimentSpec(ABLATION, vary_provider=False)
         block = _Sweep(base, spec, [(4, 0.0, ("on",))]).simulate(range(3))
-        assert block.ground_truth == [ground_truth(base.provider)] * 3
+        assert block.ground_truth == [ground_truth(base.provider, base.session.promise)] * 3
 
     def test_full_kind_keeps_the_scenario_roster(self, base, session, promise, honest):
         from mlt.agents import ProbeSchedule

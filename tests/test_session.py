@@ -128,7 +128,7 @@ class TestServiceSession:
         with pytest.raises(ValueError, match="ratio undefined"):
             ServiceSession(
                 id="s", location=(0.0, 0.0), start_time=0.0, end_time=10.0,
-                provider_id="p", service_type="t", promise=promise, schema=schema,
+                provider_id="p", service_type="t", promise=promise,
             )
 
     @pytest.mark.parametrize(
@@ -140,10 +140,10 @@ class TestServiceSession:
             ("id", ""),
         ],
     )
-    def test_rejects_bad_fields(self, schema, promise, field, value):
+    def test_rejects_bad_fields(self, promise, field, value):
         kwargs = dict(
             id="s", location=(0.0, 0.0), start_time=0.0, end_time=10.0,
-            provider_id="p", service_type="t", promise=promise, schema=schema,
+            provider_id="p", service_type="t", promise=promise,
         )
         kwargs[field] = value
         with pytest.raises(ValueError):

@@ -75,12 +75,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="seed"):
             replace(scenario, seed=True)
 
-    def test_promise_mismatch_rejected(self, session, promise, schema):
-        from mlt.session import PerformanceVector
-
-        other = PerformanceVector((5.0, 90.0, 80.0), schema)
-        provider = make_provider(other)
-        with pytest.raises(ValueError, match="promise"):
+    def test_generator_count_must_match_the_schema(self, session):
+        provider = ProviderProfile((AttributeGenerator(10.0),))
+        with pytest.raises(ValueError, match=r"^provider: expected 3 attribute generators, got 1$"):
             make_scenario(session, provider)
 
     def test_duplicate_reporter_ids_rejected(self, session, promise, honest):
@@ -339,7 +336,7 @@ class TestBlocks:
                 assert trace_events(got) == trace_events(alone)
                 assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
                 assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
-                    noise_free_performance(provider), scenario.session.promise)
+                    noise_free_performance(provider, promise.schema), promise)
 
     def test_each_slot_is_drawn_and_observed_once(self, session, promise, honest, monkeypatch):
         scenario = _grown(noisy_scenario(session, promise, honest, seed=314))
@@ -412,7 +409,7 @@ class TestStreamSeeding:
                 Bystander("b00", liar, ProbeSchedule(600.0, 600.0, 6))])
             return [e.value for e in trace_events(run_scenario(scenario))]
 
-        single = reports(replace(session, promise=one_promise, schema=one), one_promise)
+        single = reports(replace(session, promise=one_promise), one_promise)
         assert len(single) == 6
         assert single == reports(session, promise)
 
@@ -449,9 +446,7 @@ class TestSamplingDistribution:
 
         one = AttributeSchema((AttributeSpec("speed", unit="mbps"),))
         promise = PerformanceVector((100.0,), one)
-        provider = ProviderProfile(
-            promise, (AttributeGenerator(80.0, jitter_stddev=15.0),)
-        )
+        provider = ProviderProfile((AttributeGenerator(80.0, jitter_stddev=15.0),))
         session = ServiceSession(
             id="s-dist",
             location=(48.2, 16.37),
@@ -460,7 +455,6 @@ class TestSamplingDistribution:
             provider_id="prov",
             service_type="wifi-hotspot",
             promise=promise,
-            schema=one,
         )
         honest = ReporterProfile("honest")
         bystanders = [
@@ -515,8 +509,8 @@ def mixed_scenarios(draw):
         specs.append(spec)
     schema = AttributeSchema(tuple(specs))
     promise = PerformanceVector(tuple(promised), schema)
-    session = ServiceSession("s", (0.0, 0.0), 0.0, 7200.0, "p", "t", promise, schema)
-    provider = ProviderProfile(promise, tuple(gens), draw(st.floats(0.0, 1.0)))
+    session = ServiceSession("s", (0.0, 0.0), 0.0, 7200.0, "p", "t", promise)
+    provider = ProviderProfile(tuple(gens), draw(st.floats(0.0, 1.0)))
     bystanders = [
         Bystander(f"b{i}", draw(st.sampled_from(REPORTERS)),
                   ProbeSchedule(draw(st.floats(1.0, 2000.0)), draw(st.floats(1.0, 1000.0)),
