@@ -25,9 +25,16 @@ order is fixed: every sum adds left to right from 0.0 (left_sum), a term is
 is 1.0 - abs(value - mean).  A weight sum that passes the float range is
 taken over the values divided by their largest one.  The per-reporter terms
 of a TrustBreakdown are built only when they are first read.
-aggregate_overall scores many sessions over one set of weights as arrays in
-the same float order, so each of its values equals aggregate's overall bit
-for bit.
+
+An array kernel (_terms) does the same arithmetic elementwise over rows of
+trust values, adding each row left to right in one fold (_row_sums), so its
+results equal the list code's bit for bit.  aggregate_overall scores many
+sessions over one set of weights as the beta blend of its terms.  aggregate
+picks by size: a set of _ARRAY_MIN reports or more, a crowd, is scored on
+the kernel as one row, and a smaller one on the lists.  Each numpy call has
+a fixed cost, so the lists are faster up to about 256 reports and the
+kernel from about 320, by about 30% at 2000.  The weights come from
+coverage_weights and freshness_weights either way.
 """
 
 from __future__ import annotations
@@ -48,6 +55,10 @@ NORMALIZED = "normalized"
 
 DEFAULT_ALPHA = 0.7  # EWMA retention for accumulated trust
 DEFAULT_BETA = 0.5   # consumer share in the final blend
+
+# aggregate scores a set of this many reports or more on the array kernel; the
+# measured crossover, where the list passes stop being faster, is 256-320
+_ARRAY_MIN = 320
 
 
 class SchemaMismatchError(ValueError):
@@ -75,6 +86,14 @@ def _sum_left(values):
 # From 3.12 it compensates the rounding (Neumaier), which can change the last
 # bit, so the loop stands in for it there.
 left_sum = sum if sys.version_info < (3, 12) else _sum_left
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of x added left to right.  accumulate adds strictly in order
+    (np.sum adds pairwise and can differ in the last bit); it starts from the
+    first element, not 0.0, and the + 0.0 turns a row of -0.0s' sum into the
+    0.0 that a sum from 0.0 gives."""
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -279,6 +298,41 @@ def _group_term(trusts, weights: list[float], creds, normalized: bool) -> float:
     return weighted / left_sum(damped) if normalized else weighted
 
 
+def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credibility: bool):
+    """The array kernel: (credibilities, [consumer term, bystander term]) of
+    each row of values, aggregate's arithmetic elementwise over the rows.
+
+    values is (rows x reports), consumers first; the credibilities are None
+    without credibility, and an absent group's term is None.  A group weight
+    mass of zero when normalized raises ZeroDivisionError, as a float
+    division does.
+    """
+    n_c = len(weights_c)
+    creds = None
+    if use_credibility:
+        mean = _row_sums(values) / values.shape[1]
+        creds = 1.0 - np.abs(values - mean[:, np.newaxis])
+    terms = []
+    for group, weights in ((slice(0, n_c), weights_c), (slice(n_c, None), weights_b)):
+        if len(weights) == 0:
+            terms.append(None)
+            continue
+        trusts = values[:, group]
+        weights = np.fromiter(weights, float, len(weights))  # faster than np.array on a list
+        if use_credibility:
+            damped = creds[:, group] * weights
+        else:
+            damped = np.broadcast_to(weights, trusts.shape)
+        term = _row_sums(damped * trusts)
+        if normalized:
+            mass = _row_sums(damped)
+            if not mass.all():
+                raise ZeroDivisionError("float division by zero")
+            term = term / mass
+        terms.append(term)
+    return creds, terms
+
+
 def aggregate(
     consumer_reports: list[AccumulatedReport],
     bystander_reports: list[InstantaneousReport],
@@ -303,17 +357,23 @@ def aggregate(
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
     reports = consumers + bystanders
     pooled = [r.trust for r in reports]
-    creds = credibilities(pooled) if use_credibility else [1.0] * len(pooled)
     weights_c = coverage_weights(consumers) if consumers else []
     weights_b, degenerate = freshness_weights(bystanders) if bystanders else ([], False)
 
     normalized = params.mode == NORMALIZED
-    n_c = len(consumers)
-    # map() stops at the shortest list, so the consumer term reads the first n_c entries
-    consumer_term = _group_term(pooled, weights_c, creds, normalized) if consumers else 0.0
-    bystander_term = (
-        _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders else 0.0
-    )
+    if len(pooled) >= _ARRAY_MIN:
+        row = np.fromiter(pooled, float, len(pooled))[np.newaxis]
+        row_creds, terms = _terms(row, weights_c, weights_b, normalized, use_credibility)
+        consumer_term, bystander_term = (0.0 if t is None else float(t[0]) for t in terms)
+        creds = row_creds[0].tolist() if use_credibility else [1.0] * len(pooled)
+    else:
+        creds = credibilities(pooled) if use_credibility else [1.0] * len(pooled)
+        n_c = len(consumers)
+        # map() stops at the shortest list, so the consumer term reads the first n_c entries
+        consumer_term = _group_term(pooled, weights_c, creds, normalized) if consumers else 0.0
+        bystander_term = (
+            _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders else 0.0
+        )
 
     if consumers and bystanders:
         overall = params.beta * consumer_term + (1.0 - params.beta) * bystander_term
@@ -336,34 +396,17 @@ def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = 
     values is (rows x reports): the trust values of len(weights_c) consumer
     reports, then of len(weights_b) bystander reports, whose coverage and
     freshness weights those are, so every row shares one set of weights.
-    Each operation is aggregate's, elementwise over the rows: sums add
-    columns left to right from 0.0 (np.sum adds pairwise and can differ in
-    the last bit).  A group weight mass of zero in normalized mode raises
-    ZeroDivisionError, as aggregate does.
+    It is the beta blend of the array kernel's group terms.  A group weight
+    mass of zero in normalized mode raises ZeroDivisionError, as aggregate
+    does.
     """
     values = np.asarray(values, dtype=float)
-    n_c = len(weights_c)
     if values.shape[1] == 0:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
-    if use_credibility:
-        mean = _sum_left(values.T) / values.shape[1]
-        creds = 1.0 - np.abs(values - mean[:, np.newaxis])
-    terms = []
-    for group, weights in ((slice(0, n_c), weights_c), (slice(n_c, None), weights_b)):
-        if len(weights) == 0:
-            continue
-        trusts = values[:, group]
-        if use_credibility:
-            damped = creds[:, group] * weights
-        else:
-            damped = np.broadcast_to(weights, trusts.shape)
-        term = _sum_left((damped * trusts).T)
-        if params.mode == NORMALIZED:
-            mass = _sum_left(damped.T)
-            if not mass.all():
-                raise ZeroDivisionError("float division by zero")
-            term = term / mass
-        terms.append(term)
-    if len(terms) == 2:
-        return params.beta * terms[0] + (1.0 - params.beta) * terms[1]
-    return terms[0]
+    _, (consumer, bystander) = _terms(values, weights_c, weights_b, params.mode == NORMALIZED,
+                                      use_credibility)
+    if consumer is None:
+        return bystander
+    if bystander is None:
+        return consumer
+    return params.beta * consumer + (1.0 - params.beta) * bystander

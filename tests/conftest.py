@@ -57,23 +57,32 @@ def _oracle_check_unit(label: str, x: float) -> None:
         raise ValueError(f"{label} must be in [0, 1], got {x}")
 
 
+def _shares_oracle(values):
+    """Each value over the sum of values; a sum past the float range is taken
+    over the values divided by the largest one instead."""
+    if _left_sum(values) == math.inf:
+        top = max(values)
+        values = [v / top for v in values]
+    total = _left_sum(values)
+    return [v / total for v in values]
+
+
 def freshness_weights_oracle(reports):
     """Bystander weights, one report at a time: offset over the sum of offsets."""
     if not reports:
         raise ValueError("freshness weights need at least one report")
-    total = _left_sum(r.timestamp_offset for r in reports)
-    if total <= 0:
+    offsets = [r.timestamp_offset for r in reports]
+    if _left_sum(offsets) <= 0:
         n = len(reports)
         return [1.0 / n] * n, True
-    return [r.timestamp_offset / total for r in reports], False
+    return _shares_oracle(offsets), False
 
 
 def coverage_weights_oracle(reports):
     """Consumer weights, one report at a time: duration over the sum of durations."""
     if not reports:
         raise ValueError("coverage weights need at least one report")
-    total = _left_sum(r.coverage_duration for r in reports)
-    return [r.coverage_duration / total for r in reports]
+    return _shares_oracle([r.coverage_duration for r in reports])
 
 
 def credibilities_oracle(values):
@@ -91,8 +100,7 @@ def aggregate_oracle(consumer_reports, bystander_reports, params=AggregationPara
     """The per-report aggregate: generator sums and an eager per-reporter tuple.
 
     It returns the fields of a TrustBreakdown, with per_reporter built at
-    once, that aggregate() must reproduce exactly.  Weight sums past the
-    float range are not rescaled here.
+    once, that aggregate() must reproduce exactly.
     """
     consumer_reports = list(consumer_reports)
     bystander_reports = list(bystander_reports)

@@ -71,11 +71,16 @@ def test_aggregate_calls_each_traced_helper_once(monkeypatch):
     # stops calling these helpers through mlt.trust's globals
     helpers = ("credibilities", "coverage_weights", "freshness_weights")
     calls = _count_calls(monkeypatch, mlt.trust, helpers)
-    mlt.trust.aggregate(
-        [mlt.AccumulatedReport("c0", 0.8, 60.0), mlt.AccumulatedReport("c1", 0.6, 30.0)],
-        [mlt.InstantaneousReport("b0", 0.7, 10.0), mlt.InstantaneousReport("b1", 0.5, 20.0)],
-    )
+    consumers = [mlt.AccumulatedReport("c0", 0.8, 60.0), mlt.AccumulatedReport("c1", 0.6, 30.0)]
+    bystanders = [mlt.InstantaneousReport("b0", 0.7, 10.0), mlt.InstantaneousReport("b1", 0.5, 20.0)]
+    mlt.trust.aggregate(consumers, bystanders)
     assert calls == dict.fromkeys(helpers, 1)
+
+    # a crowd takes its credibilities from the array kernel, its weights still from the helpers
+    calls.clear()
+    copies = mlt.trust._ARRAY_MIN // 2
+    mlt.trust.aggregate(consumers * copies, bystanders * copies)
+    assert calls == {"coverage_weights": 1, "freshness_weights": 1}
 
 
 def test_a_sweep_calls_the_traced_aggregate_and_classify(monkeypatch):

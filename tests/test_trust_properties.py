@@ -17,6 +17,7 @@ from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
 from mlt.trust import (
     NORMALIZED,
     VERBATIM,
+    _ARRAY_MIN,
     AccumulatedReport,
     AggregationParams,
     InstantaneousReport,
@@ -216,9 +217,12 @@ def _outcome(fn, *args, **kwargs):
             out.per_reporter)
 
 
-trust_value = st.one_of(st.sampled_from([0.0, 1.0]), unit)
+# floats(min_value=0.0) never draws -0.0, which a sum from 0.0 turns into 0.0
+trust_value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), unit)
+huge = st.floats(min_value=1e307, max_value=1.7e308)  # a group's sum passes the float range
 offset = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9))
-coverage = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1e9, exclude_min=True))
+coverage = st.one_of(st.sampled_from([1.0, 5e-324]),
+                     st.floats(min_value=0.0, max_value=1e9, exclude_min=True), huge)
 
 
 @st.composite
@@ -226,11 +230,13 @@ def oracle_case(draw):
     n_c = draw(st.integers(min_value=0, max_value=12))
     n_b = draw(st.integers(min_value=0, max_value=12))
     all_zero = draw(st.booleans())
+    # one case in four is a crowd whose every trust value is -0.0
+    trust = st.just(-0.0) if draw(st.integers(min_value=0, max_value=3)) == 0 else trust_value
     consumers = [
-        AccumulatedReport(f"c{i:02d}", draw(trust_value), draw(coverage)) for i in range(n_c)
+        AccumulatedReport(f"c{i:02d}", draw(trust), draw(coverage)) for i in range(n_c)
     ]
     bystanders = [
-        InstantaneousReport(f"b{i:02d}", draw(trust_value), 0.0 if all_zero else draw(offset))
+        InstantaneousReport(f"b{i:02d}", draw(trust), 0.0 if all_zero else draw(offset))
         for i in range(n_b)
     ]
     params = AggregationParams(
@@ -250,6 +256,25 @@ def test_aggregate_matches_the_per_report_oracle_exactly(case):
                     use_credibility=use_credibility) == expected
 
 
+@given(oracle_case())
+@settings(max_examples=200, deadline=None)
+def test_a_crowd_on_the_array_kernel_matches_the_oracle_bit_for_bit(case):
+    # the case tiled past _ARRAY_MIN reports; _outcome's == takes -0.0 for 0.0,
+    # so the overall value and both terms are compared by their bits as well
+    consumers, bystanders, params, use_credibility = case
+    copies = -(-_ARRAY_MIN // max(1, len(consumers) + len(bystanders)))
+    consumers, bystanders = consumers * copies, bystanders * copies
+    outcomes = [
+        _outcome(fn, consumers, bystanders, params, use_credibility=use_credibility)
+        for fn in (aggregate, aggregate_oracle)
+    ]
+    bits = [
+        [float(x).hex() for x in outcome[:3]] if len(outcome) == 5 else outcome
+        for outcome in outcomes
+    ]
+    assert outcomes[0] == outcomes[1] and bits[0] == bits[1]
+
+
 def test_aggregate_matches_the_oracle_on_a_query_workload_cycle():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "queries.py"
     spec = importlib.util.spec_from_file_location("perfbench_queries", path)
@@ -263,9 +288,7 @@ def test_aggregate_matches_the_oracle_on_a_query_workload_cycle():
     assert mismatched == []
 
 
-huge = st.floats(min_value=1e307, max_value=1.7e308)  # a group's sum passes the float range
 huge_offset = st.one_of(offset, huge)
-huge_coverage = st.one_of(coverage, huge)
 
 
 @st.composite
@@ -275,7 +298,7 @@ def scored_rows(draw):
     n_c = draw(st.integers(min_value=0, max_value=6))
     n_b = draw(st.integers(min_value=0, max_value=6))
     rows = draw(st.integers(min_value=1, max_value=4))
-    durations = [draw(huge_coverage) for _ in range(n_c)]
+    durations = [draw(coverage) for _ in range(n_c)]
     offsets = [0.0] * n_b if draw(st.booleans()) else [draw(huge_offset) for _ in range(n_b)]
     reports = [
         ([AccumulatedReport(f"c{i}", draw(trust_value), d) for i, d in enumerate(durations)],
