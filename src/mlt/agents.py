@@ -17,13 +17,12 @@ nothing: the simulator lays out every random stream and hands in the draws.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .session import (ORDINAL, AttributeSchema, PerformanceVector, require_finite, require_unit,
-                      require_unit_array)
+from .session import (ORDINAL, AttributeSchema, PerformanceVector, is_integer, require_finite,
+                      require_unit, require_unit_array)
 
 HONEST = "honest"
 BIASED = "biased"
@@ -107,7 +106,7 @@ class ProbeSchedule:
 
     def __post_init__(self):
         require_finite(first_offset=self.first_offset, interval=self.interval, count=self.count)
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+        if not is_integer(self.count):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.first_offset <= 0:
             raise ValueError(f"first_offset must be positive, got {self.first_offset}")

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .session import require_unit
 from .trust import left_sum
@@ -79,21 +80,42 @@ class ConfusionCounts:
             raise ValueError("actual counts must sum to the sample count")
 
 
-def confusion(predicted: list[TrustLevel], actual: list[TrustLevel]) -> ConfusionCounts:
-    """Tally per-level confusion counts from paired label sequences."""
+_LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
+_INDEX = {level: i for i, level in enumerate(_LEVELS)}  # a TrustLevel's level index
+
+
+def _level_indices(labels) -> np.ndarray:
+    """Non-empty labels as level indices: an integer array passes as it is,
+    a sequence of TrustLevels is mapped.  Anything else raises ValueError."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        indices = labels.astype(np.intp, copy=False)  # mixed signedness would add as floats
+    else:
+        try:
+            indices = np.fromiter(map(_INDEX.__getitem__, labels), np.intp, len(labels))
+        except KeyError as exc:
+            raise ValueError(f"not a TrustLevel: {exc.args[0]!r}") from None
+    if indices.ndim != 1 or not 0 <= indices.min() <= indices.max() < 3:
+        raise ValueError("level indices must be a flat array of 0, 1 and 2")
+    return indices
+
+
+def confusion(predicted, actual) -> ConfusionCounts:
+    """Tally per-level confusion counts from paired labels: two sequences of
+    TrustLevels, or two integer arrays of level indices into TrustLevel."""
     if len(predicted) != len(actual):
         raise ValueError(
             f"predicted and actual differ in length: {len(predicted)} vs {len(actual)}"
         )
-    if not predicted:
-        raise ValueError("need at least one sample to score")
     n = len(predicted)
-    pairs = Counter(zip(predicted, actual))  # one pass; each level's counts come from the pairs
+    if not n:
+        raise ValueError("need at least one sample to score")
+    # one pass: pairs[p, a] counts the samples predicted p that were a
+    pairs = np.bincount(3 * _level_indices(predicted) + _level_indices(actual), minlength=9)
+    pairs = pairs.reshape(3, 3)
     per_level = {}
-    for level in TrustLevel:
-        correct = pairs[level, level]
-        detected = sum(count for (p, _), count in pairs.items() if p == level)
-        actual_n = sum(count for (_, a), count in pairs.items() if a == level)
+    for level, correct, detected, actual_n in zip(
+            _LEVELS, pairs.diagonal().tolist(), pairs.sum(axis=1).tolist(),
+            pairs.sum(axis=0).tolist()):
         # neither predicted nor was this level: what the three counts above leave
         correct_not = n - detected - actual_n + correct
         per_level[level] = LevelCounts(correct, detected, actual_n, correct_not)
@@ -132,12 +154,8 @@ def _macro(values: list[float | None]) -> float | None:
     return left_sum(defined) / len(defined)
 
 
-def score(
-    predicted: list[TrustLevel],
-    actual: list[TrustLevel],
-    config: dict | None = None,
-) -> ExperimentResult:
-    """Score predicted against actual trust levels.
+def score(predicted, actual, config: dict | None = None) -> ExperimentResult:
+    """Score predicted against actual trust levels, given as confusion takes them.
 
     Per-level precision is correct/detected and recall is correct/actual;
     either is undefined (None) when its denominator is zero and is then left

@@ -32,11 +32,12 @@ once per sweep with coverage_weights and freshness_weights.  A block is then
 scored as arrays over (replication x report), one (point, arm) at a time,
 by trust.aggregate_overall, whose every value equals aggregate's overall bit
 for bit.  Levels come from the same clamp and cuts as classify; the ground
-truth is classified the same way.  The first replication of each block is
-also scored through its report objects, aggregate and classify, and a block
-whose array scores differ raises RuntimeError.  A sweep starts at most one
-worker pool, which maps blocks;
-the output depends neither on the block size nor on the number of workers.
+truth is classified the same way.  A block's levels stay indices into
+TrustLevel, which score counts as they are.  The first replication of each
+block is also scored through its report objects, aggregate and classify, and
+a block whose array scores differ raises RuntimeError.  A sweep starts at
+most one worker pool, which maps blocks; the output depends neither on the
+block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -46,7 +47,6 @@ agent per slot.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import NamedTuple
@@ -55,7 +55,7 @@ import numpy as np
 
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
 from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
-from .session import require_unit
+from .session import is_integer, require_unit
 from .simulator import (
     COMPOSITION_FLAGS,
     Block,
@@ -94,7 +94,7 @@ _ARMS = {
     "instantaneous": (False, True, True),
     "accumulated": (True, False, True),
 }
-_LEVELS = np.array(list(TrustLevel), dtype=object)  # a level index's TrustLevel
+_LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("replications", "reporters"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
@@ -299,7 +299,8 @@ def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
 
 def _block_outcomes(args) -> np.ndarray:
     """Classify each replication of a block under every (point, arm): a
-    (replication x 1 + column) array of TrustLevels, (actual, *predicted)."""
+    (replication x 1 + column) array of level indices into TrustLevel,
+    (actual, *predicted)."""
     sweep, reps = args
     block = sweep.simulate(reps)
     th = sweep.spec.thresholds
@@ -312,7 +313,7 @@ def _block_outcomes(args) -> np.ndarray:
         first.append(float(overall[0]))
     levels = np.stack(levels, axis=1)
     _check_first(sweep, block, reps[0], first, levels[0])
-    return _LEVELS[levels]
+    return levels
 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
@@ -354,7 +355,7 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
         blocks = [_block_outcomes(a) for a in args]
     outcomes = np.concatenate(blocks)
 
-    actual = outcomes[:, 0].tolist()
+    actual = outcomes[:, 0]
     results = []
     for c, column in enumerate(sweep.columns, start=1):
         config = {
@@ -368,5 +369,5 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
             config["credibility"] = column.arm
         elif kind == ESTIMATOR_COMPARE:
             config["estimator"] = column.arm
-        results.append(score(outcomes[:, c].tolist(), actual, config))
+        results.append(score(outcomes[:, c], actual, config))
     return results

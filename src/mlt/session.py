@@ -10,6 +10,7 @@ comparable, element by element.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,23 @@ def require_finite(**fields: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def require_unit(label: str, x: float) -> None:
-    """Raise ValueError unless x lies in [0, 1]; NaN is outside."""
+def require_unit(label: str, x: float, *parts) -> None:
+    """Raise ValueError unless x lies in [0, 1]; NaN is outside.
+
+    With parts, label is a str.format template for them, filled in only when
+    the check fails, so a passing check never formats it.
+    """
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{label} must be in [0, 1], got {x}")
+        raise ValueError(f"{label.format(*parts) if parts else label} must be in [0, 1], got {x}")
+
+
+def is_integer(x) -> bool:
+    """True for an int or any other numbers.Integral (numpy's integers too), never a bool.
+
+    A plain int passes on its type alone: isinstance against the abstract
+    class costs about twenty times as much.
+    """
+    return type(x) is int or (not isinstance(x, bool) and isinstance(x, numbers.Integral))
 
 
 def require_unit_array(label: str, x) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Three-level classification and the precision/recall/accuracy scoring."""
 
 import math
+from collections import Counter
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +23,21 @@ from mlt.evaluation import (
 LOW, MID, HIGH = TrustLevel.LOWLY, TrustLevel.MODERATELY, TrustLevel.HIGHLY
 
 levels = st.sampled_from(list(TrustLevel))
+LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
+
+
+def counter_tally(predicted, actual) -> ConfusionCounts:
+    """Confusion counts from one Counter over the (predicted, actual) pairs of
+    TrustLevels, as they were counted before level indices."""
+    n = len(predicted)
+    pairs = Counter(zip(predicted, actual))
+    per_level = {}
+    for level in TrustLevel:
+        correct = pairs[level, level]
+        detected = sum(count for (p, _), count in pairs.items() if p == level)
+        actual_n = sum(count for (_, a), count in pairs.items() if a == level)
+        per_level[level] = LevelCounts(correct, detected, actual_n, n - detected - actual_n + correct)
+    return ConfusionCounts(samples=n, per_level=per_level)
 
 
 class TestClassify:
@@ -81,6 +99,30 @@ class TestConfusion:
             confusion([HIGH], [HIGH, LOW])
         with pytest.raises(ValueError, match="at least one"):
             confusion([], [])
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=300))
+    def test_level_indices_count_as_the_pair_tally(self, pairs):
+        predicted, actual = (np.array(column, dtype=np.intp) for column in zip(*pairs))
+        expected = counter_tally([LEVELS[i] for i in predicted], [LEVELS[i] for i in actual])
+        counts = confusion(predicted, actual)
+        assert counts == expected
+        assert {type(v) for c in counts.per_level.values() for v in astuple(c)} == {int}
+        assert confusion([LEVELS[i] for i in predicted], [LEVELS[i] for i in actual]) == expected
+        assert confusion(predicted.astype(np.uint64), actual) == expected
+        # the strided columns of a (sample x label) array, as a sweep passes them
+        outcomes = np.stack([actual, predicted], axis=1)
+        assert confusion(outcomes[:, 1], outcomes[:, 0]) == expected
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["lowly"], [None], np.array([3]), np.array([-1]), np.array([[0]])],
+        ids=["a string", "None", "index 3", "index -1", "2-d"],
+    )
+    def test_labels_that_are_no_level_rejected(self, labels):
+        with pytest.raises(ValueError):
+            confusion(labels, [LOW])
+        with pytest.raises(ValueError):
+            confusion([LOW], labels)
 
     def test_count_invariants_enforced(self):
         good = {

@@ -52,6 +52,7 @@ from conftest import (
 )
 
 REPS = 40  # enough replications for structure checks without slowing the suite
+LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 
 def composition_oracle(seed, rep, spec):
@@ -364,8 +365,9 @@ class TestSuite:
                 )
                 for mode in (VERBATIM, NORMALIZED)
             }
-            # the last point is the N = spec.reporters one simulated above
-            assert outcomes[rep][-1] == level[VERBATIM]
+            # the last point is the N = spec.reporters one simulated above; outcomes
+            # are level indices into TrustLevel
+            assert LEVELS[outcomes[rep][-1]] == level[VERBATIM]
             modes_disagree += level[VERBATIM] != level[NORMALIZED]
         assert modes_disagree > 0  # otherwise the check could not tell the modes apart
 
@@ -423,7 +425,7 @@ def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypa
     rows = []
 
     def recording_score(predicted, actual, config):
-        rows.append((list(predicted), list(actual)))
+        rows.append(([LEVELS[i] for i in predicted], [LEVELS[i] for i in actual]))
         return score(predicted, actual, config)
 
     monkeypatch.setattr(mlt.experiments, "score", recording_score)

@@ -1,5 +1,8 @@
 """Schema, numerization, and session checks."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from mlt.session import (
@@ -7,7 +10,9 @@ from mlt.session import (
     AttributeSpec,
     PerformanceVector,
     ServiceSession,
+    is_integer,
     numerize,
+    require_unit,
 )
 
 QUALITY = AttributeSpec(
@@ -148,3 +153,26 @@ class TestServiceSession:
         kwargs[field] = value
         with pytest.raises(ValueError):
             ServiceSession(**kwargs)
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, True), (0, True), (-2, True), (Count(3), True), (np.int64(3), True), (np.uint8(3), True),
+     (True, False), (False, False), (np.bool_(True), False), (3.0, False), ("3", False),
+     (Fraction(3), False), (None, False)],
+    ids=repr,
+)
+def test_is_integer_takes_integrals_but_no_bool(value, expected):
+    assert is_integer(value) is expected
+
+
+def test_require_unit_formats_its_label_only_on_failure():
+    require_unit("{0[missing]}", 0.5, {})  # formatting this label raises KeyError
+    with pytest.raises(ValueError, match=r"^report from 'c': trust must be in \[0, 1\], got -0.5$"):
+        require_unit("report from {!r}: trust", -0.5, "c")
+    with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got nan$"):
+        require_unit("alpha", float("nan"))

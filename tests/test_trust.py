@@ -4,8 +4,11 @@ Expected values here were computed by hand (or with a pocket calculator)
 before the implementation existed; they are oracles, not snapshots.
 """
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from mlt.trust import (
     AggregationParams,
     InstantaneousReport,
     NoEvidenceError,
+    ReporterTerm,
     SchemaMismatchError,
     UndefinedRatioError,
     _sum_left,
@@ -136,6 +140,21 @@ class TestAccumulated:
         assert str(err.value) == message
 
 
+class Count(int):
+    """An int subclass, which is a numbers.Integral but not of type int."""
+
+
+class Tripwire(str):
+    """A reporter id whose repr raises while armed."""
+
+    armed = True
+
+    def __repr__(self):
+        if self.armed:
+            raise LookupError("the id was formatted")
+        return str.__repr__(self)
+
+
 class TestReports:
     @pytest.mark.parametrize(
         "make",
@@ -161,6 +180,105 @@ class TestReports:
         for count in (2.5, True):
             with pytest.raises(ValueError, match="update_count must be an integer"):
                 AccumulatedReport("c", 0.5, 60.0, update_count=count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), Count(3), 3])
+    def test_update_count_takes_any_integral(self, count):
+        report = AccumulatedReport("c", 0.5, 60.0, count)
+        assert report.update_count is count
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: AccumulatedReport("c", 0.5, 60.0, True),
+             "report from 'c': update_count must be an integer >= 1, got True"),
+            (lambda: AccumulatedReport("c", 0.5, 60.0, 1.0),
+             "report from 'c': update_count must be an integer >= 1, got 1.0"),
+            (lambda: AccumulatedReport("c", 0.5, 60.0, "3"),
+             "report from 'c': update_count must be an integer >= 1, got '3'"),
+            (lambda: AccumulatedReport("c", 0.5, 60.0, 0),
+             "report from 'c': update_count must be an integer >= 1, got 0"),
+            (lambda: AccumulatedReport("c", 0.5, 60.0, Count(0)),
+             "report from 'c': update_count must be an integer >= 1, got 0"),
+            *[
+                (lambda cls=cls, trust=trust: cls("c", trust, 60.0),
+                 f"report from 'c': trust must be in [0, 1], got {shown}")
+                for cls in (AccumulatedReport, InstantaneousReport)
+                for trust, shown in ((math.nan, "nan"), (-0.1, "-0.1"), (1.1, "1.1"),
+                                     (math.inf, "inf"))
+            ],
+        ],
+    )
+    def test_rejections_name_the_field_and_the_value(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_the_trust_label_is_formatted_only_on_failure(self):
+        reporter_id = Tripwire("c")
+        for report in (InstantaneousReport(reporter_id, 0.5, 60.0),
+                       AccumulatedReport(reporter_id, 0.5, 60.0, 2)):
+            assert report.reporter_id is reporter_id
+            assert report == replace(report)
+        with pytest.raises(LookupError):
+            InstantaneousReport(reporter_id, 1.5, 60.0)
+        reporter_id.armed = False
+        for cls in (InstantaneousReport, AccumulatedReport):
+            with pytest.raises(ValueError) as err:
+                cls(reporter_id, 1.5, 60.0)
+            assert str(err.value) == "report from 'c': trust must be in [0, 1], got 1.5"
+
+
+SLOTTED = [
+    InstantaneousReport("b", 0.25, 30.0),
+    AccumulatedReport("c", 0.75, 60.0, 4),
+    AccumulatedReport("c", 0.75, 60.0, np.int64(4)),
+    ReporterTerm("c", 0.75, 0.5, 0.9),
+]
+
+
+class TestSlottedValues:
+    @pytest.mark.parametrize("value", SLOTTED, ids=repr)
+    def test_no_instance_dict_no_weakref_no_new_attributes(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == tuple(f.name for f in fields(value))
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+        # the same refusals as a frozen dataclass without slots
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'note'$"):
+            value.note = "ad hoc"
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'trust'$"):
+            value.trust = 0.5
+        with pytest.raises(FrozenInstanceError, match="^cannot delete field 'note'$"):
+            del value.note
+        with pytest.raises(FrozenInstanceError, match="^cannot delete field 'trust'$"):
+            del value.trust
+
+    @pytest.mark.parametrize("value", SLOTTED, ids=repr)
+    def test_copies_are_equal_values(self, value):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                       copy.deepcopy(value), replace(value)):
+            assert copied == value
+            assert hash(copied) == hash(value)
+            assert repr(copied) == repr(value)
+            assert type(copied) is type(value)
+        assert value != replace(value, trust=0.5)
+
+    def test_equality_and_hash_cover_every_field(self):
+        report = AccumulatedReport("c", 0.75, 60.0, 4)
+        assert report == AccumulatedReport("c", 0.75, 60.0, np.int64(4))
+        assert hash(report) == hash(("c", 0.75, 60.0, 4))
+        assert report != AccumulatedReport("c", 0.75, 60.0, 5)
+        # same fields, other class
+        assert InstantaneousReport("c", 0.75, 60.0) != AccumulatedReport("c", 0.75, 60.0, 1)
+        assert repr(report) == (
+            "AccumulatedReport(reporter_id='c', trust=0.75, coverage_duration=60.0, update_count=4)"
+        )
+
+    def test_replace_checks_the_new_fields(self):
+        with pytest.raises(ValueError, match=r"^report from 'c': trust must be in \[0, 1\], got 2.0$"):
+            replace(SLOTTED[1], trust=2.0)
+        with pytest.raises(ValueError, match="update_count must be an integer"):
+            replace(SLOTTED[1], update_count=True)
 
 
 class TestWeights:
