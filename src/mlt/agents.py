@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import (ORDINAL, AttributeSchema, PerformanceVector, is_integer, require_finite,
-                      require_unit, require_unit_array)
+from .session import (ORDINAL, AttributeSchema, is_integer, require_finite, require_unit,
+                      require_unit_array)
 
 HONEST = "honest"
 BIASED = "biased"
@@ -170,15 +170,14 @@ def sample_true_performance(profile: ProviderProfile, schema: AttributeSchema, g
     return _clamp(schema, latent)
 
 
-def noise_free_performance(profile: ProviderProfile, schema: AttributeSchema) -> PerformanceVector:
-    """The provider's stationary mean performance on schema: no jitter, no drift.
+def noise_free_performance(profile: ProviderProfile, schema: AttributeSchema, gaps) -> np.ndarray:
+    """The provider's stationary mean performance on schema at each honesty
+    gap, (gap x attribute): no jitter and, at offset 0, no drift.
 
     This is the reference the simulator scores against; drift and jitter are
     treated as departures from it.
     """
-    zeros = np.zeros((1, len(schema)))
-    values = sample_true_performance(profile, schema, [profile.honesty_gap], [0.0], zeros)
-    return PerformanceVector(tuple(values[0, 0].tolist()), schema)
+    return sample_true_performance(profile, schema, gaps, [0.0], np.zeros((1, len(schema))))[:, 0]
 
 
 def observe(profile: ReporterProfile, true_trust, own_draws=None) -> np.ndarray:

@@ -55,6 +55,21 @@ def classify(trust: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> Trust
     return TrustLevel.HIGHLY
 
 
+_LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
+
+
+def levels(trust, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> np.ndarray:
+    """classify over an array: the level index (into TrustLevel) of each
+    trust value, clamped to [0, 1] first.  A value that is not finite raises
+    ValueError, where the clamp would quietly make a NaN lowly."""
+    trust = np.asarray(trust, dtype=float)
+    bad = ~np.isfinite(trust)
+    if bad.any():
+        raise ValueError(f"trust must be finite, got {trust[bad].flat[0]}")
+    cuts = [thresholds.low_cut, thresholds.high_cut]
+    return np.searchsorted(cuts, np.clip(trust, 0.0, 1.0), side="right")
+
+
 @dataclass(frozen=True)
 class LevelCounts:
     """Confusion counts for one level: it plays the role of the positive class."""
@@ -80,28 +95,18 @@ class ConfusionCounts:
             raise ValueError("actual counts must sum to the sample count")
 
 
-_LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
-_INDEX = {level: i for i, level in enumerate(_LEVELS)}  # a TrustLevel's level index
-
-
 def _level_indices(labels) -> np.ndarray:
-    """Non-empty labels as level indices: an integer array passes as it is,
-    a sequence of TrustLevels is mapped.  Anything else raises ValueError."""
-    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-        indices = labels.astype(np.intp, copy=False)  # mixed signedness would add as floats
-    else:
-        try:
-            indices = np.fromiter(map(_INDEX.__getitem__, labels), np.intp, len(labels))
-        except KeyError as exc:
-            raise ValueError(f"not a TrustLevel: {exc.args[0]!r}") from None
-    if indices.ndim != 1 or not 0 <= indices.min() <= indices.max() < 3:
-        raise ValueError("level indices must be a flat array of 0, 1 and 2")
-    return indices
+    """A non-empty flat integer array of level indices, as intp; anything
+    else raises ValueError."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and labels.ndim == 1
+            and 0 <= labels.min() <= labels.max() < 3):
+        raise ValueError("level indices must be a flat integer array of 0, 1 and 2")
+    return labels.astype(np.intp, copy=False)  # mixed signedness would add as floats
 
 
 def confusion(predicted, actual) -> ConfusionCounts:
-    """Tally per-level confusion counts from paired labels: two sequences of
-    TrustLevels, or two integer arrays of level indices into TrustLevel."""
+    """Tally per-level confusion counts from paired labels: two integer
+    arrays of level indices into TrustLevel."""
     if len(predicted) != len(actual):
         raise ValueError(
             f"predicted and actual differ in length: {len(predicted)} vs {len(actual)}"
@@ -155,7 +160,7 @@ def _macro(values: list[float | None]) -> float | None:
 
 
 def score(predicted, actual, config: dict | None = None) -> ExperimentResult:
-    """Score predicted against actual trust levels, given as confusion takes them.
+    """Score predicted against actual level indices, given as confusion takes them.
 
     Per-level precision is correct/detected and recall is correct/actual;
     either is undefined (None) when its denominator is zero and is then left

@@ -31,9 +31,8 @@ offset, are fixed per slot, so each (point, arm)'s weights are worked out
 once per sweep with coverage_weights and freshness_weights.  A block is then
 scored as arrays over (replication x report), one (point, arm) at a time,
 by trust.aggregate_overall, whose every value equals aggregate's overall bit
-for bit.  Levels come from the same clamp and cuts as classify; the ground
-truth is classified the same way.  A block's levels stay indices into
-TrustLevel, which score counts as they are.  The first replication of each
+for bit.  evaluation.levels cuts them, and the ground truth, into level
+indices, which score counts as they are.  The first replication of each
 block is also scored through its report objects, aggregate and classify, and
 a block whose array scores differ raises RuntimeError.  A sweep starts at
 most one worker pool, which maps blocks; the output depends neither on the
@@ -54,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
-from .evaluation import ExperimentResult, Thresholds, TrustLevel, classify, score
+from .evaluation import _LEVELS, ExperimentResult, Thresholds, TrustLevel, classify, levels, score
 from .session import is_integer, require_unit
 from .simulator import (
     COMPOSITION_FLAGS,
@@ -94,7 +93,6 @@ _ARMS = {
     "instantaneous": (False, True, True),
     "accumulated": (True, False, True),
 }
-_LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 
 @dataclass(frozen=True)
@@ -225,15 +223,13 @@ class _Sweep:
         roster_of = {frac: f for f, frac in enumerate(self.fracs)}
         columns = []
         for n_reporters, frac, arms in self.points:
+            reporting = [j for j in table.reporting if j < n_reporters]
             at = ([], [])  # bystander, consumer positions on Block.final's reporting-slot axis
-            reports = ([], [])
-            for k, j in enumerate(table.reporting):
-                if j < n_reporters:
-                    cls, reporter_id, fields = table.report[j]
-                    at[table.consumer[j]].append(k)
-                    reports[table.consumer[j]].append(cls(reporter_id, 0.0, *fields))
-            weights_c = coverage_weights(reports[1]) if reports[1] else []
-            weights_b = freshness_weights(reports[0])[0] if reports[0] else []
+            for k, j in enumerate(reporting):
+                at[table.consumer[j]].append(k)
+            consumer_reports, bystander_reports = table.reports([0.0] * len(reporting))
+            weights_c = coverage_weights(consumer_reports) if consumer_reports else []
+            weights_b = freshness_weights(bystander_reports)[0] if bystander_reports else []
             for arm in arms:
                 consumers, bystanders, use_credibility = _ARMS[arm]
                 columns.append(_Column(
@@ -260,18 +256,6 @@ class _Column(NamedTuple):
     use_credibility: bool
 
 
-def _levels(trust, thresholds: Thresholds) -> np.ndarray:
-    """The level index (into TrustLevel) of each trust value, clamped to
-    [0, 1] and cut as classify cuts it.  A value that is not finite raises
-    ValueError, where the clamp would quietly make a NaN lowly."""
-    trust = np.asarray(trust, dtype=float)
-    bad = ~np.isfinite(trust)
-    if bad.any():
-        raise ValueError(f"trust must be finite, got {trust[bad].flat[0]}")
-    cuts = [thresholds.low_cut, thresholds.high_cut]
-    return np.searchsorted(cuts, np.clip(trust, 0.0, 1.0), side="right")
-
-
 def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
     return classify(min(1.0, max(0.0, overall)), thresholds)
 
@@ -285,7 +269,7 @@ def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
     if _LEVELS[row[0]] != _classify_clamped(block.ground_truth[0], th):
         raise RuntimeError(f"array scoring differs from classify at replication {rep}'s "
                            "ground truth")
-    rosters = block.reports(0)
+    rosters = [block.table.reports(final) for final in block.final[0].tolist()]
     for column, x, level in zip(sweep.columns, overall, row[1:]):
         cr, br = rosters[column.roster]
         expected = aggregate(cr[:len(column.weights_c)], br[:len(column.weights_b)],
@@ -304,16 +288,16 @@ def _block_outcomes(args) -> np.ndarray:
     sweep, reps = args
     block = sweep.simulate(reps)
     th = sweep.spec.thresholds
-    levels = [_levels(block.ground_truth, th)]
+    rows = [levels(block.ground_truth, th)]
     first = []
     for column in sweep.columns:
         overall = aggregate_overall(block.final[:, column.roster, column.at], column.weights_c,
                                     column.weights_b, sweep.base.params, column.use_credibility)
-        levels.append(_levels(overall, th))
+        rows.append(levels(overall, th))
         first.append(float(overall[0]))
-    levels = np.stack(levels, axis=1)
-    _check_first(sweep, block, reps[0], first, levels[0])
-    return levels
+    rows = np.stack(rows, axis=1)
+    _check_first(sweep, block, reps[0], first, rows[0])
+    return rows
 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:

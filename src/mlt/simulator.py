@@ -73,12 +73,10 @@ from .agents import (
     ProbeSchedule,
     ProviderProfile,
     ReporterProfile,
+    noise_free_performance,
     observe,
     sample_true_performance,
 )
-# Not called here: perfbench/tracing.py wraps simulator.noise_free_performance
-# as its agents.noise_free_performance layer.
-from .agents import noise_free_performance  # noqa: F401
 from .session import ServiceSession, require_finite
 from .trust import (
     AccumulatedReport,
@@ -338,6 +336,17 @@ class SlotTable:
         """The values one replication puts in simulate()'s truth: event x attribute."""
         return len(self.offsets) * len(self.session.promise)
 
+    def reports(self, values) -> tuple[tuple[AccumulatedReport, ...],
+                                       tuple[InstantaneousReport, ...]]:
+        """A roster's (consumer_reports, bystander_reports), each in slot
+        order: values[k] is the trust value of the k-th reporting slot, and
+        the reporting slots past the end of values hand in none."""
+        groups = ([], [])  # bystanders, consumers
+        for j, value in zip(self.reporting, values):
+            cls, reporter_id, fields = self.report[j]
+            groups[self.consumer[j]].append(cls(reporter_id, value, *fields))
+        return tuple(groups[1]), tuple(groups[0])
+
     def _draws(self, seeds, own) -> tuple[np.ndarray, np.ndarray]:
         """The truth draws (replication x event x attribute) of every slot, and
         the own draws (replication x event) of each slot j of replication r
@@ -378,9 +387,8 @@ class SlotTable:
         promise = self.session.promise
         truth = sample_true_performance(provider, promise.schema, gaps, self.offsets, noise)
         true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, 1, -1)
-        # the noise-free truth: no jitter and, at offset 0, no drift
-        noise_free = sample_true_performance(provider, promise.schema, gaps, [0.0], np.zeros((1, k)))
-        ground_truth = instantaneous_trust(noise_free.reshape(n, k), promise).tolist()
+        ground_truth = instantaneous_trust(noise_free_performance(provider, promise.schema, gaps),
+                                           promise).tolist()
         profile = chosen[..., self.slot_of]  # [r, f, event] -> profile
         true_trust = np.broadcast_to(true_trust, profile.shape)
         own = np.broadcast_to(own[:, np.newaxis], profile.shape)
@@ -412,25 +420,11 @@ class Block:
         self.accumulated = accumulated
         self.final = accumulated[..., table.last]  # [r, f, reporting slot]
 
-    def reports(self, r: int) -> list[tuple[tuple[AccumulatedReport, ...],
-                                            tuple[InstantaneousReport, ...]]]:
-        """(consumer_reports, bystander_reports) of each of replication r's
-        rosters, each in slot order."""
-        table = self.table
-        rosters = []
-        for final in self.final[r].tolist():
-            groups = ([], [])  # bystanders, consumers
-            for j, value in zip(table.reporting, final):
-                cls, reporter_id, fields = table.report[j]
-                groups[table.consumer[j]].append(cls(reporter_id, value, *fields))
-            rosters.append((tuple(groups[1]), tuple(groups[0])))
-        return rosters
-
     def trace(self, r: int, f: int) -> SessionTrace:
         """Replication r's session under roster f, with each agent's series,
         bystanders first, and the aggregate of its reports."""
         table = self.table
-        consumer_reports, bystander_reports = self.reports(r)[f]
+        consumer_reports, bystander_reports = table.reports(self.final[r, f].tolist())
         series = []
         for j in sorted(range(len(table.slots)), key=table.consumer.__getitem__):
             start, stop = table.spans[j]

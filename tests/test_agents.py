@@ -113,7 +113,7 @@ class TestProfiles:
 class TestSampling:
     def test_noise_free_gap_scales_mean(self, promise):
         provider = make_provider(promise, honesty_gap=0.1)
-        assert noise_free_performance(provider, promise.schema).values == (9.0, 81.0, 72.0)
+        assert noise_free_performance(provider, promise.schema, [0.1]).tolist() == [[9.0, 81.0, 72.0]]
 
     def test_drift_accrues_per_hour(self, promise):
         # mean 10, gap 0.1, drift +0.5/h at one hour: 9.0 + 0.5 = 9.5
@@ -129,7 +129,7 @@ class TestSampling:
     def test_noise_free_ignores_drift(self, promise):
         gens = tuple(AttributeGenerator(p, drift_per_hour=-5.0) for p in promise.values)
         provider = ProviderProfile(gens)
-        assert noise_free_performance(provider, promise.schema).values == promise.values
+        assert noise_free_performance(provider, promise.schema, [0.0]).tolist() == [list(promise.values)]
 
     def test_negative_latent_clamps_to_zero(self, promise):
         gens = (

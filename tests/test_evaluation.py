@@ -26,6 +26,11 @@ levels = st.sampled_from(list(TrustLevel))
 LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 
+def indices(labels) -> np.ndarray:
+    """TrustLevels as the level-index array that confusion and score take."""
+    return np.array([LEVELS.index(level) for level in labels], dtype=np.intp)
+
+
 def counter_tally(predicted, actual) -> ConfusionCounts:
     """Confusion counts from one Counter over the (predicted, actual) pairs of
     TrustLevels, as they were counted before level indices."""
@@ -88,7 +93,7 @@ class TestClassify:
 
 class TestConfusion:
     def test_two_sample_tally(self):
-        counts = confusion([HIGH, HIGH], [HIGH, LOW])
+        counts = confusion(indices([HIGH, HIGH]), indices([HIGH, LOW]))
         assert counts.samples == 2
         assert counts.per_level[HIGH] == LevelCounts(1, 2, 1, 0)
         assert counts.per_level[LOW] == LevelCounts(0, 0, 1, 1)
@@ -96,9 +101,9 @@ class TestConfusion:
 
     def test_length_mismatch_and_empty_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            confusion([HIGH], [HIGH, LOW])
+            confusion(indices([HIGH]), indices([HIGH, LOW]))
         with pytest.raises(ValueError, match="at least one"):
-            confusion([], [])
+            confusion(indices([]), indices([]))
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=300))
     def test_level_indices_count_as_the_pair_tally(self, pairs):
@@ -107,7 +112,6 @@ class TestConfusion:
         counts = confusion(predicted, actual)
         assert counts == expected
         assert {type(v) for c in counts.per_level.values() for v in astuple(c)} == {int}
-        assert confusion([LEVELS[i] for i in predicted], [LEVELS[i] for i in actual]) == expected
         assert confusion(predicted.astype(np.uint64), actual) == expected
         # the strided columns of a (sample x label) array, as a sweep passes them
         outcomes = np.stack([actual, predicted], axis=1)
@@ -115,14 +119,16 @@ class TestConfusion:
 
     @pytest.mark.parametrize(
         "labels",
-        [["lowly"], [None], np.array([3]), np.array([-1]), np.array([[0]])],
-        ids=["a string", "None", "index 3", "index -1", "2-d"],
+        [["lowly"], [None], [LOW], [0], np.array([0.0]), np.array([3]), np.array([-1]),
+         np.array([[0]])],
+        ids=["a string", "None", "a TrustLevel list", "an int list", "a float array", "index 3",
+             "index -1", "2-d"],
     )
     def test_labels_that_are_no_level_rejected(self, labels):
         with pytest.raises(ValueError):
-            confusion(labels, [LOW])
+            confusion(labels, indices([LOW]))
         with pytest.raises(ValueError):
-            confusion([LOW], labels)
+            confusion(indices([LOW]), labels)
 
     def test_count_invariants_enforced(self):
         good = {
@@ -140,7 +146,7 @@ class TestConfusion:
 class TestScore:
     def test_overconfident_predictions(self):
         # both sessions called highly trusted, only one actually was
-        result = score([HIGH, HIGH], [HIGH, LOW])
+        result = score(indices([HIGH, HIGH]), indices([HIGH, LOW]))
         highly = result.per_level[HIGH]
         assert highly.precision == 0.5
         assert highly.recall == 1.0
@@ -150,7 +156,7 @@ class TestScore:
         assert result.accuracy == 0.5
 
     def test_swapped_labels_score_zero(self):
-        result = score([LOW, HIGH], [HIGH, LOW])
+        result = score(indices([LOW, HIGH]), indices([HIGH, LOW]))
         assert result.accuracy == 0.0
         assert result.per_level[LOW].recall == 0.0
         assert result.per_level[HIGH].recall == 0.0
@@ -160,7 +166,7 @@ class TestScore:
         assert result.per_level[MID].accuracy == 1.0
 
     def test_macro_skips_undefined_levels(self):
-        result = score([HIGH, HIGH], [HIGH, LOW])
+        result = score(indices([HIGH, HIGH]), indices([HIGH, LOW]))
         # precision defined only for highly (0.5); recall for highly and lowly
         assert result.macro_precision == 0.5
         assert result.macro_recall == pytest.approx((1.0 + 0.0) / 2.0)
@@ -168,21 +174,21 @@ class TestScore:
 
     def test_perfect_prediction(self):
         labels = [LOW, MID, HIGH, MID]
-        result = score(labels, labels)
+        result = score(indices(labels), indices(labels))
         assert result.accuracy == 1.0
         assert result.macro_precision == 1.0
         assert result.macro_recall == 1.0
         assert result.stderr_accuracy == 0.0
 
     def test_stderr_is_binomial(self):
-        result = score([HIGH, HIGH, LOW, LOW], [HIGH, LOW, LOW, LOW])
+        result = score(indices([HIGH, HIGH, LOW, LOW]), indices([HIGH, LOW, LOW, LOW]))
         p = result.accuracy
         assert p == 0.75
         assert result.stderr_accuracy == pytest.approx(math.sqrt(p * (1 - p) / 4))
 
     def test_config_is_echoed_as_a_copy(self):
         config = {"kind": "demo"}
-        result = score([HIGH], [HIGH], config)
+        result = score(indices([HIGH]), indices([HIGH]), config)
         assert result.config == {"kind": "demo"}
         config["kind"] = "mutated"
         assert result.config == {"kind": "demo"}
@@ -190,11 +196,11 @@ class TestScore:
     @given(st.lists(st.tuples(levels, levels), min_size=1, max_size=60), st.randoms())
     def test_permutation_invariance(self, pairs, rand):
         predicted, actual = zip(*pairs)
-        base = score(list(predicted), list(actual))
+        base = score(indices(predicted), indices(actual))
         shuffled = list(pairs)
         rand.shuffle(shuffled)
         p2, a2 = zip(*shuffled)
-        other = score(list(p2), list(a2))
+        other = score(indices(p2), indices(a2))
         assert base.counts == other.counts
         assert base.accuracy == other.accuracy
         assert base.macro_accuracy == other.macro_accuracy
@@ -202,7 +208,7 @@ class TestScore:
     @given(st.lists(st.tuples(levels, levels), min_size=1, max_size=60))
     def test_per_level_accuracy_bounds(self, pairs):
         predicted, actual = zip(*pairs)
-        result = score(list(predicted), list(actual))
+        result = score(indices(predicted), indices(actual))
         n = result.n_samples
         for level, metrics in result.per_level.items():
             c = result.counts.per_level[level]
@@ -214,6 +220,6 @@ class TestScore:
     @given(st.lists(st.tuples(levels, levels), min_size=1, max_size=60))
     def test_overall_accuracy_consistent_with_counts(self, pairs):
         predicted, actual = zip(*pairs)
-        result = score(list(predicted), list(actual))
+        result = score(indices(predicted), indices(actual))
         agree = sum(1 for p, a in pairs if p == a)
         assert result.accuracy == agree / len(pairs)

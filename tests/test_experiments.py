@@ -8,7 +8,7 @@ import pytest
 import mlt.experiments
 from mlt.agents import MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile, noise_free_performance
 from mlt.config import load_scenario_file
-from mlt.evaluation import Thresholds, TrustLevel, score
+from mlt.evaluation import Thresholds, TrustLevel, levels, score
 from mlt.experiments import (
     ABLATION,
     COUNT_SWEEP,
@@ -18,7 +18,6 @@ from mlt.experiments import (
     ExperimentSpec,
     _block_outcomes,
     _classify_clamped,
-    _levels,
     _slot_agents,
     _Sweep,
     _sweep_points,
@@ -92,7 +91,8 @@ def variant_oracle(base, spec, kind, n_reporters, frac, rep):
 
 
 def ground_truth(provider, promise):
-    return instantaneous_trust(noise_free_performance(provider, promise.schema), promise)
+    return instantaneous_trust(noise_free_performance(provider, promise.schema,
+                                                      [provider.honesty_gap]), promise)[0]
 
 
 @pytest.fixture
@@ -510,20 +510,20 @@ def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_trust_value_that_is_not_finite_is_not_classified(bad):
     with pytest.raises(ValueError, match="finite"):
-        _levels([0.5, bad], Thresholds())
+        levels([0.5, bad], Thresholds())
 
 
 def test_a_nan_report_gives_an_error_not_a_lowly_level():
     # max(0.0, nan) is 0.0, so the per-call clamp would make this lowly
     overall = aggregate_overall([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
     with pytest.raises(ValueError, match="finite"):
-        _levels(overall, Thresholds())
+        levels(overall, Thresholds())
 
 
 def test_levels_clamp_and_cut_as_classify_does():
     th = Thresholds(0.25, 0.75)
     trust = [-0.5, 0.0, 0.2499, 0.25, 0.5, 0.75, 1.0, 1.5]
-    assert [list(TrustLevel)[i] for i in _levels(trust, th)] == [
+    assert [list(TrustLevel)[i] for i in levels(trust, th)] == [
         _classify_clamped(t, th) for t in trust]
 
 

@@ -334,9 +334,10 @@ class TestBlocks:
                 got = block.trace(r, f)
                 assert got == alone
                 assert trace_events(got) == trace_events(alone)
-                assert block.reports(r)[f] == (alone.consumer_reports, alone.bystander_reports)
+                assert table.reports(block.final[r, f].tolist()) == (alone.consumer_reports,
+                                                                     alone.bystander_reports)
                 assert block.ground_truth[r] == alone.ground_truth_trust == instantaneous_trust(
-                    noise_free_performance(provider, promise.schema), promise)
+                    noise_free_performance(provider, promise.schema, [gaps[r]]), promise)[0]
 
     def test_each_slot_is_drawn_and_observed_once(self, session, promise, honest, monkeypatch):
         scenario = _grown(noisy_scenario(session, promise, honest, seed=314))
