@@ -137,7 +137,7 @@ def _clamp(schema, latent: np.ndarray) -> np.ndarray:
     ordinal = [spec.kind == ORDINAL for spec in schema.attributes]
     ranges = [spec.level_range if spec.kind == ORDINAL else (0.0, np.inf)
               for spec in schema.attributes]
-    lo, hi = np.array(ranges).T
+    lo, hi = np.array(ranges, dtype=float).T  # a base past int64 stays a number
     latent[..., ordinal] = np.floor(latent[..., ordinal] + 0.5)
     return np.minimum(hi, np.maximum(lo, latent, out=latent), out=latent)
 

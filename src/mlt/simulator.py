@@ -63,6 +63,7 @@ series.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -95,6 +96,7 @@ _CONSUMER_GROUP = 1
 _TRUTH, _OWN = 0, 1  # second counter word: the kind of an agent's stream
 _COMP_TAG = 9137  # entropy entry separating composition streams from agent streams
 COMPOSITION_FLAGS = 64  # adversary flags every composition draws: the most slots a sweep has
+_MAX_CELLS = 2**20  # most truth values (events x attributes) of a session: bounds a run's memory
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
 
     The rules that need the session or the provider are skipped when that
     component is None, so a caller can still check the rest of a scenario
-    whose session or provider failed to build.
+    whose session or provider failed to build.  Each reporter's events are
+    counted, not built, against _MAX_CELLS.
     """
     violations = []
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -164,6 +167,15 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
         if end > duration + _TIME_EPS:
             violations.append(f"consumer {c.id!r}: usage_end {end:g} falls outside "
                               f"the session (duration {duration:g})")
+    counts = [(f"bystander {b.id!r}", b.schedule.count) for b in bystanders]
+    counts += [(f"consumer {c.id!r}", _sample_count(c.usage, query_time)) for c in consumers]
+    events = 0
+    for reporter, count in counts:
+        events += count
+        if events * len(session.promise) > _MAX_CELLS:
+            violations.append(f"{reporter}: its events ({count}) take the session past "
+                              f"{_MAX_CELLS} truth values (events x attributes)")
+            break
     return violations
 
 
@@ -219,21 +231,25 @@ class SessionTrace:
 
 
 def _probe_times(schedule: ProbeSchedule, limit: float) -> tuple[float, ...]:
-    times = []
-    for k in range(schedule.count):
-        t = schedule.first_offset + k * schedule.interval
-        if t > limit + _TIME_EPS:
-            break
-        times.append(t)
-    return tuple(times)
+    first, interval = schedule.first_offset, schedule.interval
+    # the offsets never decrease, so bisection counts those up to limit
+    n = bisect.bisect_right(range(schedule.count), limit + _TIME_EPS,
+                            key=lambda k: first + k * interval)
+    return tuple(first + k * interval for k in range(n))
+
+
+def _sample_count(usage: ConsumerUsage, limit: float) -> int | float:
+    """How many samples a consumer takes up to limit, or math.inf where the
+    quotient of its window over its interval is not finite."""
+    if usage.usage_start >= limit:
+        return 0
+    quotient = (min(usage.usage_end, limit) - usage.usage_start) / usage.sample_interval
+    return math.floor(quotient + _TIME_EPS) + 1 if math.isfinite(quotient) else math.inf
 
 
 def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
-    end = min(usage.usage_end, limit)
-    if usage.usage_start >= limit:
-        return ()
-    n = int(math.floor((end - usage.usage_start) / usage.sample_interval + _TIME_EPS))
-    return tuple(usage.usage_start + m * usage.sample_interval for m in range(n + 1))
+    return tuple(usage.usage_start + m * usage.sample_interval
+                 for m in range(_sample_count(usage, limit)))
 
 
 def _philox_state(key: list[int], counter: list[int]) -> dict:

@@ -19,8 +19,6 @@ from mlt.simulator import (
     ConsumerUsage,
     ProbeSchedule,
     Scenario,
-    _probe_times,
-    _sample_times,
     run_scenario,
 )
 from mlt.trust import (
@@ -191,6 +189,30 @@ def trace_events(trace):
     return tuple(events)
 
 
+def _oracle_probe_times(schedule, q):
+    """A bystander's probe offsets up to query time q, one probe at a time."""
+    times = []
+    for k in range(schedule.count):
+        t = schedule.first_offset + k * schedule.interval
+        if t > q + 1e-9:
+            break
+        times.append(t)
+    return times
+
+
+def _oracle_sample_times(usage, q):
+    """A consumer's sample offsets up to query time q or the end of its window,
+    one sample at a time."""
+    if usage.usage_start >= q:
+        return []
+    span = min(usage.usage_end, q) - usage.usage_start
+    times, m = [], 0
+    while m <= span / usage.sample_interval + 1e-9:
+        times.append(usage.usage_start + m * usage.sample_interval)
+        m += 1
+    return times
+
+
 def run_scenario_oracle(scenario):
     """The per-sample session run: per event, one PerformanceVector with one
     scalar draw per attribute from the agent's truth stream and, for a random
@@ -232,7 +254,7 @@ def run_scenario_oracle(scenario):
     for i, b in enumerate(scenario.bystanders):
         truth, own = streams(0, i)
         last = None
-        for t in _probe_times(b.schedule, q):
+        for t in _oracle_probe_times(b.schedule, q):
             reported = observe(b.profile, _oracle_trust(sample(t, truth), promise), own)
             events.append(TraceEvent(t, b.id, PROBE, reported))
             last = (t, reported)
@@ -241,7 +263,7 @@ def run_scenario_oracle(scenario):
     for j, c in enumerate(scenario.consumers):
         truth, own = streams(1, j)
         acc, count = None, 0
-        for t in _sample_times(c.usage, q):
+        for t in _oracle_sample_times(c.usage, q):
             reported = observe(c.profile, _oracle_trust(sample(t, truth), promise), own)
             events.append(TraceEvent(t, c.id, SAMPLE, reported))
             acc = reported if acc is None else update_accumulated(acc, reported, scenario.params.alpha)

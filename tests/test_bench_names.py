@@ -19,6 +19,7 @@ from mlt.config import load_scenario_file
 from conftest import SCENARIO_DIR
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "mlt"
 
 
 def _load(name):
@@ -33,6 +34,23 @@ def test_every_traced_target_is_in_its_owner():
     targets = tracing.SWEEP_TARGETS + tracing.QUERY_TARGETS + tracing.POOL_TARGET
     missing = [f"{owner.__name__}.{attr}" for _, owner, attr in targets if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_every_unused_import_in_src_is_a_traced_target():
+    # an import kept only for the benchmark (noqa: F401) must be one that
+    # perfbench/tracing.py patches on that module; any other is dead code
+    tracing = _load("tracing")
+    targets = tracing.SWEEP_TARGETS + tracing.QUERY_TARGETS + tracing.POOL_TARGET
+    traced = {(owner.__name__, attr) for _, owner, attr in targets}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        module = "mlt" if path.stem == "__init__" else f"mlt.{path.stem}"
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                unused += [(module, alias.asname or alias.name) for alias in node.names]
+    assert sorted(set(unused) - traced) == []
 
 
 def test_the_traced_csv_formatter_exists():

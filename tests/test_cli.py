@@ -1,17 +1,23 @@
 """Command line behaviour: output formats, seed resolution, exit codes."""
 
+import copy
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlt.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 
 from conftest import SCENARIO_DIR
 
 BASE = str(SCENARIO_DIR / "acceptance_base.json")
+ABLATION = str(SCENARIO_DIR / "acceptance_ablation.json")
 DRIFT = str(SCENARIO_DIR / "drifting_provider.json")
 WIFI = str(SCENARIO_DIR / "wifi_cafe.json")
 
@@ -27,8 +33,8 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
-def base_doc():
-    with open(BASE, encoding="utf-8") as fh:
+def base_doc(path=BASE):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -377,6 +383,81 @@ class TestExitCodeContract:
         except SystemExit as exc:  # argparse rejects a bad flag by exiting
             got = exc.code
         assert got == code
+
+
+class TestSessionCap:
+    """A session may ask for at most simulator._MAX_CELLS truth values (events
+    x attributes).  validate and run count each reporter's events without
+    building them and reject a session past the cap with exit 3."""
+
+    @pytest.mark.parametrize(
+        "scenario, mutate, reporter",
+        [
+            (ABLATION, lambda d: d["consumers"][0].update(sample_interval=5e-324), "consumer 'c00'"),
+            (WIFI, lambda d: d["consumers"][0].update(sample_interval=1e-6), "consumer 'c00'"),
+            (WIFI, lambda d: d["bystanders"][0]["schedule"].update(count=10**12, interval=1e-9),
+             "bystander 'b00'"),
+        ],
+        ids=["sample-count-past-the-float-range", "billions-of-samples", "a-trillion-probes"],
+    )
+    def test_validate_and_run_reject_a_session_past_the_cap(self, tmp_path, capsys, scenario,
+                                                            mutate, reporter):
+        doc = base_doc(scenario)
+        mutate(doc)
+        path = write_doc(tmp_path, doc)
+        # validate first: it builds no events, so a session past the cap that
+        # slipped through could not exhaust memory here
+        assert main(["validate", "--scenario", path]) == EXIT_INVARIANT
+        assert f"violation: {reporter}: its " in capsys.readouterr().err
+        assert main(run_args("full", path)) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("scenario invariant violation:")
+        assert f"{reporter}: its " in err
+
+
+EXTREMES = (0, -0.0, 5e-324, 1e-300, 1e300, sys.float_info.max, -1, 2**63, 2**64)
+SHIPPED = {path.name: json.loads(path.read_text(encoding="utf-8"))
+           for path in sorted(SCENARIO_DIR.glob("*.json"))}
+
+
+def numeric_leaves(node, path=()) -> list[tuple]:
+    """The path to every number in a parsed JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in children for leaf in numeric_leaves(child, path + (key,))]
+
+
+class TestExtremeNumbers:
+    """A shipped scenario with one or two numbers set to an extreme value
+    exits 0, 2 or 3, never with a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_validate_and_run_exit_with_a_documented_code(self, data):
+        doc = copy.deepcopy(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))])
+        leaves = data.draw(st.lists(st.sampled_from(numeric_leaves(doc)), min_size=1, max_size=2,
+                                    unique=True))
+        for *parents, key in leaves:
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            node[key] = data.draw(st.sampled_from(EXTREMES))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_doc(Path(tmp), doc)
+            for argv in (["validate", "--scenario", path], run_args("full", path, "2")):
+                assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
+
+    def test_an_ordinal_base_past_int64_runs(self, tmp_path, capsys):
+        # its level range once made an object array that numpy could not clamp with
+        doc = base_doc(WIFI)
+        doc["session"]["attributes"][1]["base"] = 2**64
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == EXIT_OK
+        assert main(run_args("full", path)) == EXIT_OK
 
 
 class TestConsoleScript:

@@ -115,6 +115,23 @@ class TestScenarioValidation:
             "consumer 'c': usage_end 3700 falls outside the session (duration 3600)",
         ]
 
+    def test_a_session_past_the_cell_cap_names_the_reporter_that_passes_it(self, session, honest,
+                                                                           monkeypatch):
+        # 3 attributes: 3 probes, then 10 samples up to the query time (not
+        # the 13 of the whole window), then 1 more sample
+        monkeypatch.setattr(simulator, "_MAX_CELLS", 3 * 13)
+
+        def violations(*consumers):
+            return scenario_violations(
+                session, None, [Bystander("b", honest, ProbeSchedule(600.0, 600.0, 3))],
+                [Consumer(f"c{j}", honest, usage) for j, usage in enumerate(consumers)], 5400.0, 0)
+
+        assert violations(ConsumerUsage(0.0, 7200.0, 600.0)) == []
+        assert violations(ConsumerUsage(0.0, 7200.0, 600.0), ConsumerUsage(300.0, 900.0, 900.0)) == [
+            "consumer 'c1': its events (1) take the session past 39 truth values (events x attributes)"]
+        assert violations(ConsumerUsage(0.0, 7200.0, 5e-324)) == [
+            "consumer 'c0': its events (inf) take the session past 39 truth values (events x attributes)"]
+
     def test_usage_window_field_checks(self):
         with pytest.raises(ValueError):
             ConsumerUsage(-1.0, 600.0, 300.0)
