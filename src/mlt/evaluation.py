@@ -58,7 +58,7 @@ def classify(trust: float, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> Trust
 _LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 
-def levels(trust, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> np.ndarray:
+def levels(trust, thresholds: Thresholds) -> np.ndarray:
     """classify over an array: the level index (into TrustLevel) of each
     trust value, clamped to [0, 1] first.  A value that is not finite raises
     ValueError, where the clamp would quietly make a NaN lowly."""
