@@ -17,11 +17,11 @@ are free of between-point sampling noise.
 A sweep builds one slot table (see simulator) and hands the engine blocks
 of consecutive replications: as many as keep a block's largest array within
 _BLOCK_CELLS values, at least one and at most _BLOCK_SIZE.  Each synthesized
-slot holds its honest and its malicious agent, built and checked once per
-sweep.  In a block, each replication draws its composition (see
-simulator.compositions), so its honesty gap, its scenario seed and, per
-adversary fraction, a roster that picks each slot's agent by its flag; the
-engine draws and scores each (replication, slot)'s truth once for all the
+slot is an honest agent, built and checked once per sweep.  In a block, each
+replication draws its composition (see simulator.compositions), so its
+honesty gap, its scenario seed and, per adversary fraction, a roster that
+gives each slot the honest or the malicious profile by its flag; the engine
+draws and scores each (replication, slot)'s truth once for all the
 fractions.  Points that share a fraction share its roster: the largest one
 is simulated, and each smaller point is scored from the reports of its own
 prefix of slots.
@@ -40,8 +40,8 @@ block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
-over the session.  "full" runs the scenario's own roster as configured, one
-agent per slot.
+over the session.  "full" runs the scenario's own roster as configured, each
+agent with its own profile.
 """
 
 from __future__ import annotations
@@ -62,10 +62,9 @@ from .simulator import (
     Consumer,
     ConsumerUsage,
     Scenario,
-    Slot,
     SlotTable,
     compositions,
-    configured_slots,
+    own_profiles,
 )
 # Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
 # simulator.run_scenario layer, until ROADMAP direction 1 moves the
@@ -84,7 +83,7 @@ _BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
-_PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a slot's agents, indexed by its adversary flag
+_PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a synthesized slot's profile, indexed by its adversary flag
 
 # Each arm's (scores consumers, scores bystanders, damps by credibility)
 _ARMS = {
@@ -133,14 +132,14 @@ def _slot_id(slot: int) -> str:
 
 
 def _slot_agents(kind, query_time, n_slots):
-    """Each synthesized slot's (honest, malicious) agent, in slot order.
+    """Each synthesized slot's honest agent, in slot order.
 
-    A slot's agents depend only on the kind, the query time and the slot, so
-    a sweep builds them once; a roster picks each slot's agent by its
+    A slot's agent depends only on the kind, the query time and the slot, so
+    a sweep builds it once; a roster gives each slot its profile by its
     adversary flag.  Slot i's schedule never depends on n_slots.
     """
     q = query_time
-    slots = []
+    agents = []
     for slot in range(n_slots):
         j = slot // 2
         if slot % 2 == 0:
@@ -149,15 +148,14 @@ def _slot_agents(kind, query_time, n_slots):
                 sched = ProbeSchedule(q * (0.60 + 0.03 * (j % 6)), q * 0.10, 3)
             else:
                 sched = ProbeSchedule(q * (0.10 + 0.03 * (j % 8)), q * 0.22, 4)
-            pair = (Bystander(_slot_id(slot), p, sched) for p in _PROFILES)
+            agents.append(Bystander(_slot_id(slot), _HONEST_PROFILE, sched))
         else:
             if kind == ESTIMATOR_COMPARE:
                 usage = ConsumerUsage(q * 0.03 * (j % 4), q * (0.45 + 0.03 * (j % 4)), q * 0.05)
             else:
                 usage = ConsumerUsage(q * 0.04 * (j % 4), q * (0.70 + 0.06 * (j % 5)), q * 0.05)
-            pair = (Consumer(_slot_id(slot), p, usage) for p in _PROFILES)
-        slots.append(tuple(pair))
-    return tuple(slots)
+            agents.append(Consumer(_slot_id(slot), _HONEST_PROFILE, usage))
+    return tuple(agents)
 
 
 class _Sweep:
@@ -165,8 +163,9 @@ class _Sweep:
 
     The adversary fractions, in point order, each with one roster per
     replication; the size of the largest roster; the slot table, whose
-    synthesized honest roster is checked once as a Scenario; each
-    (point, arm)'s column; and the replications per block.
+    synthesized honest roster is checked once as a Scenario; for "full", the
+    profile each slot has as configured; each (point, arm)'s column; and the
+    replications per block.
     """
 
     def __init__(self, base: Scenario, spec: ExperimentSpec, points):
@@ -177,13 +176,13 @@ class _Sweep:
         self.size = max(n_reporters for n_reporters, _, _ in self.points)
         q = base.query_time
         if spec.kind == FULL:
-            slots = configured_slots(base)
+            agents = base.bystanders + base.consumers
+            profiles, self.own = own_profiles(agents)
         else:
-            pairs = _slot_agents(spec.kind, q, self.size)
-            honest = [pair[0] for pair in pairs]
-            replace(base, bystanders=honest[0::2], consumers=honest[1::2])  # checks the roster
-            slots = [Slot(i // 2, pair) for i, pair in enumerate(pairs)]
-        self.table = SlotTable(slots, base.session, q, base.params)
+            agents = _slot_agents(spec.kind, q, self.size)
+            replace(base, bystanders=agents[0::2], consumers=agents[1::2])  # checks the roster
+            profiles = _PROFILES
+        self.table = SlotTable(agents, profiles, base.session, q, base.params)
         self.columns = self._columns()
         # a replication's largest array is its truth or, for a one-attribute
         # provider under two fractions, its reports (roster x event)
@@ -195,8 +194,8 @@ class _Sweep:
 
         Each replication has one composition, so one honesty gap (one minus
         its uniform's point of trust_range, unless the provider is fixed) and
-        one scenario seed for all its rosters; roster f picks slot i's
-        malicious agent when the slot's flag is below fraction f.
+        one scenario seed for all its rosters; roster f gives slot i the
+        malicious profile when the slot's flag is below fraction f.
         """
         base, spec = self.base, self.spec
         uniforms, flags, seeds = compositions(base.seed, reps)
@@ -206,7 +205,7 @@ class _Sweep:
         else:
             gaps = np.full(len(seeds), base.provider.honesty_gap)
         if spec.kind == FULL:
-            picks = np.zeros((len(seeds), 1, len(self.table.slots)), np.intp)
+            picks = np.broadcast_to(self.own, (len(seeds), 1, len(self.own)))
         else:
             fracs = np.array(self.fracs)[:, np.newaxis]
             picks = (flags[:, np.newaxis, :self.size] < fracs).astype(np.intp)

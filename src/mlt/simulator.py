@@ -7,9 +7,9 @@ up to the query time, then aggregates the collected reports.
 
 Random streams are laid out here and nowhere else.  A scenario seed keys
 every agent stream of its session: key = SeedSequence(seed).generate_state(2,
-uint64), and a stream is numpy's Philox(key=key, counter=[0, kind, slot,
-group]), where group is 0 for bystanders and 1 for consumers, slot is the
-agent's index within its group, and kind names what the stream draws.  The
+uint64), and a stream is numpy's Philox(key=key, counter=[0, kind, index,
+group]), where group is 0 for bystanders and 1 for consumers, index is the
+agent's position within its group, and kind names what the stream draws.  The
 first counter word is the stream's own position, which Philox advances as it
 draws.  Each agent has two streams:
 
@@ -23,7 +23,7 @@ draws.  Each agent has two streams:
 
 Agents therefore never share state, results are bit-reproducible for a fixed
 seed, and shrinking the query time only ever removes events, it never
-changes the ones that remain.  Because a stream depends on (group, slot) and
+changes the ones that remain.  Because a stream depends on (group, index) and
 not on the roster's size, adding or removing agents at the end of either
 group leaves every other agent's events and reports unchanged.  Truth and
 reports never share a stream, so a random reporter's reports do not depend
@@ -39,19 +39,20 @@ uniforms for the adversary flags (one per slot a roster can have), and the
 scenario seed, an integer in [0, 2**63).
 
 One engine runs every session.  A SlotTable fixes a roster's slots: each
-slot's stream counters, its events up to the query time, and its candidate
-agents, which share an id and events and differ only in profile.
-SlotTable.simulate runs a block of replications of the table at once, each
-with its own honesty gap, scenario seed and rosters (a candidate per slot):
+slot is one agent, a bystander or a consumer, which gives the slot its id
+and its events up to the query time, and the table derives each slot's
+stream counters from the agent's group and its index there.  A roster gives
+each slot a profile.  SlotTable.simulate runs a block of replications of the
+table at once, each with its own honesty gap, scenario seed and rosters:
 
 - Draws.  Each slot of a replication sets its truth stream once, on one
-  Generator, and its own stream only where some roster picks a candidate
+  Generator, and its own stream only where some roster gives it a profile
   that draws its reports; every roster reads the same draws.
 - Arrays.  Each slot's events sit once on the event axis.  Truth, the
   finiteness check, clamping and instantaneous trust run once over
   (replication x event) and are broadcast over the rosters.  Reports are
   (replication x roster x event), one row per session: observe() runs once
-  per distinct profile, over the events whose picked candidate has it, and
+  per distinct profile, over the events whose slot the roster gives it, and
   the EWMA folds in place on the event axis, one update_accumulated call
   per step over the consumer slots that have that step.
 
@@ -273,70 +274,56 @@ def compositions(seed: int, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return uniforms[:, 0], uniforms[:, 1:], seeds
 
 
-class Slot(NamedTuple):
-    """One roster position: its index within its group and its candidate agents.
-
-    The candidates are all bystanders or all consumers, share an id and a
-    schedule or usage window, and differ only in profile; a roster picks one
-    of them.  The group and the index key the slot's streams.
-    """
-
-    index: int
-    agents: tuple
-
-
-def configured_slots(scenario: Scenario) -> list[Slot]:
-    """A scenario's roster as configured, one agent per slot: bystanders, then consumers."""
-    return ([Slot(i, (b,)) for i, b in enumerate(scenario.bystanders)]
-            + [Slot(j, (c,)) for j, c in enumerate(scenario.consumers)])
+def own_profiles(agents) -> tuple[tuple[ReporterProfile, ...], list[int]]:
+    """A roster as configured: its distinct profiles, in order of first use,
+    and each agent's index into them."""
+    index = {}
+    picks = [index.setdefault(a.profile, len(index)) for a in agents]
+    return tuple(index), picks
 
 
 class SlotTable:
     """What every session simulated from one roster of slots shares: the
-    slots and their events, the session, the aggregation params, and the
-    array layout that simulate() fills.
+    slots' agents and their events, the profiles a roster gives them, the
+    session, the aggregation params, and the array layout that simulate()
+    fills.
 
-    Slot j's events sit once on the event axis, at spans[j], whichever
-    candidate a roster picks; slot_of maps each event to its slot.  A slot
-    hands in one report whatever its candidate, report[j]: (class, reporter
-    id, fields after the trust value).  A candidate's profile is
-    profile_of[j, candidate], an index into profiles.
+    Slot j is agents[j], a Bystander or a Consumer, whatever profile a roster
+    gives it.  Its events sit once on the event axis, at spans[j]; slot_of
+    maps each event to its slot.  It hands in one report, report[j]: (class,
+    reporter id, fields after the trust value).
     """
 
-    def __init__(self, slots, session: ServiceSession, query_time: float,
+    def __init__(self, agents, profiles, session: ServiceSession, query_time: float,
                  params: AggregationParams):
-        self.slots = tuple(slots)
+        self.agents = tuple(agents)
+        self.profiles = tuple(profiles)
         self.session = session
         self.params = params
-        self.consumer = [isinstance(s.agents[0], Consumer) for s in self.slots]
-        groups = [_CONSUMER_GROUP if c else _BYSTANDER_GROUP for c in self.consumer]
-        # each slot's (truth, own) stream counters
-        self.counters = [([0, _TRUTH, s.index, g], [0, _OWN, s.index, g])
-                         for s, g in zip(self.slots, groups)]
-        self.times = [_sample_times(s.agents[0].usage, query_time) if c
-                      else _probe_times(s.agents[0].schedule, query_time)
-                      for s, c in zip(self.slots, self.consumer)]
+        self.consumer = [isinstance(a, Consumer) for a in self.agents]
+        self.times = [_sample_times(a.usage, query_time) if c
+                      else _probe_times(a.schedule, query_time)
+                      for a, c in zip(self.agents, self.consumer)]
         self.reporting = [j for j, times in enumerate(self.times) if times]
         self.offsets = [t for times in self.times for t in times]  # the event axis
         counts = [len(times) for times in self.times]
         stops = np.cumsum(counts, dtype=np.intp).tolist()
         self.spans = [(stop - count, stop) for stop, count in zip(stops, counts)]
-        self.slot_of = np.repeat(np.arange(len(self.slots), dtype=np.intp), counts)
+        self.slot_of = np.repeat(np.arange(len(self.agents), dtype=np.intp), counts)
 
-        index = {}  # each distinct profile's position in profiles
-        width = max((len(s.agents) for s in self.slots), default=0)
-        self.profile_of = np.zeros((len(self.slots), width), np.intp)  # [slot, candidate]
-        self.report = []
-        for j, (slot, times) in enumerate(zip(self.slots, self.times)):
-            self.profile_of[j, :len(slot.agents)] = [index.setdefault(a.profile, len(index))
-                                                     for a in slot.agents]
-            agent = slot.agents[0]
-            if self.consumer[j]:
+        # each slot's (truth, own) stream counters, keyed by its index within
+        # its group, and its report
+        self.counters, self.report = [], []
+        seen = {_BYSTANDER_GROUP: 0, _CONSUMER_GROUP: 0}  # the slots so far in each group
+        for agent, c, times in zip(self.agents, self.consumer, self.times):
+            group = _CONSUMER_GROUP if c else _BYSTANDER_GROUP
+            self.counters.append(([0, _TRUTH, seen[group], group], [0, _OWN, seen[group], group]))
+            seen[group] += 1
+            if c:
                 coverage = min(query_time, agent.usage.usage_end) - agent.usage.usage_start
                 self.report.append((AccumulatedReport, agent.id, (coverage, len(times))))
             else:
                 self.report.append((InstantaneousReport, agent.id, times[-1:]))
-        self.profiles = tuple(index)
 
         # the EWMA's steps: steps[e - 1] holds the event start + e of every
         # consumer slot with more than e events
@@ -390,13 +377,12 @@ class SlotTable:
         """Simulate a block of replications of the table.
 
         Replication r runs with provider at honesty gap gaps[r] and scenario
-        seed seeds[r], once per roster: picks[r][f][j] is the candidate that
-        roster f puts in slot j.
+        seed seeds[r], once per roster: picks[r][f][j] is the profile that
+        roster f gives slot j, an index into profiles.
         """
-        picks = np.asarray(picks, np.intp)
+        chosen = np.asarray(picks, np.intp)  # [r, f, slot] -> profile
         n, k = len(seeds), len(self.session.promise)
-        chosen = self.profile_of[np.arange(len(self.slots)), picks]  # [r, f, slot] -> profile
-        # a slot draws its own stream where some roster picks a random reporter
+        # a slot draws its own stream where some roster gives it a random reporter
         random = np.array([p.draws_reports for p in self.profiles], bool)
         noise, own = self._draws(seeds, random[chosen].any(axis=1).tolist())
 
@@ -419,7 +405,7 @@ class SlotTable:
         for at in self.steps:
             accumulated[..., at] = update_accumulated(accumulated[..., at - 1],
                                                       reported[..., at], self.params.alpha)
-        return Block(self, ground_truth, picks.tolist(), reported, accumulated)
+        return Block(self, ground_truth, reported, accumulated)
 
 
 class Block:
@@ -428,10 +414,9 @@ class Block:
     hold one row per session: (replication x roster x event) and, in final,
     each reporting slot's last report or EWMA value."""
 
-    def __init__(self, table: SlotTable, ground_truth, picks, reported, accumulated):
+    def __init__(self, table: SlotTable, ground_truth, reported, accumulated):
         self.table = table
         self.ground_truth = ground_truth
-        self.picks = picks  # [r][f][slot] -> candidate
         self.reported = reported
         self.accumulated = accumulated
         self.final = accumulated[..., table.last]  # [r, f, reporting slot]
@@ -442,11 +427,10 @@ class Block:
         table = self.table
         consumer_reports, bystander_reports = table.reports(self.final[r, f].tolist())
         series = []
-        for j in sorted(range(len(table.slots)), key=table.consumer.__getitem__):
+        for j in sorted(range(len(table.agents)), key=table.consumer.__getitem__):
             start, stop = table.spans[j]
-            agent = table.slots[j].agents[self.picks[r][f][j]]
             series.append(AgentSeries(
-                agent.id, table.times[j], tuple(self.reported[r, f, start:stop].tolist()),
+                table.agents[j].id, table.times[j], tuple(self.reported[r, f, start:stop].tolist()),
                 tuple(self.accumulated[r, f, start:stop].tolist()) if table.consumer[j] else None))
         return SessionTrace(
             final_breakdown=aggregate(consumer_reports, bystander_reports, table.params),
@@ -460,7 +444,8 @@ class Block:
 def run_scenario(scenario: Scenario) -> SessionTrace:
     """Simulate one session up to query_time and aggregate what was reported:
     a block of one replication and one roster."""
-    slots = configured_slots(scenario)
-    table = SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
+    agents = scenario.bystanders + scenario.consumers
+    profiles, picks = own_profiles(agents)
+    table = SlotTable(agents, profiles, scenario.session, scenario.query_time, scenario.params)
     gaps = [scenario.provider.honesty_gap]
-    return table.simulate(scenario.provider, gaps, [scenario.seed], [[[0] * len(slots)]]).trace(0, 0)
+    return table.simulate(scenario.provider, gaps, [scenario.seed], [[picks]]).trace(0, 0)

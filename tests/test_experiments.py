@@ -17,6 +17,7 @@ from mlt.experiments import (
     KINDS,
     ExperimentSpec,
     _block_outcomes,
+    _PROFILES,
     _classify_clamped,
     _slot_agents,
     _Sweep,
@@ -65,7 +66,8 @@ def composition_oracle(seed, rep, spec):
 
 def synth_roster(kind, query_time, n_slots, flags, frac):
     """(bystanders, consumers) of the roster whose slot i turns malicious when flags[i] < frac."""
-    roster = [pair[int(flags[i] < frac)] for i, pair in enumerate(_slot_agents(kind, query_time, n_slots))]
+    roster = [replace(a, profile=_PROFILES[int(flags[i] < frac)])
+              for i, a in enumerate(_slot_agents(kind, query_time, n_slots))]
     return tuple(roster[0::2]), tuple(roster[1::2])
 
 
@@ -83,7 +85,7 @@ def variant_oracle(base, spec, kind, n_reporters, frac, rep):
         roster = [
             replace(honest, profile=ReporterProfile(MALICIOUS, malicious_strategy=RANDOM))
             if flags[slot] < frac else honest
-            for slot, (honest, _) in enumerate(_slot_agents(kind, base.query_time, n_reporters))
+            for slot, honest in enumerate(_slot_agents(kind, base.query_time, n_reporters))
         ]
         bystanders, consumers = roster[0::2], roster[1::2]
     return replace(base, provider=provider, bystanders=bystanders, consumers=consumers,
@@ -244,7 +246,9 @@ class TestReplications:
         )
         spec = ExperimentSpec(FULL)
         sweep = _Sweep(roster, spec, _sweep_points(roster, spec))
-        assert [slot.agents for slot in sweep.table.slots] == [roster.bystanders]
+        table = sweep.table
+        agents = [replace(a, profile=table.profiles[p]) for a, p in zip(table.agents, sweep.own)]
+        assert agents == list(roster.bystanders)
         assert sweep.simulate(range(1)).trace(0, 0) == run_scenario(
             variant_oracle(roster, spec, FULL, 1, 0.0, 0))
 

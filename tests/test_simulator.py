@@ -25,8 +25,8 @@ from mlt.simulator import (
     Consumer,
     ConsumerUsage,
     Scenario,
-    Slot,
     SlotTable,
+    own_profiles,
     run_scenario,
     scenario_violations,
 )
@@ -314,16 +314,18 @@ def _shorter(scenario):
     return replace(scenario, query_time=1800.0)
 
 
-def _two_candidate_table(scenario):
-    """Each slot holds its agent and the agent turned random: the slots, the
-    picks of the roster that turns the first slot of each group random, and
-    the slot table."""
+def _two_roster_table(scenario):
+    """A slot table of the scenario's agents whose profiles are their own and
+    the random one: the table, the picks of the roster as configured, and
+    the picks of the roster that turns the first slot of each group random."""
     noisy = ReporterProfile("malicious", malicious_strategy="random")
-    slots = [Slot(i, (a, replace(a, profile=noisy)))
-             for group in (scenario.bystanders, scenario.consumers)
-             for i, a in enumerate(group)]
-    firsts = [int(slot.index == 0) for slot in slots]
-    return slots, firsts, SlotTable(slots, scenario.session, scenario.query_time, scenario.params)
+    agents = scenario.bystanders + scenario.consumers
+    profiles, own = own_profiles(agents)
+    firsts = [len(profiles) if a in scenario.bystanders[:1] + scenario.consumers[:1] else p
+              for a, p in zip(agents, own)]
+    table = SlotTable(agents, profiles + (noisy,), scenario.session, scenario.query_time,
+                      scenario.params)
+    return table, own, firsts
 
 
 class TestBlocks:
@@ -335,15 +337,15 @@ class TestBlocks:
                              ids=["roster-size", "shorter-query-time", "honest-vs-random"])
     def test_a_session_in_a_block_equals_it_alone(self, session, promise, honest, change):
         scenario = change(noisy_scenario(session, promise, honest, seed=314))
-        slots, firsts, table = _two_candidate_table(scenario)
+        table, own, firsts = _two_roster_table(scenario)
         seeds = [314, 2**32 + 5, 0, 7, 2**63 - 1]
         gaps = [0.2, 0.0, 0.5, 0.9, 0.35]
-        rosters = [[[0] * len(slots), firsts]] * len(seeds)
+        rosters = [[own, firsts]] * len(seeds)
         block = table.simulate(scenario.provider, gaps, seeds, rosters)
         for r in (0, 2, 4):  # first, middle and last position
             provider = replace(scenario.provider, honesty_gap=gaps[r])
-            for f, picks in enumerate(([0] * len(slots), firsts)):
-                roster = [slot.agents[c] for slot, c in zip(slots, picks)]
+            for f, picks in enumerate((own, firsts)):
+                roster = [replace(a, profile=table.profiles[p]) for a, p in zip(table.agents, picks)]
                 alone = run_scenario(replace(
                     scenario, provider=provider, seed=seeds[r],
                     bystanders=tuple(a for a in roster if isinstance(a, Bystander)),
@@ -358,10 +360,10 @@ class TestBlocks:
 
     def test_each_slot_is_drawn_and_observed_once(self, session, promise, honest, monkeypatch):
         scenario = _grown(noisy_scenario(session, promise, honest, seed=314))
-        slots, firsts, table = _two_candidate_table(scenario)
+        table, own, firsts = _two_roster_table(scenario)
         seeds, gaps = [314, 2**32 + 5, 0], [0.2, 0.0, 0.5]
         events = sum(map(len, table.times))
-        assert len(table.offsets) == events  # a slot's events are held once, not per candidate
+        assert len(table.offsets) == events  # a slot's events are held once, not per profile
         truth_states, observed = [], []
         philox_state, observe = simulator._philox_state, simulator.observe
 
@@ -376,9 +378,9 @@ class TestBlocks:
 
         monkeypatch.setattr(simulator, "_philox_state", state_spy)
         monkeypatch.setattr(simulator, "observe", observe_spy)
-        # the rosters pick different candidates of each group's first slot,
-        # and every replication still sets each slot's truth stream once
-        table.simulate(scenario.provider, gaps, seeds, [[[0] * len(slots), firsts]] * len(seeds))
+        # the rosters give each group's first slot different profiles, and
+        # every replication still sets each slot's truth stream once
+        table.simulate(scenario.provider, gaps, seeds, [[own, firsts]] * len(seeds))
         assert len(truth_states) == len(set(truth_states)) == len(seeds) * len(table.reporting)
         # one roster: observe sees each event of each replication once
         observed.clear()
@@ -391,18 +393,21 @@ class TestStreamSeeding:
     stream per agent; its draws must be the ones numpy's own streams give."""
 
     def test_agent_streams_are_numpys_philox(self, session):
-        liar = ReporterProfile("malicious", malicious_strategy="random")
         honest = ReporterProfile("honest")
         schedule, usage = ProbeSchedule(600.0, 600.0, 5), ConsumerUsage(0.0, 3600.0, 900.0)
-        slots = [Slot(0, (Bystander("b0", honest, schedule),)),
-                 Slot(7, (Bystander("b7", liar, schedule),)),
-                 Slot(0, (Consumer("c0", liar, usage),)),
-                 Slot(63, (Consumer("c63", honest, usage),))]
-        keys = [(0, 0), (7, 0), (0, 1), (63, 1)]  # each slot's (index, group)
-        table = SlotTable(slots, session, 5400.0, AggregationParams())
+        # 64 consumers with a bystander after every eighth, so a slot's
+        # position is not its index within its group
+        agents, keys = [], []  # keys: each slot's (index, group)
+        for i in range(64):
+            agents.append(Consumer(f"c{i}", honest, usage))
+            keys.append((i, 1))
+            if i % 8 == 7:
+                agents.append(Bystander(f"b{i // 8}", honest, schedule))
+                keys.append((i // 8, 0))
+        table = SlotTable(agents, (honest,), session, 5400.0, AggregationParams())
         seeds = [0, 1, 2**32, 2**63 - 1, 2**64 + 5, 2**130 + 3]
         # own draws asked for a checkerboard of (replication, slot)
-        asked = [[(r + j) % 2 == 0 for j in range(len(slots))] for r in range(len(seeds))]
+        asked = [[(r + j) % 2 == 0 for j in range(len(agents))] for r in range(len(seeds))]
         noise, own = table._draws(seeds, asked)
         for r, seed in enumerate(seeds):
             key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
