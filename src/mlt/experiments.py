@@ -67,7 +67,7 @@ from .simulator import (
     own_profiles,
 )
 # Not called here: perfbench/tracing.py wraps experiments.run_scenario as its
-# simulator.run_scenario layer, until ROADMAP direction 1 moves the
+# simulator.run_scenario layer, until ROADMAP direction 3 moves the
 # instrumentation into src.
 from .simulator import run_scenario  # noqa: F401
 from .trust import aggregate, aggregate_overall, coverage_weights, freshness_weights
@@ -323,8 +323,8 @@ def _sweep_points(base_scenario: Scenario, spec: ExperimentSpec):
 def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
                          jobs: int = 1) -> list[ExperimentResult]:
     """Run one experiment sweep and return a scored result per sweep point and arm."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if not is_integer(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     kind = spec.kind
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
     n = spec.replications

@@ -79,7 +79,7 @@ from .agents import (
     observe,
     sample_true_performance,
 )
-from .session import ServiceSession, require_finite
+from .session import ServiceSession, is_integer, require_finite
 from .trust import (
     AccumulatedReport,
     AggregationParams,
@@ -143,7 +143,7 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
     counted, not built, against _MAX_CELLS.
     """
     violations = []
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         violations.append(f"seed: must be a non-negative integer, got {seed!r}")
     ids = [b.id for b in bystanders] + [c.id for c in consumers]
     if not all(ids):

@@ -44,7 +44,7 @@ format its label only when one fails, and a plain int update_count passes
 on its type.  On CPython 3.11 an AccumulatedReport takes 64 bytes beside
 its field values and an InstantaneousReport 56, 40 fewer than with an
 instance dict, and they build in about 0.9 and 0.7 us (timeit, best of 5, on
-a shared 2-core machine; 1.55 and 0.87 us before).
+a shared 2-core machine).
 """
 
 from __future__ import annotations

@@ -348,9 +348,15 @@ class TestSuite:
         run_experiment_suite(base, spec, jobs=jobs)
         assert sizes == started
 
-    def test_jobs_must_be_positive(self, base):
-        with pytest.raises(ValueError):
-            run_experiment_suite(base, ExperimentSpec(ABLATION, replications=1), jobs=0)
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, np.int64(2)])
+    def test_jobs_must_be_positive(self, base, monkeypatch, jobs):
+        monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", 10)  # several blocks, so a pool starts
+        spec = ExperimentSpec(ABLATION, replications=REPS)
+        if isinstance(jobs, np.integer):
+            assert run_experiment_suite(base, spec, jobs=jobs) == run_experiment_suite(base, spec, jobs=2)
+        else:
+            with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1"):
+                run_experiment_suite(base, spec, jobs=jobs)
 
     def test_sweep_scores_under_the_scenario_mode(self, base):
         verbatim = replace(base, params=replace(base.params, mode=VERBATIM))

@@ -1,9 +1,11 @@
 """Event generation, report collection, and reproducibility of session runs."""
 
+import ast
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,9 @@ from conftest import (
 )
 
 
+_STREAM_NAMES = {"SeedSequence", "Philox", "default_rng"}  # numpy.random's seeds and streams
+
+
 def noisy_scenario(session, promise, honest, seed=99):
     """Jittered provider with one bystander and one consumer."""
     provider = make_provider(promise, honesty_gap=0.2, jitter_rel=0.1)
@@ -74,6 +79,14 @@ class TestScenarioValidation:
         scenario = make_scenario(session, make_provider(promise))
         with pytest.raises(ValueError, match="seed"):
             replace(scenario, seed=True)
+
+    def test_a_numpy_integer_seed_runs_as_the_int(self, session, promise, honest):
+        scenario = noisy_scenario(session, promise, honest, seed=5)
+        for seed in (np.int64(5), np.uint64(5)):
+            assert run_scenario(replace(scenario, seed=seed)) == run_scenario(scenario)
+        for bad in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match=r"^seed: must be a non-negative integer"):
+                replace(scenario, seed=bad)
 
     def test_generator_count_must_match_the_schema(self, session):
         provider = ProviderProfile((AttributeGenerator(10.0),))
@@ -418,6 +431,29 @@ class TestStreamSeeding:
                 assert noise[r, start:stop].tolist() == truth.standard_normal((events, 3)).tolist()
                 expected = reports.random(events) if asked[r][j] else np.zeros(events)
                 assert own[r, start:stop].tolist() == expected.tolist(), (seed, j)
+
+    def test_streams_are_laid_out_in_simulator_only(self):
+        # the module docstring's contract: no other module of the package
+        # names numpy.random or one of its streams
+        def references(path):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    dotted = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    dotted = [f"{ast.unparse(node.value)}.{node.attr}"]
+                elif isinstance(node, ast.Name):
+                    dotted = [node.id]
+                else:
+                    continue
+                yield from (m for m in dotted if m.split(".")[-1] in _STREAM_NAMES
+                            or m.startswith(("np.random", "numpy.random")))
+
+        src = Path(simulator.__file__).parent
+        found = {path.name: list(references(path)) for path in sorted(src.glob("*.py"))}
+        assert found.pop("simulator.py")  # the check sees what it looks for
+        assert {name: refs for name, refs in found.items() if refs} == {}
 
     def test_random_reports_do_not_depend_on_the_attribute_count(self, session, promise):
         # truth and reports come from separate streams, so a provider with
