@@ -83,7 +83,7 @@ _BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
 _MALICIOUS_PROFILE = ReporterProfile(MALICIOUS, 0.0, RANDOM)  # synthesized adversaries are random
-_PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a synthesized slot's profile, indexed by its adversary flag
+_PROFILES = (_HONEST_PROFILE, _MALICIOUS_PROFILE)  # a slot's profile, indexed by its adversary flag
 
 # Each arm's (scores consumers, scores bystanders, damps by credibility)
 _ARMS = {
@@ -341,12 +341,12 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     actual = outcomes[:, 0]
     results = []
     for c, column in enumerate(sweep.columns, start=1):
-        config = {
+        config = {  # the checks pass numpy numbers; the config holds Python's, which json writes
             "kind": kind,
-            "reporters": column.n_reporters,
-            "adversary_frac": column.frac,
-            "replications": spec.replications,
-            "seed": base_scenario.seed,
+            "reporters": int(column.n_reporters),
+            "adversary_frac": float(column.frac),
+            "replications": int(spec.replications),
+            "seed": int(base_scenario.seed),
         }
         if kind == ABLATION:
             config["credibility"] = column.arm

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mlt.experiments
+from mlt.cli import format_json
 from mlt.agents import MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile, noise_free_performance
 from mlt.config import load_scenario_file
 from mlt.evaluation import Thresholds, TrustLevel, levels, score
@@ -357,6 +358,16 @@ class TestSuite:
         else:
             with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1"):
                 run_experiment_suite(base, spec, jobs=jobs)
+
+    def test_numpy_numbers_run_as_pythons(self, base):
+        # the spec's numbers and the scenario seed accept numpy scalars; the
+        # results, json output included, are those of Python's numbers
+        plain = run_experiment_suite(base, ExperimentSpec(COUNT_SWEEP, replications=REPS, reporters=2,
+                                                          adversary_frac=0.25))
+        numpy = run_experiment_suite(replace(base, seed=np.int64(base.seed)), ExperimentSpec(
+            COUNT_SWEEP, replications=np.int64(REPS), reporters=np.uint8(2),
+            adversary_frac=np.float32(0.25)))
+        assert format_json(COUNT_SWEEP, numpy) == format_json(COUNT_SWEEP, plain)
 
     def test_sweep_scores_under_the_scenario_mode(self, base):
         verbatim = replace(base, params=replace(base.params, mode=VERBATIM))

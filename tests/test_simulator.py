@@ -46,9 +46,6 @@ from conftest import (
 )
 
 
-_STREAM_NAMES = {"SeedSequence", "Philox", "default_rng"}  # numpy.random's seeds and streams
-
-
 def noisy_scenario(session, promise, honest, seed=99):
     """Jittered provider with one bystander and one consumer."""
     provider = make_provider(promise, honesty_gap=0.2, jitter_rel=0.1)
@@ -435,6 +432,8 @@ class TestStreamSeeding:
     def test_streams_are_laid_out_in_simulator_only(self):
         # the module docstring's contract: no other module of the package
         # names numpy.random or one of its streams
+        streams = {"SeedSequence", "Philox", "default_rng"}
+
         def references(path):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
@@ -447,7 +446,7 @@ class TestStreamSeeding:
                     dotted = [node.id]
                 else:
                     continue
-                yield from (m for m in dotted if m.split(".")[-1] in _STREAM_NAMES
+                yield from (m for m in dotted if m.split(".")[-1] in streams
                             or m.startswith(("np.random", "numpy.random")))
 
         src = Path(simulator.__file__).parent
