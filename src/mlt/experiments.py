@@ -47,7 +47,6 @@ agent with its own profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +77,7 @@ ESTIMATOR_COMPARE = "estimator-compare"
 FULL = "full"
 KINDS = (ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL)
 
-_BLOCK_SIZE = 50   # most replications per engine call; the block size never changes the output
+_BLOCK_SIZE = 200  # most replications per engine call; the block size never changes the output
 _BLOCK_CELLS = 2**18  # most values per block in the engine's largest arrays
 
 _HONEST_PROFILE = ReporterProfile(HONEST)
@@ -299,6 +298,12 @@ def _block_outcomes(args) -> np.ndarray:
     return rows
 
 
+def Pool(processes: int):  # multiprocessing's name: perfbench/tracing.py wraps it
+    """multiprocessing.Pool(processes), imported only when a sweep starts a pool."""
+    from multiprocessing import Pool
+    return Pool(processes)
+
+
 def _declared_adversary_frac(scenario: Scenario) -> float:
     roster = [b.profile for b in scenario.bystanders] + [c.profile for c in scenario.consumers]
     if not roster:
@@ -332,7 +337,7 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     args = [(sweep, range(start, min(start + size, n))) for start in range(0, n, size)]
     processes = min(jobs, len(args))
     if processes > 1:
-        with Pool(processes=processes) as pool:
+        with Pool(processes) as pool:
             blocks = pool.map(_block_outcomes, args)
     else:
         blocks = [_block_outcomes(a) for a in args]

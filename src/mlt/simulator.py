@@ -38,6 +38,10 @@ this order, one uniform on [0, 1) for the provider quality, COMPOSITION_FLAGS
 uniforms for the adversary flags (one per slot a roster can have), and the
 scenario seed, an integer in [0, 2**63).
 
+A block computes its keys and composition seeds as SeedSequence's hash in
+arrays (_seed_states) and sets each stream as a state on one reused Philox
+or PCG64; the tests check every draw against numpy's own streams.
+
 One engine runs every session.  A SlotTable fixes a roster's slots: each
 slot is one agent, a bystander or a consumer, which gives the slot its id
 and its events up to the query time, and the table derives each slot's
@@ -98,6 +102,10 @@ _TRUTH, _OWN = 0, 1  # second counter word: the kind of an agent's stream
 _COMP_TAG = 9137  # entropy entry separating composition streams from agent streams
 COMPOSITION_FLAGS = 64  # adversary flags every composition draws: the most slots a sweep has
 _MAX_CELLS = 2**20  # most truth values (events x attributes) of a session: bounds a run's memory
+
+# numpy's SeedSequence (a pool of 4 uint32 words, hashmix's (init, mult)) and PCG64 constants
+_POOL, _HASH_IN, _HASH_OUT = 4, (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -253,25 +261,76 @@ def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
                  for m in range(_sample_count(usage, limit)))
 
 
-def _philox_state(key: list[int], counter: list[int]) -> dict:
-    """The state of numpy's Philox(key=key, counter=counter), to set on a
-    Generator: setting it costs a fraction of building the Philox."""
-    return {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: hashmix(value, k) makes k
+    calls, one per row of value, its constant advancing by mult at each."""
+    def hashmix(value, calls: int):
+        nonlocal const
+        consts = np.full((calls + 1, 1), mult, np.uint32)
+        consts[0] = const
+        consts = np.cumprod(consts, axis=0, dtype=np.uint32)
+        const = int(consts[-1, 0])
+        value = (value ^ consts[:-1]) * consts[1:]
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return result ^ result >> 16
+
+
+def _seed_states(columns, n: int) -> np.ndarray:
+    """numpy's SeedSequence(row).generate_state(n, np.uint64) of each row of
+    the entropy with these columns (an int, or one per row).  An entry is its
+    32-bit words, low first (0 is one).  The rows of one width are hashed
+    together, each of numpy's hashmix calls, in its order, over all of them."""
+    split, counts = [], []  # each column's words, and each row's count of them
+    # numpy reads ints past int64 as floats, so those are kept as objects
+    for column in np.broadcast_arrays(*[a if (a := np.asarray(c)).dtype.kind in "iu"
+                                        else np.array(c, object) for c in columns]):
+        if (column < 0).any():
+            raise ValueError("SeedSequence entropy must be non-negative")
+        split.append([column & 0xFFFFFFFF])
+        counts.append(np.ones(column.shape, np.intp))
+        while (column := column >> 32).any():
+            split[-1].append(column & 0xFFFFFFFF)
+            counts[-1] += column != 0
+    counts = np.stack(counts, axis=1)
+    states = np.empty((len(counts), n), np.uint64)
+    for width in set(map(tuple, counts.tolist())):
+        at = (counts == width).all(axis=1)
+        words = np.array([w[at] for column, k in zip(split, width) for w in column[:k]], np.uint32)
+        hashmix = _hasher(*_HASH_IN)
+        pool = np.vstack([words[:_POOL], np.zeros((_POOL, len(words[0])), np.uint32)])[:_POOL]
+        pool = hashmix(pool, _POOL)
+        for src in range(_POOL):  # mix every word into every other
+            dst = [d for d in range(_POOL) if d != src]
+            pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL - 1))
+        for word in words[_POOL:]:  # then each entropy word past the pool into every word
+            pool = _mix(pool, hashmix(word, _POOL))
+        state = _hasher(*_HASH_OUT)(pool[np.arange(2 * n) % _POOL], 2 * n)  # low word first
+        states[at] = np.ascontiguousarray(state.T, "<u4").view("<u8")
+    return states
 
 
 def compositions(seed: int, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The composition draws of replications reps (see the module docstring):
     a uniform per replication, a (replication x COMPOSITION_FLAGS) array of
     adversary flags, and the scenario seeds."""
-    # each row: the quality's uniform, then the flags, in one call of the stream
-    uniforms = np.empty((len(reps), 1 + COMPOSITION_FLAGS))
-    seeds = np.empty(len(reps), np.int64)
-    for r, rep in enumerate(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _COMP_TAG, rep)))
-        rng.random(out=uniforms[r])
-        seeds[r] = rng.integers(0, 2**63)
-    return uniforms[:, 0], uniforms[:, 1:], seeds
+    # numpy's PCG64(SeedSequence) seeds from 4 words; a row is its raw words
+    words = _seed_states((seed, _COMP_TAG, reps), 4).tolist()
+    bit_generator = np.random.PCG64(0)
+    raw = np.empty((len(words), 2 + COMPOSITION_FLAGS), np.uint64)
+    for r, (s0, s1, i0, i1) in enumerate(words):
+        inc = ((i0 << 64 | i1) << 1 | 1) & (2**128 - 1)
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & (2**128 - 1)
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        raw[r] = bit_generator.random_raw(2 + COMPOSITION_FLAGS)
+    # random() takes a word's top 53 bits; integers(0, 2**63) its top 63 (Lemire's, no rejection)
+    uniforms = (raw[:, :-1] >> 11) * 2.0**-53
+    return uniforms[:, 0], uniforms[:, 1:], (raw[:, -1] >> 1).astype(np.int64)
 
 
 def own_profiles(agents) -> tuple[tuple[ReporterProfile, ...], list[int]]:
@@ -356,21 +415,27 @@ class SlotTable:
         where own[r][j] is true, zeros elsewhere."""
         noise = np.empty((len(seeds), len(self.offsets), len(self.session.promise)))
         drawn = np.zeros(noise.shape[:2])
+        keys = _seed_states([seeds], 2).tolist()
         # numpy.random is loaded here, when a stream is first needed, not
-        # when the package is imported
-        keys = [np.random.SeedSequence(int(seed)).generate_state(2, np.uint64).tolist()
-                for seed in seeds]
+        # when the package is imported; each stream sets the key and counter
+        # of one Philox state
         rng = np.random.Generator(np.random.Philox(0))
         bit_generator, normals, uniforms = rng.bit_generator, rng.standard_normal, rng.random
-        for r, (key, asked) in enumerate(zip(keys, own)):
-            for j in self.reporting:
-                start, stop = self.spans[j]
-                truth, reports = self.counters[j]
-                bit_generator.state = _philox_state(key, truth)
-                normals(out=noise[r, start:stop])
-                if asked[j]:
-                    bit_generator.state = _philox_state(key, reports)
-                    uniforms(out=drawn[r, start:stop])
+        stream = {}
+        state = {"bit_generator": "Philox", "state": stream, "buffer": [0] * 4, "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for j in self.reporting:
+            start, stop = self.spans[j]
+            truth, reports = self.counters[j]
+            noise_j, drawn_j = noise[:, start:stop], drawn[:, start:stop]
+            for r, key in enumerate(keys):
+                stream["key"], stream["counter"] = key, truth
+                bit_generator.state = state
+                normals(out=noise_j[r])
+                if own[r][j]:
+                    stream["counter"] = reports
+                    bit_generator.state = state
+                    uniforms(out=drawn_j[r])
         return noise, drawn
 
     def simulate(self, provider: ProviderProfile, gaps, seeds, picks) -> Block:

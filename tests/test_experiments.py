@@ -1,5 +1,7 @@
 """Sweep bookkeeping: composition draws, synthesized rosters, suite structure."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -349,6 +351,17 @@ class TestSuite:
         run_experiment_suite(base, spec, jobs=jobs)
         assert sizes == started
 
+    def test_a_sweep_without_a_pool_does_not_import_multiprocessing(self):
+        code = ("import sys; from mlt.config import load_scenario_file; "
+                "from mlt.experiments import ABLATION, ExperimentSpec, run_experiment_suite; "
+                f"scenario, _ = load_scenario_file({str(SCENARIO_DIR / 'wifi_cafe.json')!r}); "
+                "run_experiment_suite(scenario, ExperimentSpec(ABLATION, replications=60), jobs=1); "
+                "print('multiprocessing' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, np.int64(2)])
     def test_jobs_must_be_positive(self, base, monkeypatch, jobs):
         monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", 10)  # several blocks, so a pool starts
@@ -454,7 +467,8 @@ def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypa
     assert rows == per_point_oracle(base, spec)
 
 
-SEAM_REPS = 120  # three default blocks; the 40-replication snapshots fit in one
+# a default block and part of the next; the 40-replication snapshots fit in one
+SEAM_REPS = mlt.experiments._BLOCK_SIZE + 20
 
 
 @pytest.mark.parametrize("kind", KINDS)

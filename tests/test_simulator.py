@@ -375,18 +375,28 @@ class TestBlocks:
         events = sum(map(len, table.times))
         assert len(table.offsets) == events  # a slot's events are held once, not per profile
         truth_states, observed = [], []
-        philox_state, observe = simulator._philox_state, simulator.observe
+        philox, observe = np.random.Philox, simulator.observe
 
-        def state_spy(key, counter):
-            if counter[1] == simulator._TRUTH:
-                truth_states.append((tuple(key), *counter[2:]))
-            return philox_state(key, counter)
+        class Philox(philox):  # the state setter checks the class name
+            """A Philox that records each truth stream's (key, index, group)
+            as a state is set on it."""
+
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                key, counter = value["state"]["key"], value["state"]["counter"]
+                if counter[1] == simulator._TRUTH:
+                    truth_states.append((tuple(key), *counter[2:]))
+                philox.state.__set__(self, value)
 
         def observe_spy(profile, true_trust, own_draws=None):
             observed.append(np.size(true_trust))
             return observe(profile, true_trust, own_draws)
 
-        monkeypatch.setattr(simulator, "_philox_state", state_spy)
+        monkeypatch.setattr(np.random, "Philox", Philox)
         monkeypatch.setattr(simulator, "observe", observe_spy)
         # the rosters give each group's first slot different profiles, and
         # every replication still sets each slot's truth stream once
@@ -471,9 +481,29 @@ class TestStreamSeeding:
         assert len(single) == 6
         assert single == reports(session, promise)
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**70])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda entries: st.lists(st.lists(
+        st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1) | st.integers(0, 2**100),
+        min_size=entries, max_size=entries), min_size=1, max_size=6)),
+        st.integers(max_value=-1))
+    def test_seed_states_are_numpys_seed_sequence(self, rows, negative):
+        # an entry past 32 bits is several words, so the rows of one call
+        # can differ in width
+        columns = list(zip(*rows))
+        for n in (2, 4):
+            expected = [np.random.SeedSequence(row).generate_state(n, np.uint64).tolist()
+                        for row in rows]
+            assert simulator._seed_states(columns, n).tolist() == expected
+        columns[-1] = columns[-1][:-1] + (negative,)
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(rows[-1][:-1] + [negative])
+        with pytest.raises(ValueError):
+            simulator._seed_states(columns, 2)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**70,
+                                      99999999999999999999999])
     def test_composition_streams_match_numpy(self, seed):
-        reps = [0, 1, 49, 50, 2**31]
+        reps = [0, 1, 49, 50, 2**31, 2**32 + 1]  # the last is two words wide
         uniforms, flags, seeds = simulator.compositions(seed, reps)
         assert flags.shape == (len(reps), simulator.COMPOSITION_FLAGS)
         for r, rep in enumerate(reps):
