@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .session import require_unit
+from .session import require_unit, require_unit_array
 from .trust import left_sum
 
 
@@ -60,14 +60,10 @@ _LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 def levels(trust, thresholds: Thresholds) -> np.ndarray:
     """classify over an array: the level index (into TrustLevel) of each
-    trust value, clamped to [0, 1] first.  A value that is not finite raises
-    ValueError, where the clamp would quietly make a NaN lowly."""
-    trust = np.asarray(trust, dtype=float)
-    bad = ~np.isfinite(trust)
-    if bad.any():
-        raise ValueError(f"trust must be finite, got {trust[bad].flat[0]}")
+    trust value.  A value outside [0, 1], NaN included, raises ValueError,
+    as classify does."""
     cuts = [thresholds.low_cut, thresholds.high_cut]
-    return np.searchsorted(cuts, np.clip(trust, 0.0, 1.0), side="right")
+    return np.searchsorted(cuts, require_unit_array("trust", trust), side="right")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import HONEST, MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile
-from .evaluation import _LEVELS, ExperimentResult, Thresholds, TrustLevel, classify, levels, score
+from .evaluation import _LEVELS, ExperimentResult, Thresholds, classify, levels, score
 from .session import is_integer, require_unit
 from .simulator import (
     COMPOSITION_FLAGS,
@@ -254,17 +254,13 @@ class _Column(NamedTuple):
     use_credibility: bool
 
 
-def _classify_clamped(overall: float, thresholds: Thresholds) -> TrustLevel:
-    return classify(min(1.0, max(0.0, overall)), thresholds)
-
-
 def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
     """Score the block's first replication, rep, through its report objects,
     aggregate and classify, and raise RuntimeError where its array scores
     differ: overall holds each column's value, and row the level indices,
     the ground truth's first."""
     th = sweep.spec.thresholds
-    if _LEVELS[row[0]] != _classify_clamped(block.ground_truth[0], th):
+    if _LEVELS[row[0]] != classify(block.ground_truth[0], th):
         raise RuntimeError(f"array scoring differs from classify at replication {rep}'s "
                            "ground truth")
     rosters = [block.table.reports(final) for final in block.final[0].tolist()]
@@ -272,7 +268,7 @@ def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
         cr, br = rosters[column.roster]
         expected = aggregate(cr[:len(column.weights_c)], br[:len(column.weights_b)],
                              sweep.base.params, use_credibility=column.use_credibility).overall
-        if x != expected or _LEVELS[level] != _classify_clamped(expected, th):
+        if x != expected or _LEVELS[level] != classify(expected, th):
             raise RuntimeError(
                 f"array scoring differs from aggregate at replication {rep}, point "
                 f"({column.n_reporters} reporters, adversary_frac {column.frac}), "

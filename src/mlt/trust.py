@@ -14,10 +14,12 @@ service right now), consumers by coverage (longer usage says more overall),
 and every reporter by credibility (closeness to the pooled mean report).  The
 "verbatim" mode combines the weighted sums exactly as stated above; since the
 per-group weight mass Σ credibility·weight is below 1 whenever reporters
-disagree, verbatim scores sag slightly even for unanimous honest crowds.  The
-"normalized" mode divides each group sum by its weight mass, which makes a
-unanimous crowd reporting t score exactly t and keeps fixed classification
-thresholds meaningful.
+disagree, verbatim scores sag slightly even for unanimous honest crowds.  A
+group's weights can add up to a few ulps past 1, so a verbatim group sum is
+capped at 1.0.  The "normalized" mode divides each group sum by its weight
+mass, which makes a unanimous crowd reporting t score exactly t and keeps
+fixed classification thresholds meaningful.  Either way each group term is
+in [0, 1], and so is their beta blend, the overall value.
 
 The aggregate is a few whole-list passes, not a loop per report.  Its float
 order is fixed: every sum adds left to right from 0.0 (left_sum), a term is
@@ -194,8 +196,8 @@ class ReporterTerm:
 class TrustBreakdown:
     """An aggregated trust value plus the evidence behind it.
 
-    consumer_term and bystander_term are the group aggregates before the
-    beta blend (0.0 for an absent group).  degenerate_freshness flags that
+    overall, consumer_term and bystander_term are in [0, 1]; the terms are
+    the group aggregates before the beta blend (0.0 for an absent group).  degenerate_freshness flags that
     every bystander probed at offset zero and freshness fell back to uniform.
     reports, weights and credibilities run in parallel, consumers first;
     per_reporter zips them into ReporterTerms on its first read, so a caller
@@ -320,10 +322,21 @@ def credibilities(values: list[float]) -> list[float]:
 
 
 def _group_term(trusts, weights: list[float], creds, normalized: bool) -> float:
-    """Sum of (credibility * weight) * trust, over the weight mass when normalized."""
+    """Sum of (credibility * weight) * trust, over the weight mass when
+    normalized and capped at 1.0 when not."""
     damped = list(map(mul, creds, weights))
     weighted = left_sum(map(mul, damped, trusts))
-    return weighted / left_sum(damped) if normalized else weighted
+    return weighted / left_sum(damped) if normalized else min(weighted, 1.0)
+
+
+def _blend(consumer, bystander, beta):
+    """The overall value: the beta blend of the group terms, or the one term
+    there is when the other group's is None."""
+    if consumer is None:
+        return bystander
+    if bystander is None:
+        return consumer
+    return beta * consumer + (1.0 - beta) * bystander
 
 
 def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credibility: bool):
@@ -357,6 +370,8 @@ def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credi
             if not mass.all():
                 raise ZeroDivisionError("float division by zero")
             term = term / mass
+        else:
+            np.minimum(term, 1.0, out=term)
         terms.append(term)
     return creds, terms
 
@@ -392,23 +407,17 @@ def aggregate(
     if len(pooled) >= _ARRAY_MIN:
         row = np.fromiter(pooled, float, len(pooled))[np.newaxis]
         row_creds, terms = _terms(row, weights_c, weights_b, normalized, use_credibility)
-        consumer_term, bystander_term = (0.0 if t is None else float(t[0]) for t in terms)
+        terms = [None if t is None else float(t[0]) for t in terms]
         creds = row_creds[0].tolist() if use_credibility else [1.0] * len(pooled)
     else:
         creds = credibilities(pooled) if use_credibility else [1.0] * len(pooled)
         n_c = len(consumers)
         # map() stops at the shortest list, so the consumer term reads the first n_c entries
-        consumer_term = _group_term(pooled, weights_c, creds, normalized) if consumers else 0.0
-        bystander_term = (
-            _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders else 0.0
-        )
-
-    if consumers and bystanders:
-        overall = params.beta * consumer_term + (1.0 - params.beta) * bystander_term
-    elif consumers:
-        overall = consumer_term
-    else:
-        overall = bystander_term
+        terms = [_group_term(pooled, weights_c, creds, normalized) if consumers else None,
+                 _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders
+                 else None]
+    overall = _blend(*terms, params.beta)
+    consumer_term, bystander_term = (0.0 if t is None else t for t in terms)
 
     # positional: keyword arguments cost a frozen dataclass about 1 us more
     return TrustBreakdown(
@@ -431,10 +440,5 @@ def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = 
     values = np.asarray(values, dtype=float)
     if values.shape[1] == 0:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
-    _, (consumer, bystander) = _terms(values, weights_c, weights_b, params.mode == NORMALIZED,
-                                      use_credibility)
-    if consumer is None:
-        return bystander
-    if bystander is None:
-        return consumer
-    return params.beta * consumer + (1.0 - params.beta) * bystander
+    _, terms = _terms(values, weights_c, weights_b, params.mode == NORMALIZED, use_credibility)
+    return _blend(*terms, params.beta)

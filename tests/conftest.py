@@ -121,7 +121,7 @@ def aggregate_oracle(consumer_reports, bystander_reports, params=AggregationPara
         weighted = _left_sum(c * w * t for c, w, t in zip(creds_, weights, trusts))
         if params.mode == "normalized":
             return weighted / _left_sum(c * w for c, w in zip(creds_, weights))
-        return weighted
+        return min(weighted, 1.0)  # weights summing a few ulps past 1 can push it past 1
 
     consumer_term = bystander_term = 0.0
     if consumer_reports:

@@ -11,7 +11,7 @@ import mlt.experiments
 from mlt.cli import format_json
 from mlt.agents import MALICIOUS, RANDOM, ProbeSchedule, ReporterProfile, noise_free_performance
 from mlt.config import load_scenario_file
-from mlt.evaluation import Thresholds, TrustLevel, levels, score
+from mlt.evaluation import Thresholds, TrustLevel, classify, levels, score
 from mlt.experiments import (
     ABLATION,
     COUNT_SWEEP,
@@ -21,7 +21,6 @@ from mlt.experiments import (
     ExperimentSpec,
     _block_outcomes,
     _PROFILES,
-    _classify_clamped,
     _slot_agents,
     _Sweep,
     _sweep_points,
@@ -393,7 +392,7 @@ class TestSuite:
             trace = run_scenario(variant_oracle(*args))
             cr, br = trace.consumer_reports, trace.bystander_reports
             level = {
-                mode: _classify_clamped(
+                mode: classify(
                     aggregate(cr, br, replace(verbatim.params, mode=mode)).overall,
                     spec.thresholds,
                 )
@@ -438,10 +437,10 @@ def per_point_oracle(base, spec):
             run_scenario(variant_oracle(base, spec, spec.kind, n, frac, rep))
             for rep in range(spec.replications)
         ]
-        actual = [_classify_clamped(t.ground_truth_trust, spec.thresholds) for t in traces]
+        actual = [classify(t.ground_truth_trust, spec.thresholds) for t in traces]
         for arm in arms:
             predicted = [
-                _classify_clamped(
+                classify(
                     aggregate(t.consumer_reports, t.bystander_reports, base.params,
                               use_credibility=arm == "on").overall,
                     spec.thresholds,
@@ -544,22 +543,26 @@ def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_trust_value_that_is_not_finite_is_not_classified(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
         levels([0.5, bad], Thresholds())
 
 
 def test_a_nan_report_gives_an_error_not_a_lowly_level():
-    # max(0.0, nan) is 0.0, so the per-call clamp would make this lowly
+    # max(0.0, nan) is 0.0, so a clamp before classifying would make this lowly
     overall = aggregate_overall([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
         levels(overall, Thresholds())
 
 
 def test_levels_clamp_and_cut_as_classify_does():
     th = Thresholds(0.25, 0.75)
-    trust = [-0.5, 0.0, 0.2499, 0.25, 0.5, 0.75, 1.0, 1.5]
+    trust = [-0.0, 0.0, 0.2499, 0.25, 0.5, 0.75, 1.0]
     assert [list(TrustLevel)[i] for i in levels(trust, th)] == [
-        _classify_clamped(t, th) for t in trust]
+        classify(t, th) for t in trust]
+    for bad in (-0.5, 1.5, 1.0000000000000002):
+        for classifies in (lambda: levels([0.5, bad], th), lambda: classify(bad, th)):
+            with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+                classifies()
 
 
 def test_a_block_whose_array_scores_differ_from_aggregate_raises(base, monkeypatch):

@@ -10,9 +10,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlt.evaluation import TrustLevel, classify
 from mlt.session import AttributeSchema, AttributeSpec, PerformanceVector
 from mlt.trust import (
     NORMALIZED,
@@ -310,6 +311,54 @@ def scored_rows(draw):
         mode=draw(st.sampled_from([VERBATIM, NORMALIZED])),
     )
     return reports, params, draw(st.booleans())
+
+
+@st.composite
+def unit_case(draw):
+    """A report set, its params and whether credibility damps it; in one
+    case of two every report is 1.0, and in one of two every offset is 0."""
+    n_c = draw(st.integers(min_value=0, max_value=12))
+    n_b = draw(st.integers(min_value=0 if n_c else 1, max_value=12))
+    trust = st.just(1.0) if draw(st.booleans()) else trust_value
+    zero_offsets = draw(st.booleans())
+    consumers = [
+        AccumulatedReport(f"c{i:02d}", draw(trust), draw(coverage)) for i in range(n_c)
+    ]
+    bystanders = [
+        InstantaneousReport(f"b{i:02d}", draw(trust), 0.0 if zero_offsets else draw(huge_offset))
+        for i in range(n_b)
+    ]
+    params = AggregationParams(beta=draw(unit), mode=draw(st.sampled_from([VERBATIM, NORMALIZED])))
+    return consumers, bystanders, params, draw(st.booleans())
+
+
+def _unanimous_bystanders(n):
+    return [], [InstantaneousReport(f"b{i:03d}", 1.0, 0.0) for i in range(n)]
+
+
+@given(unit_case())
+# uniform weights of 1/49 add up past 1: the list path once gave 1.0000000000000007
+@example((*_unanimous_bystanders(49), AggregationParams(), True))
+# and 320 of 1/320 on the kernel, 1.0000000000000058
+@example((*_unanimous_bystanders(320), AggregationParams(), True))
+# coverage weights 1/13, 6/13, 3/13 and 3/13 once gave 1.0000000000000002
+@example(([AccumulatedReport(f"c{i}", 1.0, d) for i, d in enumerate([1.0, 6.0, 3.0, 3.0])], [],
+          AggregationParams(), True))
+@settings(max_examples=200, deadline=None)
+def test_every_trust_value_is_in_the_unit_interval_and_classifies(case):
+    # the set as drawn, then tiled past _ARRAY_MIN reports onto the kernel
+    consumers, bystanders, params, use_credibility = case
+    copies = -(-_ARRAY_MIN // (len(consumers) + len(bystanders)))
+    for cr, br in ((consumers, bystanders), (consumers * copies, bystanders * copies)):
+        out = aggregate(cr, br, params, use_credibility=use_credibility)
+        for value in (out.overall, out.consumer_term, out.bystander_term):
+            assert 0.0 <= value <= 1.0
+        assert isinstance(classify(out.overall), TrustLevel)
+        weights_c = coverage_weights(cr) if cr else []
+        weights_b = freshness_weights(br)[0] if br else []
+        overall = aggregate_overall([[r.trust for r in cr + br]], weights_c, weights_b, params,
+                                    use_credibility)
+        assert float(overall[0]).hex() == float(out.overall).hex()
 
 
 def _bits_or_raised(fn):
