@@ -60,8 +60,7 @@ _LEVELS = tuple(TrustLevel)  # a level index's TrustLevel
 
 def levels(trust, thresholds: Thresholds) -> np.ndarray:
     """classify over an array: the level index (into TrustLevel) of each
-    trust value.  A value outside [0, 1], NaN included, raises ValueError,
-    as classify does."""
+    trust value; one outside [0, 1], NaN included, raises ValueError."""
     cuts = [thresholds.low_cut, thresholds.high_cut]
     return np.searchsorted(cuts, require_unit_array("trust", trust), side="right")
 
@@ -150,9 +149,7 @@ class ExperimentResult:
 def _macro(values: list[float | None]) -> float | None:
     """Unweighted mean over the levels where the metric is defined."""
     defined = [v for v in values if v is not None]
-    if not defined:
-        return None
-    return left_sum(defined) / len(defined)
+    return left_sum(defined) / len(defined) if defined else None
 
 
 def score(predicted, actual, config: dict | None = None) -> ExperimentResult:

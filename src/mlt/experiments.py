@@ -14,14 +14,15 @@ Agent streams are keyed by identity (see simulator), so a reporter reports
 the same values at every point whose roster holds it, and count-sweep curves
 are free of between-point sampling noise.
 
-A sweep builds one slot table (see simulator) and hands the engine blocks
-of consecutive replications: as many as keep a block's largest array within
-_BLOCK_CELLS values, at least one and at most _BLOCK_SIZE.  Each synthesized
-slot is an honest agent, built and checked once per sweep.  In a block, each
-replication draws its composition (see simulator.compositions), so its
-honesty gap, its scenario seed and, per adversary fraction, a roster that
-gives each slot the honest or the malicious profile by its flag; the engine
-draws and scores each (replication, slot)'s truth once for all the
+A sweep builds one slot table (see simulator) and hands the engine blocks of
+consecutive replications: as many as keep a block's largest array within
+_BLOCK_CELLS values, at least one and at most _BLOCK_SIZE; with a worker
+pool, as many for each worker, of lengths that differ by at most one.  Each
+synthesized slot is an honest agent, built and checked once per sweep.  In a
+block, each replication draws its composition (see simulator.compositions),
+so its honesty gap, its scenario seed and, per adversary fraction, a roster
+that gives each slot the honest or the malicious profile by its flag; the
+engine draws and scores each (replication, slot)'s truth once for all the
 fractions.  Points that share a fraction share its roster: the largest one
 is simulated, and each smaller point is scored from the reports of its own
 prefix of slots.
@@ -302,9 +303,7 @@ def Pool(processes: int):  # multiprocessing's name: perfbench/tracing.py wraps 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
     roster = [b.profile for b in scenario.bystanders] + [c.profile for c in scenario.consumers]
-    if not roster:
-        return 0.0
-    return sum(1 for p in roster if p.kind == MALICIOUS) / len(roster)
+    return sum(1 for p in roster if p.kind == MALICIOUS) / len(roster) if roster else 0.0
 
 
 def _sweep_points(base_scenario: Scenario, spec: ExperimentSpec):
@@ -328,10 +327,14 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     kind = spec.kind
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
-    n = spec.replications
-    size = sweep.block_size
-    args = [(sweep, range(start, min(start + size, n))) for start in range(0, n, size)]
-    processes = min(jobs, len(args))
+    n, size = spec.replications, sweep.block_size
+    processes = min(jobs, -(-n // size))
+    if processes > 1:  # as many blocks for each worker, of lengths that differ by at most one
+        n_blocks = min(n, -(-n // (size * processes)) * processes)
+        bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    else:
+        bounds = [*range(0, n, size), n]
+    args = [(sweep, range(a, b)) for a, b in zip(bounds, bounds[1:])]
     if processes > 1:
         with Pool(processes) as pool:
             blocks = pool.map(_block_outcomes, args)

@@ -68,7 +68,6 @@ series.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -147,8 +146,8 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
 
     The rules that need the session or the provider are skipped when that
     component is None, so a caller can still check the rest of a scenario
-    whose session or provider failed to build.  Each reporter's events are
-    counted, not built, against _MAX_CELLS.
+    whose session or provider failed to build.  Each reporter's events up to
+    the query time are counted, not built, against _MAX_CELLS.
     """
     violations = []
     if not is_integer(seed) or seed < 0:
@@ -176,7 +175,7 @@ def scenario_violations(session: ServiceSession | None, provider: ProviderProfil
         if end > duration + _TIME_EPS:
             violations.append(f"consumer {c.id!r}: usage_end {end:g} falls outside "
                               f"the session (duration {duration:g})")
-    counts = [(f"bystander {b.id!r}", b.schedule.count) for b in bystanders]
+    counts = [(f"bystander {b.id!r}", _probe_count(b.schedule, query_time)) for b in bystanders]
     counts += [(f"consumer {c.id!r}", _sample_count(c.usage, query_time)) for c in consumers]
     events = 0
     for reporter, count in counts:
@@ -239,12 +238,21 @@ class SessionTrace:
     ground_truth_trust: float
 
 
+def _probe_count(schedule: ProbeSchedule, limit: float) -> int:
+    """How many probes a bystander takes up to limit.  The offsets never
+    decrease, so bisection counts them, here and not by the bisect module,
+    whose indices stop at 2**63 where a count need not."""
+    first, interval = schedule.first_offset, schedule.interval
+    lo, hi = 0, schedule.count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if limit + _TIME_EPS < first + mid * interval else (mid + 1, hi)
+    return lo
+
+
 def _probe_times(schedule: ProbeSchedule, limit: float) -> tuple[float, ...]:
     first, interval = schedule.first_offset, schedule.interval
-    # the offsets never decrease, so bisection counts those up to limit
-    n = bisect.bisect_right(range(schedule.count), limit + _TIME_EPS,
-                            key=lambda k: first + k * interval)
-    return tuple(first + k * interval for k in range(n))
+    return tuple(first + k * interval for k in range(_probe_count(schedule, limit)))
 
 
 def _sample_count(usage: ConsumerUsage, limit: float) -> int | float:

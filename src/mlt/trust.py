@@ -14,12 +14,11 @@ service right now), consumers by coverage (longer usage says more overall),
 and every reporter by credibility (closeness to the pooled mean report).  The
 "verbatim" mode combines the weighted sums exactly as stated above; since the
 per-group weight mass Σ credibility·weight is below 1 whenever reporters
-disagree, verbatim scores sag slightly even for unanimous honest crowds.  A
-group's weights can add up to a few ulps past 1, so a verbatim group sum is
-capped at 1.0.  The "normalized" mode divides each group sum by its weight
-mass, which makes a unanimous crowd reporting t score exactly t and keeps
-fixed classification thresholds meaningful.  Either way each group term is
-in [0, 1], and so is their beta blend, the overall value.
+disagree, verbatim scores sag slightly even for unanimous honest crowds; as
+a group's weights can add up to a few ulps past 1, its sum is capped at 1.0.
+The "normalized" mode divides each group sum by its weight mass, which makes
+a unanimous crowd reporting t score exactly t and keeps fixed classification
+thresholds meaningful.  Either way each term and their blend are in [0, 1].
 
 The aggregate is a few whole-list passes, not a loop per report.  Its float
 order is fixed: every sum adds left to right from 0.0 (left_sum), a term is
@@ -196,13 +195,13 @@ class ReporterTerm:
 class TrustBreakdown:
     """An aggregated trust value plus the evidence behind it.
 
-    overall, consumer_term and bystander_term are in [0, 1]; the terms are
-    the group aggregates before the beta blend (0.0 for an absent group).  degenerate_freshness flags that
-    every bystander probed at offset zero and freshness fell back to uniform.
-    reports, weights and credibilities run in parallel, consumers first;
-    per_reporter zips them into ReporterTerms on its first read, so a caller
-    that needs only the overall value never builds them.  Equality and the
-    hash cover all seven fields, the per-reporter data included.
+    overall and the group terms before the beta blend, consumer_term and
+    bystander_term (0.0 for an absent group), are in [0, 1].
+    degenerate_freshness flags that every bystander probed at offset zero
+    and freshness fell back to uniform.  reports, weights and credibilities
+    run in parallel, consumers first; per_reporter zips them into
+    ReporterTerms on its first read, so a caller that needs only the overall
+    value never builds them.  Equality and the hash cover all seven fields.
     """
 
     overall: float
@@ -322,16 +321,14 @@ def credibilities(values: list[float]) -> list[float]:
 
 
 def _group_term(trusts, weights: list[float], creds, normalized: bool) -> float:
-    """Sum of (credibility * weight) * trust, over the weight mass when
-    normalized and capped at 1.0 when not."""
+    """Sum of (credibility * weight) * trust: over the weight mass if normalized, else at most 1."""
     damped = list(map(mul, creds, weights))
     weighted = left_sum(map(mul, damped, trusts))
     return weighted / left_sum(damped) if normalized else min(weighted, 1.0)
 
 
 def _blend(consumer, bystander, beta):
-    """The overall value: the beta blend of the group terms, or the one term
-    there is when the other group's is None."""
+    """The beta blend of the group terms, or the one there is when the other is None."""
     if consumer is None:
         return bystander
     if bystander is None:
@@ -360,10 +357,8 @@ def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credi
             continue
         trusts = values[:, group]
         weights = np.fromiter(weights, float, len(weights))  # faster than np.array on a list
-        if use_credibility:
-            damped = creds[:, group] * weights
-        else:
-            damped = np.broadcast_to(weights, trusts.shape)
+        damped = (creds[:, group] * weights if use_credibility
+                  else np.broadcast_to(weights, trusts.shape))
         term = _row_sums(damped * trusts)
         if normalized:
             mass = _row_sums(damped)

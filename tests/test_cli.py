@@ -373,9 +373,10 @@ class TestExitCodeContract:
             (_with_doc(lambda d: d["provider"]["attributes"][0].update(jitter_stddev=1e308)),
              EXIT_INVARIANT),
             (lambda tmp: run_args("ablation", BASE, "2", "--out", str(tmp)), EXIT_IO),
+            (_with_doc(lambda d: d.update(bystanders=[], consumers=[])), EXIT_INVARIANT),
         ],
         ids=["run", "failed-golden-check", "malformed-file", "bad-flag", "overflowing-sample",
-             "out-is-a-directory"],
+             "out-is-a-directory", "full-run-without-reporters"],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):
         try:
@@ -383,6 +384,17 @@ class TestExitCodeContract:
         except SystemExit as exc:  # argparse rejects a bad flag by exiting
             got = exc.code
         assert got == code
+
+    def test_a_file_without_reporters_validates_and_runs_the_synthesized_kinds(self, tmp_path,
+                                                                               capsys):
+        doc = base_doc()
+        doc.update(bystanders=[], consumers=[])
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == EXIT_OK
+        assert main(run_args("ablation", path)) == EXIT_OK
+        assert main(run_args("full", path)) == EXIT_INVARIANT
+        assert capsys.readouterr().err == ("scenario invariant violation: no consumer or "
+                                           "bystander reports to aggregate\n")
 
 
 class TestSessionCap:

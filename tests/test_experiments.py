@@ -350,6 +350,37 @@ class TestSuite:
         run_experiment_suite(base, spec, jobs=jobs)
         assert sizes == started
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_blocks_are_cut_evenly_across_the_pool(self, monkeypatch, jobs):
+        class InlinePool:  # runs each block in this process, in order
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [fn(a) for a in args]
+
+        lengths = []
+
+        def recording_outcomes(args):
+            lengths.append(len(args[1]))
+            return _block_outcomes(args)
+
+        monkeypatch.setattr(mlt.experiments, "Pool", InlinePool)
+        monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
+        scenario, _ = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
+        run_experiment_suite(scenario, ExperimentSpec(COUNT_SWEEP, replications=1000), jobs=jobs)
+        if jobs == 1:  # blocks of _BLOCK_SIZE, the last one what is left
+            assert lengths == [200] * 5
+        else:  # 5 blocks of 200 would leave one worker idle for the last one
+            assert len(lengths) == 6 and sum(lengths) == 1000
+            assert max(lengths) - min(lengths) <= 1
+
     def test_a_sweep_without_a_pool_does_not_import_multiprocessing(self):
         code = ("import sys; from mlt.config import load_scenario_file; "
                 "from mlt.experiments import ABLATION, ExperimentSpec, run_experiment_suite; "

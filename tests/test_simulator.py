@@ -142,6 +142,19 @@ class TestScenarioValidation:
         assert violations(ConsumerUsage(0.0, 7200.0, 5e-324)) == [
             "consumer 'c0': its events (inf) take the session past 39 truth values (events x attributes)"]
 
+        # a bystander counts its probes up to the query time too: 21 of 40 here, and
+        # none when every probe falls after it
+        def probing(first, count=40):
+            late = Bystander("b-late", honest, ProbeSchedule(first, 10.0, count))
+            return scenario_violations(session, None, [late], [], 5400.0, 0)
+
+        past_the_cap = ("bystander 'b-late': its events (21) take the session past 39 truth "
+                        "values (events x attributes)")
+        assert probing(5200.0) == [past_the_cap]
+        assert probing(5500.0) == []
+        # a count past the bisect module's index range is counted as well
+        assert probing(5200.0, 2**64)[-1] == past_the_cap
+
     def test_usage_window_field_checks(self):
         with pytest.raises(ValueError):
             ConsumerUsage(-1.0, 600.0, 300.0)
