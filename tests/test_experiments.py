@@ -2,7 +2,9 @@
 
 import subprocess
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -352,26 +354,14 @@ class TestSuite:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_blocks_are_cut_evenly_across_the_pool(self, monkeypatch, jobs):
-        class InlinePool:  # runs each block in this process, in order
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return [fn(a) for a in args]
-
+        inline = SimpleNamespace(map=lambda fn, args: [fn(a) for a in args])  # a pool in-process
         lengths = []
 
         def recording_outcomes(args):
             lengths.append(len(args[1]))
             return _block_outcomes(args)
 
-        monkeypatch.setattr(mlt.experiments, "Pool", InlinePool)
+        monkeypatch.setattr(mlt.experiments, "Pool", lambda processes: nullcontext(inline))
         monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
         scenario, _ = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
         run_experiment_suite(scenario, ExperimentSpec(COUNT_SWEEP, replications=1000), jobs=jobs)
