@@ -149,7 +149,9 @@ class ExperimentResult:
 def _macro(values: list[float | None]) -> float | None:
     """Unweighted mean over the levels where the metric is defined."""
     defined = [v for v in values if v is not None]
-    return left_sum(defined) / len(defined) if defined else None
+    if not defined:
+        return None
+    return left_sum(defined) / len(defined)
 
 
 def score(predicted, actual, config: dict | None = None) -> ExperimentResult:

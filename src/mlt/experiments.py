@@ -16,8 +16,8 @@ are free of between-point sampling noise.
 
 A sweep builds one slot table (see simulator) and hands the engine blocks of
 consecutive replications: as many as keep a block's largest array within
-_BLOCK_CELLS values, at least one and at most _BLOCK_SIZE; with a worker
-pool, as many for each worker, of lengths that differ by at most one.  Each
+_BLOCK_CELLS values, at least one and at most _BLOCK_SIZE, cut evenly: as
+many for each worker, of lengths that differ by at most one.  Each
 synthesized slot is an honest agent, built and checked once per sweep.  In a
 block, each replication draws its composition (see simulator.compositions),
 so its honesty gap, its scenario seed and, per adversary fraction, a roster
@@ -303,7 +303,9 @@ def Pool(processes: int):  # multiprocessing's name: perfbench/tracing.py wraps 
 
 def _declared_adversary_frac(scenario: Scenario) -> float:
     roster = [b.profile for b in scenario.bystanders] + [c.profile for c in scenario.consumers]
-    return sum(1 for p in roster if p.kind == MALICIOUS) / len(roster) if roster else 0.0
+    if not roster:
+        return 0.0
+    return sum(1 for p in roster if p.kind == MALICIOUS) / len(roster)
 
 
 def _sweep_points(base_scenario: Scenario, spec: ExperimentSpec):
@@ -329,11 +331,9 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
     n, size = spec.replications, sweep.block_size
     processes = min(jobs, -(-n // size))
-    if processes > 1:  # as many blocks for each worker, of lengths that differ by at most one
-        n_blocks = min(n, -(-n // (size * processes)) * processes)
-        bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
-    else:
-        bounds = [*range(0, n, size), n]
+    # as many blocks for each worker, of lengths that differ by at most one
+    n_blocks = min(n, -(-n // (size * processes)) * processes)
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
     args = [(sweep, range(a, b)) for a, b in zip(bounds, bounds[1:])]
     if processes > 1:
         with Pool(processes) as pool:

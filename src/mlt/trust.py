@@ -357,8 +357,10 @@ def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credi
             continue
         trusts = values[:, group]
         weights = np.fromiter(weights, float, len(weights))  # faster than np.array on a list
-        damped = (creds[:, group] * weights if use_credibility
-                  else np.broadcast_to(weights, trusts.shape))
+        if use_credibility:
+            damped = creds[:, group] * weights
+        else:
+            damped = np.broadcast_to(weights, trusts.shape)
         term = _row_sums(damped * trusts)
         if normalized:
             mass = _row_sums(damped)

@@ -365,7 +365,7 @@ class TestSuite:
         monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
         scenario, _ = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
         run_experiment_suite(scenario, ExperimentSpec(COUNT_SWEEP, replications=1000), jobs=jobs)
-        if jobs == 1:  # blocks of _BLOCK_SIZE, the last one what is left
+        if jobs == 1:  # as few blocks as _BLOCK_SIZE allows
             assert lengths == [200] * 5
         else:  # 5 blocks of 200 would leave one worker idle for the last one
             assert len(lengths) == 6 and sum(lengths) == 1000
@@ -487,7 +487,7 @@ def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypa
     assert rows == per_point_oracle(base, spec)
 
 
-# a default block and part of the next; the 40-replication snapshots fit in one
+# two default blocks; the 40-replication snapshots fit in one
 SEAM_REPS = mlt.experiments._BLOCK_SIZE + 20
 
 
@@ -543,10 +543,11 @@ def assert_blocks_fit_the_cells(scenario, events, sizes, monkeypatch):
 
 
 def test_a_scenario_with_many_events_gets_smaller_blocks(base, honest, monkeypatch):
-    # 20,000 probes of 3 attributes: 60,000 values per replication, so 4 per block
+    # 20,000 probes of 3 attributes: 60,000 values per replication, so at most
+    # 4 per block, and ten replications cut evenly into three blocks
     probes = Bystander("b00", honest, ProbeSchedule(0.1, 0.1, 20_000))
     scenario = replace(base, bystanders=(probes,))
-    assert_blocks_fit_the_cells(scenario, 20_000, [4, 4, 2], monkeypatch)
+    assert_blocks_fit_the_cells(scenario, 20_000, [3, 3, 4], monkeypatch)
 
 
 def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
@@ -558,7 +559,7 @@ def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
                   for j in range(1, 10)]
     scenario = replace(base, consumers=tuple(consumers))
     monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 4 * 2_019 * 3)
-    assert_blocks_fit_the_cells(scenario, 2_019, [4, 4, 2], monkeypatch)
+    assert_blocks_fit_the_cells(scenario, 2_019, [3, 3, 4], monkeypatch)
     assert_matches_the_per_sample_oracle(scenario)
 
 
@@ -575,7 +576,7 @@ def test_a_nan_report_gives_an_error_not_a_lowly_level():
         levels(overall, Thresholds())
 
 
-def test_levels_clamp_and_cut_as_classify_does():
+def test_levels_cut_and_reject_as_classify_does():
     th = Thresholds(0.25, 0.75)
     trust = [-0.0, 0.0, 0.2499, 0.25, 0.5, 0.75, 1.0]
     assert [list(TrustLevel)[i] for i in levels(trust, th)] == [
