@@ -49,7 +49,7 @@ def _wifi_instantaneous() -> tuple[float, ...]:
     )
     promise = numerize(schema, [10, "Medium", 90])
     observation = numerize(schema, [9, "High", 80])
-    return (instantaneous_trust(observation, promise),)
+    return tuple(instantaneous_trust([observation.values], promise).tolist())
 
 
 def _bystander_freshness() -> tuple[float, ...]:

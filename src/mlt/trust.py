@@ -72,7 +72,7 @@ _ARRAY_MIN = 320
 
 
 class SchemaMismatchError(ValueError):
-    """Observation and promise do not share an attribute schema."""
+    """An observation array's width differs from the promise's attribute count."""
 
 
 class UndefinedRatioError(ValueError):
@@ -220,26 +220,23 @@ class TrustBreakdown:
         ])
 
 
-def instantaneous_trust(observation, promise: PerformanceVector):
+def instantaneous_trust(observation, promise: PerformanceVector) -> np.ndarray:
     """Single-probe trust: the mean of capped observed-to-promised ratios.
 
     Each attribute contributes min(1, observed / promised), so overdelivering
-    on one attribute cannot paper over underdelivering on another.  A
-    PerformanceVector observation gives one float; an (events x attributes)
-    array of values on the promise's schema gives one trust value per row.
+    on one attribute cannot paper over underdelivering on another.
+    observation is an (events x attributes) array of values on the promise's
+    schema, each finite and >= 0; the result holds one trust value per row.
     The ratios are added left to right, starting from 0.0.
     """
-    single = isinstance(observation, PerformanceVector)
-    if single:
-        if observation.schema != promise.schema:
-            raise SchemaMismatchError("observation and promise use different attribute schemas")
-        values = np.array([observation.values])
-    else:
-        values = np.asarray(observation, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(promise.values):
-            raise SchemaMismatchError(
-                f"expected an (events x {len(promise.values)}) array, got shape {values.shape}"
-            )
+    values = np.asarray(observation, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(promise.values):
+        raise SchemaMismatchError(
+            f"expected an (events x {len(promise.values)}) array, got shape {values.shape}"
+        )
+    bad = ~((0.0 <= values) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"observed values must be finite and >= 0, got {values[bad][0]}")
     for spec, p in zip(promise.schema.attributes, promise.values):
         if p == 0:
             raise UndefinedRatioError(
@@ -248,8 +245,7 @@ def instantaneous_trust(observation, promise: PerformanceVector):
     with np.errstate(over="ignore"):
         ratios = values / promise.values
     np.minimum(1.0, ratios, out=ratios)
-    trust = _sum_left(ratios.T) / len(promise.values)
-    return float(trust[0]) if single else trust
+    return _sum_left(ratios.T) / len(promise.values)
 
 
 def update_accumulated(previous: float | np.ndarray, instantaneous: float | np.ndarray,

@@ -79,8 +79,8 @@ def test_equations_hold_on_randomized_batches(capsys):
         prom = rng.uniform(0.5, 100.0, 4)
         obs = rng.uniform(0.0, 2.0, 4) * prom
         got = instantaneous_trust(
-            PerformanceVector(tuple(obs), schema), PerformanceVector(tuple(prom), schema)
-        )
+            [PerformanceVector(tuple(obs), schema).values], PerformanceVector(tuple(prom), schema)
+        )[0]
         want = float(np.minimum(1.0, obs / prom).mean())
         assert abs(got - want) < 1e-12 and 0.0 <= got <= 1.0
 

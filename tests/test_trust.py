@@ -7,6 +7,7 @@ before the implementation existed; they are oracles, not snapshots.
 import copy
 import math
 import pickle
+import re
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -40,39 +41,33 @@ class TestInstantaneous:
     def test_capped_ratio_mean(self, schema):
         # ratios: 5/10 = 0.5, 180/90 capped at 1, 45/90 = 0.5 -> mean 2/3
         promise = PerformanceVector((10.0, 90.0, 90.0), schema)
-        observation = PerformanceVector((5.0, 180.0, 45.0), schema)
-        assert instantaneous_trust(observation, promise) == pytest.approx(2.0 / 3.0)
+        assert instantaneous_trust([[5.0, 180.0, 45.0]], promise)[0] == pytest.approx(2.0 / 3.0)
 
     def test_exact_match_is_one(self, promise):
-        assert instantaneous_trust(promise, promise) == 1.0
+        assert instantaneous_trust([promise.values], promise).tolist() == [1.0]
 
     def test_overdelivery_cannot_compensate(self, schema):
         promise = PerformanceVector((10.0, 10.0, 10.0), schema)
-        observation = PerformanceVector((1000.0, 10.0, 0.0), schema)
-        assert instantaneous_trust(observation, promise) == pytest.approx(2.0 / 3.0)
+        assert instantaneous_trust([[1000.0, 10.0, 0.0]], promise)[0] == pytest.approx(2.0 / 3.0)
 
-    def test_schema_mismatch(self, promise):
-        other = AttributeSchema((AttributeSpec("x"),))
-        observation = PerformanceVector((1.0,), other)
-        with pytest.raises(SchemaMismatchError):
-            instantaneous_trust(observation, promise)
+    @pytest.mark.parametrize("bad", [-5.0, -1e300, math.nan, math.inf])
+    def test_an_observed_value_not_finite_or_negative_raises(self, promise, bad):
+        rows = np.array([[10.0, 90.0, 90.0], [5.0, bad, 90.0]])
+        with pytest.raises(ValueError, match=re.escape(f"must be finite and >= 0, got {bad}")):
+            instantaneous_trust(rows, promise)
 
     def test_zero_promise_raises(self):
         schema = AttributeSchema(
             (AttributeSpec("sec", kind="ordinal", ordinal_levels=("L", "H"), ordinal_base=0),)
         )
         promise = PerformanceVector((0.0,), schema)
-        observation = PerformanceVector((1.0,), schema)
         with pytest.raises(UndefinedRatioError):
-            instantaneous_trust(observation, promise)
+            instantaneous_trust([[1.0]], promise)
 
-    def test_array_rows_score_like_vectors(self, schema, promise):
+    def test_array_rows_score_like_vectors(self, promise):
         rows = [(5.0, 180.0, 45.0), (0.1, 89.9, 80.0), (10.0, 90.0, 80.0), (3.3, 0.0, 7.7)]
         got = instantaneous_trust(np.array(rows), promise)
-        assert got.tolist() == [
-            instantaneous_trust(PerformanceVector(row, schema), promise) for row in rows
-        ]
-        assert type(instantaneous_trust(promise, promise)) is float
+        assert got.tolist() == [instantaneous_trust([row], promise)[0] for row in rows]
 
     def test_array_with_the_wrong_width(self, promise):
         with pytest.raises(SchemaMismatchError):

@@ -70,7 +70,7 @@ def report_pool(draw, max_each=5, min_total=1):
 @given(observation_promise())
 def test_instantaneous_trust_in_unit_interval(pair):
     observation, promise = pair
-    assert 0.0 <= instantaneous_trust(observation, promise) <= 1.0
+    assert 0.0 <= instantaneous_trust([observation.values], promise)[0] <= 1.0
 
 
 @given(observation_promise())
@@ -80,7 +80,7 @@ def test_instantaneous_trust_full_when_overdelivering(pair):
     boosted = PerformanceVector(
         tuple(max(o, p) for o, p in zip(observation.values, promise.values)), schema
     )
-    assert instantaneous_trust(boosted, promise) == 1.0
+    assert instantaneous_trust([boosted.values], promise)[0] == 1.0
 
 
 @given(observation_promise(), st.integers(min_value=0, max_value=5))
@@ -90,7 +90,8 @@ def test_instantaneous_trust_monotone_per_attribute(pair, idx):
     raised = list(observation.values)
     raised[i] = raised[i] * 2.0 + 1.0
     better = PerformanceVector(tuple(raised), observation.schema)
-    assert instantaneous_trust(better, promise) >= instantaneous_trust(observation, promise)
+    assert (instantaneous_trust([better.values], promise)[0]
+            >= instantaneous_trust([observation.values], promise)[0])
 
 
 @given(unit, unit, unit)
@@ -391,3 +392,4 @@ def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
     # verbatim adds the terms up without dividing by their mass
     verbatim = AggregationParams(mode=VERBATIM)
     assert aggregate_overall([[0.5, 0.7]], [], [0.0, 0.0], verbatim).tolist() == [0.0]
+
