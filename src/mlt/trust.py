@@ -423,14 +423,17 @@ def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = 
                       use_credibility: bool = True) -> np.ndarray:
     """aggregate(...).overall of each row of values, bit for bit.
 
-    values is (rows x reports): the trust values of len(weights_c) consumer
-    reports, then of len(weights_b) bystander reports, whose coverage and
-    freshness weights those are, so every row shares one set of weights.
-    It is the beta blend of the array kernel's group terms.  A group weight
-    mass of zero in normalized mode raises ZeroDivisionError, as aggregate
-    does.
+    values is (rows x reports), each in [0, 1]: the trust values of
+    len(weights_c) consumer reports, then of len(weights_b) bystander
+    reports, whose coverage and freshness weights those are, so every row
+    shares one set of weights; any other width raises ValueError.  It is
+    the beta blend of the array kernel's group terms.  A group weight mass
+    of zero in normalized mode raises ZeroDivisionError, as aggregate does.
     """
-    values = np.asarray(values, dtype=float)
+    values = require_unit_array("trust", values)
+    width = len(weights_c) + len(weights_b)
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError(f"trust values must be (rows x {width}), got shape {values.shape}")
     if values.shape[1] == 0:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
     _, terms = _terms(values, weights_c, weights_b, params.mode == NORMALIZED, use_credibility)

@@ -45,6 +45,16 @@ class TestPaperExamples:
         assert "4/4 passed" in out
         assert out.count(" PASS") == 4
         assert "wifi-instantaneous" in out
+        assert out == (
+            "wifi-instantaneous: computed [0.929630] expected [0.93] +/-0.005 PASS\n"
+            "bystander-freshness: computed [0.066667, 0.266667, 0.666667] "
+            "expected [0.07, 0.27, 0.67] +/-0.005 PASS\n"
+            "consumer-coverage: computed [0.642857, 0.285714, 0.071429] "
+            "expected [0.64, 0.29, 0.07] +/-0.005 PASS\n"
+            "reporter-credibility: computed [0.812500, 0.862500, 0.712500, 0.387500] "
+            "expected [0.8125, 0.8625, 0.7125, 0.3875] +/-0.005 PASS\n"
+            "4/4 passed\n"
+        )
 
     def test_perturbation_is_detected(self, capsys):
         assert main(["paper-examples", "--perturb", "consumer-coverage"]) == 1
@@ -351,6 +361,13 @@ class TestDuplicateFields:
         assert f"field {key!r} is given more than once" in capsys.readouterr().err
 
 
+def _deeply_nested(tmp_path):
+    """A file of 100,000 nested JSON arrays, past the parser's recursion limit."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return str(path)
+
+
 def _with_doc(mutate):
     """argv builder: `mlt run --experiment full` on the base document after mutate."""
     def argv(tmp_path):
@@ -374,9 +391,12 @@ class TestExitCodeContract:
              EXIT_INVARIANT),
             (lambda tmp: run_args("ablation", BASE, "2", "--out", str(tmp)), EXIT_IO),
             (_with_doc(lambda d: d.update(bystanders=[], consumers=[])), EXIT_INVARIANT),
+            (lambda tmp: ["validate", "--scenario", _deeply_nested(tmp)], EXIT_CONFIG),
+            (lambda tmp: run_args("full", _deeply_nested(tmp)), EXIT_CONFIG),
         ],
         ids=["run", "failed-golden-check", "malformed-file", "bad-flag", "overflowing-sample",
-             "out-is-a-directory", "full-run-without-reporters"],
+             "out-is-a-directory", "full-run-without-reporters", "validate-deeply-nested-file",
+             "run-deeply-nested-file"],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):
         try:

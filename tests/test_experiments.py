@@ -571,8 +571,8 @@ def test_a_trust_value_that_is_not_finite_is_not_classified(bad):
 
 def test_a_nan_report_gives_an_error_not_a_lowly_level():
     # max(0.0, nan) is 0.0, so a clamp before classifying would make this lowly
-    overall = aggregate_overall([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
     with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        overall = aggregate_overall([[0.5, np.nan]], [], [0.5, 0.5], AggregationParams())
         levels(overall, Thresholds())
 
 

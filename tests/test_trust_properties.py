@@ -393,3 +393,16 @@ def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
     verbatim = AggregationParams(mode=VERBATIM)
     assert aggregate_overall([[0.5, 0.7]], [], [0.0, 0.0], verbatim).tolist() == [0.0]
 
+
+@pytest.mark.parametrize(
+    "values, weights_c, weights_b, message",
+    [
+        ([[0.2, 0.4, 0.6, 0.8]], [0.5, 0.5], [1.0], r"must be \(rows x 3\), got shape \(1, 4\)"),
+        ([[math.nan, 0.4]], [1.0], [1.0], r"must be in \[0, 1\], got nan"),
+        ([[1.5, 0.9]], [1.0], [1.0], r"must be in \[0, 1\], got 1.5"),
+    ],
+    ids=["wider-than-the-weights", "nan", "above-one"],
+)
+def test_aggregate_overall_rejects_rows_it_cannot_score(values, weights_c, weights_b, message):
+    with pytest.raises(ValueError, match=message):
+        aggregate_overall(values, weights_c, weights_b)
