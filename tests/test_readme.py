@@ -29,7 +29,7 @@ def test_the_readme_examples_run():
     parse_scenario(doc)
 
 
-def test_the_readme_commands_exit_as_documented(monkeypatch, capsys):
+def test_the_readme_commands_exit_as_documented(monkeypatch):
     # every `mlt ...` line of the "Command line" section but the loop's, whose
     # $k the shell fills in; a line whose comment says "must FAIL" exits 1
     section = README.split("\n## Command line\n")[1].split("\n## ")[0]
