@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 from .config import ConfigError, collect_violations, load_scenario_file, read_document
 from .experiments import ABLATION, COUNT_SWEEP, ESTIMATOR_COMPARE, FULL, KINDS
 from .experiments import ExperimentSpec, run_experiment_suite
-from .golden import GOLDEN_NAMES, run_golden_checks
+from .golden import GOLDEN_NAMES, GOLDEN_TOLERANCE, run_golden_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,9 +32,7 @@ SEED_ENV_VAR = "MLT_SEED"
 FORMATS = ("csv", "json", "table")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
+def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
@@ -183,7 +181,7 @@ def cmd_paper_examples(perturb: str | None) -> int:
         passed += c.passed
         computed = ", ".join(f"{v:.6f}" for v in c.computed)
         expected = ", ".join(f"{v:g}" for v in c.expected)
-        print(f"{c.name}: computed [{computed}] expected [{expected}] +/-{c.tolerance:g} {status}")
+        print(f"{c.name}: computed [{computed}] expected [{expected}] +/-{GOLDEN_TOLERANCE:g} {status}")
     print(f"{passed}/{len(checks)} passed")
     return EXIT_OK if passed == len(checks) else 1
 

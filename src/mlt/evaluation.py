@@ -139,18 +139,17 @@ class ExperimentResult:
     n_samples: int
     counts: ConfusionCounts
     per_level: dict[TrustLevel, LevelMetrics]
-    macro_precision: float | None
-    macro_recall: float | None
+    macro_precision: float
+    macro_recall: float
     macro_accuracy: float
     accuracy: float          # overall fraction of correctly classified samples
     stderr_accuracy: float   # binomial standard error of that fraction
 
 
-def _macro(values: list[float | None]) -> float | None:
-    """Unweighted mean over the levels where the metric is defined."""
+def _macro(values: list[float | None]) -> float:
+    """Unweighted mean over the levels where the metric is defined; on a
+    non-empty tally at least one level has each metric defined."""
     defined = [v for v in values if v is not None]
-    if not defined:
-        return None
     return left_sum(defined) / len(defined)
 
 

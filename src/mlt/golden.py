@@ -27,12 +27,11 @@ class GoldenCheck:
     name: str
     computed: tuple[float, ...]
     expected: tuple[float, ...]
-    tolerance: float = GOLDEN_TOLERANCE
 
     @property
     def passed(self) -> bool:
         return len(self.computed) == len(self.expected) and all(
-            abs(c - e) <= self.tolerance for c, e in zip(self.computed, self.expected)
+            abs(c - e) <= GOLDEN_TOLERANCE for c, e in zip(self.computed, self.expected)
         )
 
 

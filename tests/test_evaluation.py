@@ -141,6 +141,8 @@ class TestConfusion:
             ConfusionCounts(1, {**good, LOW: LevelCounts(2, 1, 1, 0)})
         with pytest.raises(ValueError, match="detected"):
             ConfusionCounts(2, good)
+        with pytest.raises(ValueError, match="actual counts"):
+            ConfusionCounts(1, {**good, LOW: LevelCounts(0, 1, 0, 0)})
 
 
 class TestScore:
@@ -192,6 +194,15 @@ class TestScore:
         assert result.config == {"kind": "demo"}
         config["kind"] = "mutated"
         assert result.config == {"kind": "demo"}
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=300))
+    def test_macro_scores_are_numbers_in_unit_interval(self, pairs):
+        # every level may lack a precision or a recall, but never all three
+        predicted, actual = (np.array(column, dtype=np.intp) for column in zip(*pairs))
+        result = score(predicted, actual)
+        for macro in (result.macro_precision, result.macro_recall, result.macro_accuracy):
+            assert type(macro) is float
+            assert 0.0 <= macro <= 1.0
 
     @given(st.lists(st.tuples(levels, levels), min_size=1, max_size=60), st.randoms())
     def test_permutation_invariance(self, pairs, rand):
