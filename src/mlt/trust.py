@@ -426,11 +426,12 @@ def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = 
     values is (rows x reports), each in [0, 1]: the trust values of
     len(weights_c) consumer reports, then of len(weights_b) bystander
     reports, whose coverage and freshness weights those are, so every row
-    shares one set of weights; any other width raises ValueError.  It is
-    the beta blend of the array kernel's group terms.  A group weight mass
-    of zero in normalized mode raises ZeroDivisionError, as aggregate does.
+    shares one set of weights; another width, or a weight outside [0, 1],
+    raises ValueError.  It beta-blends the array kernel's group terms; like
+    aggregate, it raises ZeroDivisionError on a zero normalized group mass.
     """
     values = require_unit_array("trust", values)
+    weights_c, weights_b = (require_unit_array("weight", w) for w in (weights_c, weights_b))
     width = len(weights_c) + len(weights_b)
     if values.ndim != 2 or values.shape[1] != width:
         raise ValueError(f"trust values must be (rows x {width}), got shape {values.shape}")

@@ -244,6 +244,13 @@ class TestObserve:
         assert profile.draws_reports
         assert not ReporterProfile("malicious", malicious_strategy="inverted").draws_reports
 
+    @pytest.mark.parametrize("draws", [[0.3, 0.6, 0.9], [[0.3, 0.6]], None],
+                             ids=["one-too-many", "2-d", "none"])
+    def test_malicious_random_needs_one_draw_per_value(self, draws):
+        profile = ReporterProfile("malicious", malicious_strategy="random")
+        with pytest.raises(ValueError, match="one own draw per trust value"):
+            observe(profile, [0.9, 0.1], draws)
+
     def test_malicious_inverted_flips(self):
         profile = ReporterProfile("malicious", malicious_strategy="inverted")
         assert observe(profile, 0.9) == pytest.approx(0.1)

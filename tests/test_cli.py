@@ -196,6 +196,11 @@ class TestRunSeedAndOutput:
         assert main(run_args("ablation")) == EXIT_CONFIG
         assert "MLT_SEED" in capsys.readouterr().err
 
+    def test_negative_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("MLT_SEED", "-1")
+        assert main(run_args("ablation")) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed: must be a non-negative integer, got -1\n"
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         assert main(run_args("ablation")) == EXIT_OK
         stdout_text = capsys.readouterr().out
@@ -368,6 +373,13 @@ def _deeply_nested(tmp_path):
     return str(path)
 
 
+def _bogus_mode(tmp_path):
+    """The base document with an aggregation mode that does not exist."""
+    doc = base_doc()
+    doc["params"]["mode"] = "bogus"
+    return write_doc(tmp_path, doc)
+
+
 def _with_doc(mutate):
     """argv builder: `mlt run --experiment full` on the base document after mutate."""
     def argv(tmp_path):
@@ -393,10 +405,14 @@ class TestExitCodeContract:
             (_with_doc(lambda d: d.update(bystanders=[], consumers=[])), EXIT_INVARIANT),
             (lambda tmp: ["validate", "--scenario", _deeply_nested(tmp)], EXIT_CONFIG),
             (lambda tmp: run_args("full", _deeply_nested(tmp)), EXIT_CONFIG),
+            (lambda tmp: run_args("ablation", BASE, "2", "--seed", "-1"), EXIT_CONFIG),
+            (lambda tmp: ["validate", "--scenario", _bogus_mode(tmp)], EXIT_INVARIANT),
+            (lambda tmp: run_args("full", _bogus_mode(tmp)), EXIT_INVARIANT),
         ],
         ids=["run", "failed-golden-check", "malformed-file", "bad-flag", "overflowing-sample",
              "out-is-a-directory", "full-run-without-reporters", "validate-deeply-nested-file",
-             "run-deeply-nested-file"],
+             "run-deeply-nested-file", "negative-seed-flag", "validate-unknown-mode",
+             "run-unknown-mode"],
     )
     def test_exit_code(self, tmp_path, capsys, argv, code):
         try:

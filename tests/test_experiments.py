@@ -598,3 +598,14 @@ def test_a_block_whose_array_scores_differ_from_aggregate_raises(base, monkeypat
     where = r"replication 0, point \(10 reporters, adversary_frac 0.0\), arm 'on'"
     with pytest.raises(RuntimeError, match=where):
         run_experiment_suite(base, ExperimentSpec(ABLATION, replications=3))
+
+
+def test_a_block_whose_ground_truth_level_differs_from_classify_raises(base, monkeypatch):
+    real = mlt.experiments.classify
+
+    def shifted(trust, thresholds):
+        return LEVELS[(LEVELS.index(real(trust, thresholds)) + 1) % 3]
+
+    monkeypatch.setattr(mlt.experiments, "classify", shifted)
+    with pytest.raises(RuntimeError, match="from classify at replication 0's ground truth"):
+        run_experiment_suite(base, ExperimentSpec(ABLATION, replications=3))

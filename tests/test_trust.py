@@ -194,6 +194,7 @@ class TestReports:
              "report from 'c': update_count must be an integer >= 1, got 0"),
             (lambda: AccumulatedReport("c", 0.5, 60.0, Count(0)),
              "report from 'c': update_count must be an integer >= 1, got 0"),
+            (lambda: AccumulatedReport("", 0.5, 1.0), "reporter_id must be non-empty"),
             *[
                 (lambda cls=cls, trust=trust: cls("c", trust, 60.0),
                  f"report from 'c': trust must be in [0, 1], got {shown}")
@@ -347,6 +348,10 @@ class TestCredibility:
 
     def test_single_value_fully_credible(self):
         assert credibilities([0.42]) == [1.0]
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            credibilities([])
 
     @pytest.mark.parametrize(
         "values, named",

@@ -400,8 +400,12 @@ def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
         ([[0.2, 0.4, 0.6, 0.8]], [0.5, 0.5], [1.0], r"must be \(rows x 3\), got shape \(1, 4\)"),
         ([[math.nan, 0.4]], [1.0], [1.0], r"must be in \[0, 1\], got nan"),
         ([[1.5, 0.9]], [1.0], [1.0], r"must be in \[0, 1\], got 1.5"),
+        ([[0.5, 0.5]], [math.nan], [1.0], r"weight must be in \[0, 1\], got nan"),
+        ([[0.5, 0.5]], [-3.0], [1.0], r"weight must be in \[0, 1\], got -3.0"),
+        ([[0.9, 0.9]], [5.0], [1.0], r"weight must be in \[0, 1\], got 5.0"),
     ],
-    ids=["wider-than-the-weights", "nan", "above-one"],
+    ids=["wider-than-the-weights", "nan", "above-one", "nan-weight", "negative-weight",
+         "weight-above-one"],
 )
 def test_aggregate_overall_rejects_rows_it_cannot_score(values, weights_c, weights_b, message):
     with pytest.raises(ValueError, match=message):
