@@ -80,15 +80,6 @@ class ConfusionCounts:
     samples: int
     per_level: dict[TrustLevel, LevelCounts]
 
-    def __post_init__(self):
-        for level, c in self.per_level.items():
-            if c.correct > c.detected or c.correct > c.actual:
-                raise ValueError(f"{level}: correct exceeds detected or actual")
-        if sum(c.detected for c in self.per_level.values()) != self.samples:
-            raise ValueError("detected counts must sum to the sample count")
-        if sum(c.actual for c in self.per_level.values()) != self.samples:
-            raise ValueError("actual counts must sum to the sample count")
-
 
 def _level_indices(labels) -> np.ndarray:
     """A non-empty flat integer array of level indices, as intp; anything

@@ -33,11 +33,12 @@ once per sweep with coverage_weights and freshness_weights.  A block is then
 scored as arrays over (replication x report), one (point, arm) at a time,
 by trust.aggregate_overall, whose every value equals aggregate's overall bit
 for bit.  evaluation.levels cuts them, and the ground truth, into level
-indices, which score counts as they are.  The first replication of each
-block is also scored through its report objects, aggregate and classify, and
-a block whose array scores differ raises RuntimeError.  A sweep starts at
-most one worker pool, which maps blocks; the output depends neither on the
-block size nor on the number of workers.
+indices, which score counts as they are.  Each (point, arm) of a block's
+first replication is also scored through its report objects, aggregate and
+classify, and a block whose array scores differ raises RuntimeError (the
+ground truth's levels are checked by the tests).  A sweep starts at most one
+worker pool, which maps blocks; the output depends neither on the block size
+nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -256,16 +257,12 @@ class _Column(NamedTuple):
 
 
 def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
-    """Score the block's first replication, rep, through its report objects,
-    aggregate and classify, and raise RuntimeError where its array scores
-    differ: overall holds each column's value, and row the level indices,
-    the ground truth's first."""
+    """Score each column of the block's first replication, rep, through its
+    report objects, aggregate and classify, and raise RuntimeError where an
+    array score differs: overall holds each column's value, row its level."""
     th = sweep.spec.thresholds
-    if _LEVELS[row[0]] != classify(block.ground_truth[0], th):
-        raise RuntimeError(f"array scoring differs from classify at replication {rep}'s "
-                           "ground truth")
     rosters = [block.table.reports(final) for final in block.final[0].tolist()]
-    for column, x, level in zip(sweep.columns, overall, row[1:]):
+    for column, x, level in zip(sweep.columns, overall, row):
         cr, br = rosters[column.roster]
         expected = aggregate(cr[:len(column.weights_c)], br[:len(column.weights_b)],
                              sweep.base.params, use_credibility=column.use_credibility).overall
@@ -291,7 +288,7 @@ def _block_outcomes(args) -> np.ndarray:
         rows.append(levels(overall, th))
         first.append(float(overall[0]))
     rows = np.stack(rows, axis=1)
-    _check_first(sweep, block, reps[0], first, rows[0])
+    _check_first(sweep, block, reps[0], first, rows[0, 1:])
     return rows
 
 

@@ -130,20 +130,6 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion(indices([LOW]), labels)
 
-    def test_count_invariants_enforced(self):
-        good = {
-            LOW: LevelCounts(1, 1, 1, 0),
-            MID: LevelCounts(0, 0, 0, 1),
-            HIGH: LevelCounts(0, 0, 0, 1),
-        }
-        ConfusionCounts(1, good)
-        with pytest.raises(ValueError, match="correct exceeds"):
-            ConfusionCounts(1, {**good, LOW: LevelCounts(2, 1, 1, 0)})
-        with pytest.raises(ValueError, match="detected"):
-            ConfusionCounts(2, good)
-        with pytest.raises(ValueError, match="actual counts"):
-            ConfusionCounts(1, {**good, LOW: LevelCounts(0, 1, 0, 0)})
-
 
 class TestScore:
     def test_overconfident_predictions(self):

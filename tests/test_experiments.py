@@ -1,5 +1,7 @@
 """Sweep bookkeeping: composition draws, synthesized rosters, suite structure."""
 
+import functools
+import multiprocessing
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -442,32 +444,45 @@ class TestCommonRandomNumbers:
             assert all(run == runs[0] for run in runs), reporter_id
 
 
+def oracle_points(base, spec):
+    """(n_reporters, adversary_frac, arm names) per sweep point, in output order,
+    as the README lists each kind's rows."""
+    if spec.kind == ABLATION:
+        return [(spec.reporters, f, ("on", "off")) for f in (0.0, spec.adversary_frac)]
+    if spec.kind == COUNT_SWEEP:
+        return [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
+    if spec.kind == ESTIMATOR_COMPARE:
+        return [(spec.reporters, 0.0, ("instantaneous", "accumulated"))]
+    roster = base.bystanders + base.consumers  # "full": the scenario's own, as declared
+    malicious = sum(agent.profile.kind == MALICIOUS for agent in roster)
+    return [(len(roster), malicious / len(roster), ("on",))]
+
+
+def arm_overall(trace, params, arm):
+    """The overall trust that an arm gives a session: "on" and "off" score
+    every report with and without credibility, "instantaneous" only the
+    bystanders' and "accumulated" only the consumers'."""
+    consumers = [] if arm == "instantaneous" else trace.consumer_reports
+    bystanders = [] if arm == "accumulated" else trace.bystander_reports
+    return aggregate(consumers, bystanders, params, use_credibility=arm != "off").overall
+
+
 def per_point_oracle(base, spec):
     """(predicted, actual) per sweep row, each point simulated from its own scenario.
 
     Every point of every replication runs its own _variant scenario through
     run_scenario and scores it with aggregate, with no sharing between points.
     """
-    if spec.kind == COUNT_SWEEP:
-        points = [(n, spec.adversary_frac, ("on",)) for n in range(1, spec.reporters + 1)]
-    else:
-        points = [(spec.reporters, f, ("on", "off")) for f in (0.0, spec.adversary_frac)]
     rows = []
-    for n, frac, arms in points:
+    for n, frac, arms in oracle_points(base, spec):
         traces = [
             run_scenario(variant_oracle(base, spec, spec.kind, n, frac, rep))
             for rep in range(spec.replications)
         ]
         actual = [classify(t.ground_truth_trust, spec.thresholds) for t in traces]
         for arm in arms:
-            predicted = [
-                classify(
-                    aggregate(t.consumer_reports, t.bystander_reports, base.params,
-                              use_credibility=arm == "on").overall,
-                    spec.thresholds,
-                )
-                for t in traces
-            ]
+            predicted = [classify(arm_overall(t, base.params, arm), spec.thresholds)
+                         for t in traces]
             rows.append((predicted, actual))
     return rows
 
@@ -489,6 +504,58 @@ def test_simulating_once_matches_the_per_point_oracle(base, kind, jobs, monkeypa
 
 # two default blocks; the 40-replication snapshots fit in one
 SEAM_REPS = mlt.experiments._BLOCK_SIZE + 20
+
+
+@functools.cache
+def every_kind_oracle(kind):
+    """A kind's sweep of wifi_cafe.json over SEAM_REPS replications, and its
+    oracle: ((n_reporters, adversary_frac, arm), (predicted, actual)) per row.
+    Computed once per kind."""
+    scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
+    spec = ExperimentSpec(kind, replications=SEAM_REPS)
+    points = oracle_points(scenario, spec)
+    assert _Sweep(scenario, spec, points).block_size < SEAM_REPS  # the rows cross a block seam
+    columns = [(n, frac, arm) for n, frac, arms in points for arm in arms]
+    return scenario, spec, list(zip(columns, per_point_oracle(scenario, spec)))
+
+
+def assert_every_kind_matches_the_oracle(kind, monkeypatch, jobs):
+    """Each row that a kind's sweep scores is its every_kind_oracle row."""
+    scenario, spec, expected = every_kind_oracle(kind)
+    rows = []
+
+    def recording_score(predicted, actual, config):
+        arm = config.get("credibility", config.get("estimator", "on"))
+        rows.append(((config["reporters"], config["adversary_frac"], arm),
+                     ([LEVELS[i] for i in predicted], [LEVELS[i] for i in actual])))
+        return score(predicted, actual, config)
+
+    monkeypatch.setattr(mlt.experiments, "score", recording_score)
+    run_experiment_suite(scenario, spec, jobs=jobs)
+    assert rows == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_matches_the_per_point_oracle_across_a_block_seam(kind, jobs, monkeypatch):
+    assert_every_kind_matches_the_oracle(kind, monkeypatch, jobs)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_output_does_not_depend_on_jobs_under_every_start_method(kind, method, monkeypatch):
+    scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
+    spec = ExperimentSpec(kind, replications=SEAM_REPS)
+    started = []
+
+    def pool(processes):
+        started.append(processes)
+        return multiprocessing.get_context(method).Pool(processes)
+
+    monkeypatch.setattr(mlt.experiments, "Pool", pool)
+    parallel = run_experiment_suite(scenario, spec, jobs=2)
+    assert started == [2]
+    assert parallel == run_experiment_suite(scenario, spec, jobs=1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -601,11 +668,15 @@ def test_a_block_whose_array_scores_differ_from_aggregate_raises(base, monkeypat
 
 
 def test_a_block_whose_ground_truth_level_differs_from_classify_raises(base, monkeypatch):
+    # the sweep does not classify the ground truth (every_kind_oracle checks
+    # its levels), so a shifted classify shows at the first column's level,
+    # under the column check's one message
     real = mlt.experiments.classify
 
     def shifted(trust, thresholds):
         return LEVELS[(LEVELS.index(real(trust, thresholds)) + 1) % 3]
 
     monkeypatch.setattr(mlt.experiments, "classify", shifted)
-    with pytest.raises(RuntimeError, match="from classify at replication 0's ground truth"):
+    where = r"from aggregate at replication 0, point \(10 reporters, adversary_frac 0.0\), arm 'on'"
+    with pytest.raises(RuntimeError, match=where):
         run_experiment_suite(base, ExperimentSpec(ABLATION, replications=3))

@@ -12,6 +12,7 @@ import pytest
 from mlt import evaluation, trust
 from mlt.experiments import KINDS
 
+import test_experiments
 import test_trust_properties
 from test_run_snapshots import FORMATS, SCENARIOS, run_stdout, snapshot_path
 
@@ -32,3 +33,8 @@ def test_run_output_matches_the_snapshot_when_sums_loop(loop_sums, scenario, kin
 def test_array_scores_match_aggregate_bit_for_bit_when_sums_loop(loop_sums):
     # the hypothesis test itself, run with the loop behind aggregate's sums
     test_trust_properties.test_array_scores_match_aggregate_bit_for_bit()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_matches_the_per_point_oracle_when_sums_loop(loop_sums, kind, monkeypatch):
+    test_experiments.assert_every_kind_matches_the_oracle(kind, monkeypatch, jobs=1)
