@@ -266,11 +266,13 @@ def _check_first(sweep: _Sweep, block: Block, rep: int, overall, row) -> None:
         cr, br = rosters[column.roster]
         expected = aggregate(cr[:len(column.weights_c)], br[:len(column.weights_b)],
                              sweep.base.params, use_credibility=column.use_credibility).overall
-        if x != expected or _LEVELS[level] != classify(expected, th):
-            raise RuntimeError(
-                f"array scoring differs from aggregate at replication {rep}, point "
-                f"({column.n_reporters} reporters, adversary_frac {column.frac}), "
-                f"arm {column.arm!r}: {x!r} against {expected!r}")
+        checks = (("aggregate", x, expected), ("classify", _LEVELS[level], classify(expected, th)))
+        for call, got, want in checks:
+            if got != want:
+                raise RuntimeError(
+                    f"array scoring differs from {call} at replication {rep}, point "
+                    f"({column.n_reporters} reporters, adversary_frac {column.frac}), "
+                    f"arm {column.arm!r}: {got} against {want}")
 
 
 def _block_outcomes(args) -> np.ndarray:

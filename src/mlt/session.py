@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,11 @@ def require_finite(**fields: float) -> None:
     """Raise ValueError naming the first field that is NaN or infinite.
 
     Range checks such as `x < 0` are False for NaN and so let it through;
-    the model dataclasses call this before their own range checks.
+    the model dataclasses call this before their own range checks.  An int
+    past the float range fails too, where math.isfinite would overflow.
     """
     for name, value in fields.items():
-        if not math.isfinite(value):
+        if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -42,7 +42,8 @@ def session_between(start_time, end_time):
                           PerformanceVector((10.0,), schema))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
 @pytest.mark.parametrize(
     "make, field",
     [

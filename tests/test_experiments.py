@@ -446,7 +446,7 @@ class TestCommonRandomNumbers:
 
 def oracle_points(base, spec):
     """(n_reporters, adversary_frac, arm names) per sweep point, in output order,
-    as the README lists each kind's rows."""
+    as the README's table of sweep kinds gives them."""
     if spec.kind == ABLATION:
         return [(spec.reporters, f, ("on", "off")) for f in (0.0, spec.adversary_frac)]
     if spec.kind == COUNT_SWEEP:
@@ -669,14 +669,13 @@ def test_a_block_whose_array_scores_differ_from_aggregate_raises(base, monkeypat
 
 def test_a_block_whose_ground_truth_level_differs_from_classify_raises(base, monkeypatch):
     # the sweep does not classify the ground truth (every_kind_oracle checks
-    # its levels), so a shifted classify shows at the first column's level,
-    # under the column check's one message
+    # its levels), so a shifted classify shows at the first column's level
     real = mlt.experiments.classify
 
     def shifted(trust, thresholds):
         return LEVELS[(LEVELS.index(real(trust, thresholds)) + 1) % 3]
 
     monkeypatch.setattr(mlt.experiments, "classify", shifted)
-    where = r"from aggregate at replication 0, point \(10 reporters, adversary_frac 0.0\), arm 'on'"
-    with pytest.raises(RuntimeError, match=where):
+    where = r"from classify at replication 0, point \(10 reporters, adversary_frac 0.0\), arm 'on'"
+    with pytest.raises(RuntimeError, match=where + ": moderately against highly$"):
         run_experiment_suite(base, ExperimentSpec(ABLATION, replications=3))
