@@ -508,9 +508,9 @@ SEAM_REPS = mlt.experiments._BLOCK_SIZE + 20
 
 @functools.cache
 def every_kind_oracle(kind):
-    """A kind's sweep of wifi_cafe.json over SEAM_REPS replications, and its
-    oracle: ((n_reporters, adversary_frac, arm), (predicted, actual)) per row.
-    Computed once per kind."""
+    """The scenario and spec of a kind's sweep of wifi_cafe.json over SEAM_REPS
+    replications, and its oracle rows: ((n_reporters, adversary_frac, arm),
+    (predicted, actual)) each.  Computed once per kind."""
     scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
     spec = ExperimentSpec(kind, replications=SEAM_REPS)
     points = oracle_points(scenario, spec)
