@@ -9,7 +9,6 @@ comparable, element by element.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -125,14 +124,15 @@ class PerformanceVector:
     schema: AttributeSchema
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != len(self.schema):
-            raise ValueError(
-                f"expected {len(self.schema)} values, got {len(self.values)}"
-            )
-        for spec, v in zip(self.schema.attributes, self.values):
-            if math.isnan(v) or math.isinf(v):
+        values = tuple(self.values)
+        if len(values) != len(self.schema):
+            raise ValueError(f"expected {len(self.schema)} values, got {len(values)}")
+        # checked before float(), which overflows on an int past the float range
+        for spec, v in zip(self.schema.attributes, values):
+            if not -sys.float_info.max <= v <= sys.float_info.max:
                 raise ValueError(f"attribute {spec.name!r}: value must be finite")
+        object.__setattr__(self, "values", tuple(map(float, values)))
+        for spec, v in zip(self.schema.attributes, self.values):
             if v < 0:
                 raise ValueError(f"attribute {spec.name!r}: value must be >= 0, got {v}")
             if spec.kind == ORDINAL:

@@ -24,18 +24,17 @@ The aggregate is a few whole-list passes, not a loop per report.  Its float
 order is fixed: every sum adds left to right from 0.0 (left_sum), a term is
 (credibility * weight) * trust, a weight is value / total, and a credibility
 is 1.0 - abs(value - mean).  A weight sum that passes the float range is
-taken over the values divided by their largest one.  The per-reporter terms
-of a TrustBreakdown are built only when they are first read.
+taken over the values divided by their largest one.
 
 An array kernel (_terms) does the same arithmetic elementwise over rows of
 trust values, adding each row left to right in one fold (_row_sums), so its
 results equal the list code's bit for bit.  aggregate_overall scores many
 sessions over one set of weights as the beta blend of its terms.  aggregate
-picks by size: a set of _ARRAY_MIN reports or more, a crowd, is scored on
-the kernel as one row, and a smaller one on the lists.  Each numpy call has
-a fixed cost, so the lists are faster up to about 256 reports and the
-kernel from about 320, by about 30% at 2000.  The weights come from
-coverage_weights and freshness_weights either way.
+picks by size: a set of _ARRAY_MIN reports or more, a crowd, is read into
+arrays once, its weights taken on them (_array_shares) and its terms on the
+kernel as one row; a smaller set is scored on lists.  Each numpy call has
+a fixed cost, so the lists are faster below about 200 reports, and the
+arrays take half their time at 2000.
 
 Every session builds its reports again, so a report is cheap to build.  The
 two report classes and ReporterTerm are frozen dataclasses with slots: no
@@ -66,9 +65,9 @@ NORMALIZED = "normalized"
 DEFAULT_ALPHA = 0.7  # EWMA retention for accumulated trust
 DEFAULT_BETA = 0.5   # consumer share in the final blend
 
-# aggregate scores a set of this many reports or more on the array kernel; the
-# measured crossover, where the list passes stop being faster, is 256-320
-_ARRAY_MIN = 320
+# aggregate scores a set of this many reports or more on arrays; the measured
+# crossover, where the list passes stop being faster, is 192-224
+_ARRAY_MIN = 224
 
 
 class SchemaMismatchError(ValueError):
@@ -135,10 +134,9 @@ class InstantaneousReport:
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
         require_unit("report from {!r}: trust", self.trust, self.reporter_id)
-        if not math.isfinite(self.timestamp_offset) or self.timestamp_offset < 0:
-            raise ValueError(
-                f"report from {self.reporter_id!r}: timestamp_offset must be finite and >= 0"
-            )
+        if not 0.0 <= self.timestamp_offset <= sys.float_info.max:
+            raise ValueError(f"report from {self.reporter_id!r}: "
+                             "timestamp_offset must be finite and >= 0")
 
 
 @_refuse_every_name
@@ -155,16 +153,13 @@ class AccumulatedReport:
         if not self.reporter_id:
             raise ValueError("reporter_id must be non-empty")
         require_unit("report from {!r}: trust", self.trust, self.reporter_id)
-        if not math.isfinite(self.coverage_duration) or self.coverage_duration <= 0:
-            raise ValueError(
-                f"report from {self.reporter_id!r}: coverage_duration must be finite and positive"
-            )
+        if not 0.0 < self.coverage_duration <= sys.float_info.max:
+            raise ValueError(f"report from {self.reporter_id!r}: "
+                             "coverage_duration must be finite and positive")
         count = self.update_count
         if not is_integer(count) or count < 1:
-            raise ValueError(
-                f"report from {self.reporter_id!r}: update_count must be an integer >= 1, "
-                f"got {count!r}"
-            )
+            raise ValueError(f"report from {self.reporter_id!r}: "
+                             f"update_count must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,21 @@ class ReporterTerm:
     credibility: float
 
 
-@dataclass(frozen=True)
+class _TupleOnRead:
+    """A TrustBreakdown field kept as given under _name, made a tuple on first read."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.kept = name, f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        kept = obj.__dict__[self.kept]
+        obj.__dict__[self.name] = tuple(kept.tolist() if isinstance(kept, np.ndarray) else kept)
+        return obj.__dict__[self.name]
+
+
+@dataclass(frozen=True, init=False)
 class TrustBreakdown:
     """An aggregated trust value plus the evidence behind it.
 
@@ -199,9 +208,10 @@ class TrustBreakdown:
     bystander_term (0.0 for an absent group), are in [0, 1].
     degenerate_freshness flags that every bystander probed at offset zero
     and freshness fell back to uniform.  reports, weights and credibilities
-    run in parallel, consumers first; per_reporter zips them into
-    ReporterTerms on its first read, so a caller that needs only the overall
-    value never builds them.  Equality and the hash cover all seven fields.
+    run in parallel, consumers first.  weights and credibilities are kept as
+    computed (lists, or arrays for a crowd) and, like per_reporter (their
+    ReporterTerms), become tuples on first read, so a caller that reads only
+    overall never builds them.  Equality, hash and repr cover all seven fields.
     """
 
     overall: float
@@ -209,8 +219,15 @@ class TrustBreakdown:
     bystander_term: float
     degenerate_freshness: bool
     reports: tuple[AccumulatedReport | InstantaneousReport, ...]
-    weights: tuple[float, ...]  # coverage weights for consumers, freshness for bystanders
-    credibilities: tuple[float, ...]
+    weights: tuple[float, ...] = _TupleOnRead()  # consumers' coverage, bystanders' freshness
+    credibilities: tuple[float, ...] = _TupleOnRead()
+
+    def __init__(self, overall, consumer_term, bystander_term, degenerate_freshness, reports,
+                 weights, credibilities):
+        # one update: a frozen dataclass's own __init__ sets each field through object.__setattr__
+        self.__dict__.update(overall=overall, consumer_term=consumer_term,
+                             bystander_term=bystander_term, degenerate_freshness=degenerate_freshness,
+                             reports=reports, _weights=weights, _credibilities=credibilities)
 
     @cached_property
     def per_reporter(self) -> tuple[ReporterTerm, ...]:
@@ -266,7 +283,7 @@ def _shares(values: list[float], total: float) -> list[float]:
     """Each value over total, their sum.  A sum past the float range (+inf) would
     make every share 0.0, so the values are then first divided by the largest."""
     if total == math.inf:
-        top = max(values)
+        top = float(max(values))  # so an int value is divided as the float it is on an array
         values = [v / top for v in values]
         total = left_sum(values)
     return [v / total for v in values]
@@ -296,6 +313,19 @@ def coverage_weights(reports: list[AccumulatedReport]) -> list[float]:
         raise ValueError("coverage weights need at least one report")
     durations = [r.coverage_duration for r in reports]
     return _shares(durations, left_sum(durations))
+
+
+def _array_shares(values: list[float]) -> tuple[np.ndarray, bool]:
+    """freshness_weights on an array of these values, bit for bit; [0] is coverage_weights."""
+    x = np.fromiter(values, float, len(values))
+    with np.errstate(over="ignore"):  # a sum past the float range is rescaled below
+        total = _row_sums(x)
+    if total <= 0:
+        return np.full(len(x), 1.0 / len(x)), True
+    if total == math.inf:
+        x = x / x.max()
+        total = _row_sums(x)
+    return x / total, False
 
 
 def credibilities(values: list[float]) -> list[float]:
@@ -336,10 +366,10 @@ def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credi
     """The array kernel: (credibilities, [consumer term, bystander term]) of
     each row of values, aggregate's arithmetic elementwise over the rows.
 
-    values is (rows x reports), consumers first; the credibilities are None
-    without credibility, and an absent group's term is None.  A group weight
-    mass of zero when normalized raises ZeroDivisionError, as a float
-    division does.
+    values is (rows x reports), consumers first, and each group's weights
+    are an array (or () for an absent group, whose term is None); the
+    credibilities are None without credibility.  A group weight mass of
+    zero when normalized raises ZeroDivisionError, as a float division does.
     """
     n_c = len(weights_c)
     creds = None
@@ -352,7 +382,6 @@ def _terms(values: np.ndarray, weights_c, weights_b, normalized: bool, use_credi
             terms.append(None)
             continue
         trusts = values[:, group]
-        weights = np.fromiter(weights, float, len(weights))  # faster than np.array on a list
         if use_credibility:
             damped = creds[:, group] * weights
         else:
@@ -392,31 +421,30 @@ def aggregate(
     if not consumers and not bystanders:
         raise NoEvidenceError("no consumer or bystander reports to aggregate")
     reports = consumers + bystanders
-    pooled = [r.trust for r in reports]
-    weights_c = coverage_weights(consumers) if consumers else []
-    weights_b, degenerate = freshness_weights(bystanders) if bystanders else ([], False)
-
     normalized = params.mode == NORMALIZED
-    if len(pooled) >= _ARRAY_MIN:
-        row = np.fromiter(pooled, float, len(pooled))[np.newaxis]
+    if len(reports) >= _ARRAY_MIN:
+        weights_c = _array_shares([r.coverage_duration for r in consumers])[0] if consumers else ()
+        weights_b, degenerate = (_array_shares([r.timestamp_offset for r in bystanders])
+                                 if bystanders else ((), False))
+        row = np.fromiter([r.trust for r in reports], float, len(reports))[np.newaxis]
         row_creds, terms = _terms(row, weights_c, weights_b, normalized, use_credibility)
         terms = [None if t is None else float(t[0]) for t in terms]
-        creds = row_creds[0].tolist() if use_credibility else [1.0] * len(pooled)
+        creds = row_creds[0] if use_credibility else np.ones(len(reports))
+        weights = np.concatenate((weights_c, weights_b))
     else:
+        pooled = [r.trust for r in reports]
+        weights_c = coverage_weights(consumers) if consumers else []
+        weights_b, degenerate = freshness_weights(bystanders) if bystanders else ([], False)
         creds = credibilities(pooled) if use_credibility else [1.0] * len(pooled)
         n_c = len(consumers)
         # map() stops at the shortest list, so the consumer term reads the first n_c entries
         terms = [_group_term(pooled, weights_c, creds, normalized) if consumers else None,
                  _group_term(pooled[n_c:], weights_b, creds[n_c:], normalized) if bystanders
                  else None]
+        weights = weights_c + weights_b
     overall = _blend(*terms, params.beta)
     consumer_term, bystander_term = (0.0 if t is None else t for t in terms)
-
-    # positional: keyword arguments cost a frozen dataclass about 1 us more
-    return TrustBreakdown(
-        overall, consumer_term, bystander_term, degenerate,
-        reports, (*weights_c, *weights_b), tuple(creds),
-    )
+    return TrustBreakdown(overall, consumer_term, bystander_term, degenerate, reports, weights, creds)
 
 
 def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = AggregationParams(),
@@ -425,13 +453,15 @@ def aggregate_overall(values, weights_c, weights_b, params: AggregationParams = 
 
     values is (rows x reports), each in [0, 1]: the trust values of
     len(weights_c) consumer reports, then of len(weights_b) bystander
-    reports, whose coverage and freshness weights those are, so every row
-    shares one set of weights; another width, or a weight outside [0, 1],
-    raises ValueError.  It beta-blends the array kernel's group terms; like
-    aggregate, it raises ZeroDivisionError on a zero normalized group mass.
+    reports, whose 1-D coverage and freshness weights those are, so every
+    row shares one set of weights; another shape, or a weight outside
+    [0, 1], raises ValueError.  It beta-blends the array kernel's group
+    terms; like aggregate's, a zero normalized group mass raises ZeroDivisionError.
     """
     values = require_unit_array("trust", values)
     weights_c, weights_b = (require_unit_array("weight", w) for w in (weights_c, weights_b))
+    if weights_c.ndim != 1 or weights_b.ndim != 1:
+        raise ValueError("each group's weights must be one-dimensional")
     width = len(weights_c) + len(weights_b)
     if values.ndim != 2 or values.shape[1] != width:
         raise ValueError(f"trust values must be (rows x {width}), got shape {values.shape}")

@@ -94,11 +94,11 @@ def test_aggregate_calls_each_traced_helper_once(monkeypatch):
     mlt.trust.aggregate(consumers, bystanders)
     assert calls == dict.fromkeys(helpers, 1)
 
-    # a crowd takes its credibilities from the array kernel, its weights still from the helpers
+    # a crowd takes its weights and credibilities from arrays, calling none of them
     calls.clear()
     copies = mlt.trust._ARRAY_MIN // 2
     mlt.trust.aggregate(consumers * copies, bystanders * copies)
-    assert calls == {"coverage_weights": 1, "freshness_weights": 1}
+    assert calls == {}
 
 
 def test_a_sweep_calls_the_traced_aggregate_and_classify(monkeypatch):

@@ -78,7 +78,8 @@ class TestPerformanceVector:
         v = PerformanceVector((1, 2, 3), schema)
         assert v.values == (1.0, 2.0, 3.0)
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), 10**400, -10**400],
+                             ids=["-1.0", "nan", "inf", "huge-int", "huge-negative-int"])
     def test_rejects_non_finite_or_negative(self, schema, bad):
         with pytest.raises(ValueError):
             PerformanceVector((bad, 1.0, 1.0), schema)

@@ -35,6 +35,14 @@ def test_array_scores_match_aggregate_bit_for_bit_when_sums_loop(loop_sums):
     test_trust_properties.test_array_scores_match_aggregate_bit_for_bit()
 
 
+def test_a_crowd_matches_the_oracle_bit_for_bit_when_sums_loop(loop_sums):
+    test_trust_properties.test_a_crowd_on_the_array_kernel_matches_the_oracle_bit_for_bit()
+
+
+def test_weights_and_credibilities_are_float_tuples_when_sums_loop(loop_sums):
+    test_trust_properties.test_weights_and_credibilities_are_float_tuples_built_on_first_read()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_matches_the_per_point_oracle_when_sums_loop(loop_sums, kind, monkeypatch):
     test_experiments.assert_every_kind_matches_the_oracle(kind, monkeypatch, jobs=1)

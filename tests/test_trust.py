@@ -159,10 +159,12 @@ class TestReports:
             lambda: InstantaneousReport("b", 0.5, -1.0),
             lambda: InstantaneousReport("b", 0.5, math.inf),
             lambda: InstantaneousReport("b", 0.5, math.nan),
+            lambda: InstantaneousReport("b", 0.5, 10**400),
             lambda: AccumulatedReport("c", 0.5, 0.0),
             lambda: AccumulatedReport("c", math.nan, 60.0),
             lambda: AccumulatedReport("c", 0.5, math.nan),
             lambda: AccumulatedReport("c", 0.5, math.inf),
+            lambda: AccumulatedReport("c", 0.5, 10**400),
             lambda: AccumulatedReport("c", 0.5, 60.0, update_count=0),
         ],
     )
@@ -195,6 +197,11 @@ class TestReports:
             (lambda: AccumulatedReport("c", 0.5, 60.0, Count(0)),
              "report from 'c': update_count must be an integer >= 1, got 0"),
             (lambda: AccumulatedReport("", 0.5, 1.0), "reporter_id must be non-empty"),
+            # an int past the float range is refused, not overflowed
+            (lambda: InstantaneousReport("b", 0.5, 10**400),
+             "report from 'b': timestamp_offset must be finite and >= 0"),
+            (lambda: AccumulatedReport("c", 0.5, 10**400),
+             "report from 'c': coverage_duration must be finite and positive"),
             *[
                 (lambda cls=cls, trust=trust: cls("c", trust, 60.0),
                  f"report from 'c': trust must be in [0, 1], got {shown}")

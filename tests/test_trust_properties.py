@@ -4,8 +4,10 @@ Strategies build small random report pools; the properties assert range,
 normalization, monotonicity, and equivalence facts that hold for any input.
 """
 
+import copy
 import importlib.util
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from mlt.trust import (
     AccumulatedReport,
     AggregationParams,
     InstantaneousReport,
+    NoEvidenceError,
+    TrustBreakdown,
     aggregate,
     aggregate_overall,
     coverage_weights,
@@ -290,6 +294,62 @@ def test_aggregate_matches_the_oracle_on_a_query_workload_cycle():
     assert mismatched == []
 
 
+@given(oracle_case(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_weights_and_credibilities_are_float_tuples_built_on_first_read(case, crowd):
+    # a session on the lists as drawn, or the case tiled past _ARRAY_MIN onto arrays
+    consumers, bystanders, params, use_credibility = case
+    if crowd:
+        copies = -(-_ARRAY_MIN // max(1, len(consumers) + len(bystanders)))
+        consumers, bystanders = consumers * copies, bystanders * copies
+    try:
+        expected = aggregate_oracle(consumers, bystanders, params, use_credibility=use_credibility)
+    except (NoEvidenceError, ZeroDivisionError):
+        return  # aggregate raises alike: test_aggregate_matches_the_per_report_oracle_exactly
+    breakdown = aggregate(consumers, bystanders, params, use_credibility=use_credibility)
+    assert "weights" not in vars(breakdown) and "credibilities" not in vars(breakdown)
+    for name, field in (("weights", "weight"), ("credibilities", "credibility")):
+        got = getattr(breakdown, name)
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(getattr(t, field)).hex()
+                                          for t in expected.per_reporter]
+        assert getattr(breakdown, name) is got  # built once
+
+
+def _crowd():
+    consumers = [AccumulatedReport(f"c{i}", (i % 7) / 7, 1.0 + i) for i in range(40)]
+    bystanders = [InstantaneousReport(f"b{i}", (i % 5) / 5, 3.0 * i) for i in range(_ARRAY_MIN)]
+    return consumers, bystanders
+
+
+def test_a_crowd_breakdown_equals_one_built_from_the_tuples_it_reads():
+    read = aggregate(*_crowd())
+    by_hand = TrustBreakdown(read.overall, read.consumer_term, read.bystander_term,
+                             read.degenerate_freshness, read.reports, read.weights,
+                             read.credibilities)
+    unread = aggregate(*_crowd())
+    assert unread == by_hand and by_hand == unread
+    assert hash(aggregate(*_crowd())) == hash(by_hand)
+    assert repr(unread) == repr(by_hand)
+    assert unread.per_reporter == by_hand.per_reporter
+    moved = (*read.weights[:-1], read.weights[-1] / 2)
+    assert unread != replace(by_hand, weights=moved)
+    assert unread != replace(by_hand, credibilities=read.credibilities[::-1])
+
+
+@pytest.mark.parametrize("crowd", [False, True], ids=["session", "crowd"])
+def test_an_unread_breakdown_survives_pickle_and_copy(crowd):
+    consumers, bystanders = _crowd() if crowd else (_crowd()[0][:3], _crowd()[1][:4])
+    reference = aggregate(consumers, bystanders)
+    unread = aggregate(consumers, bystanders)
+    copies = [pickle.loads(pickle.dumps(unread)), copy.copy(unread), copy.deepcopy(unread)]
+    assert "weights" not in vars(unread) and "credibilities" not in vars(unread)
+    for copied in copies:
+        assert type(copied) is TrustBreakdown
+        assert copied == reference and hash(copied) == hash(reference)
+        assert copied.per_reporter == reference.per_reporter
+
+
 huge_offset = st.one_of(offset, huge)
 
 
@@ -392,6 +452,13 @@ def test_a_zero_weight_mass_raises_when_normalized(use_credibility):
     # verbatim adds the terms up without dividing by their mass
     verbatim = AggregationParams(mode=VERBATIM)
     assert aggregate_overall([[0.5, 0.7]], [], [0.0, 0.0], verbatim).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("weights_c, weights_b", [([[0.5]], [0.5]), ([0.5], [[0.5]]), (0.5, [0.5])],
+                         ids=["consumers-2d", "bystanders-2d", "consumers-scalar"])
+def test_aggregate_overall_rejects_weights_that_are_not_one_dimensional(weights_c, weights_b):
+    with pytest.raises(ValueError, match="^each group's weights must be one-dimensional$"):
+        aggregate_overall([[0.2, 0.4]], weights_c, weights_b)
 
 
 @pytest.mark.parametrize(
