@@ -166,7 +166,9 @@ def sample_true_performance(profile: ProviderProfile, schema: AttributeSchema, g
     hours = np.asarray(offsets, dtype=float) / SECONDS_PER_HOUR
     with np.errstate(over="ignore", invalid="ignore"):
         latent = base + np.multiply.outer(hours, drift)
-        latent += np.asarray(noise, dtype=float) * stddev
+        noise = np.asarray(noise, dtype=float)
+        for a, s in enumerate(stddev):  # a column at a time: no full-size temporary
+            latent[..., a] += noise[..., a] * s
     return _clamp(schema, latent)
 
 

@@ -37,8 +37,8 @@ indices, which score counts as they are.  Each (point, arm) of a block's
 first replication is also scored through its report objects, aggregate and
 classify, and a block whose array scores differ raises RuntimeError (the
 ground truth's levels are checked by the tests).  A sweep starts at most one
-worker pool, which maps blocks; the output depends neither on the block size
-nor on the number of workers.
+worker pool, with no more workers than blocks or CPUs, which maps blocks; the
+output depends neither on the block size nor on the number of workers.
 
 Except for the "full" kind, rosters are synthesized: even slots are
 bystanders, odd slots are consumers, with fixed per-slot schedules spread
@@ -48,6 +48,7 @@ agent with its own profile.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -329,7 +330,7 @@ def run_experiment_suite(base_scenario: Scenario, spec: ExperimentSpec,
     kind = spec.kind
     sweep = _Sweep(base_scenario, spec, _sweep_points(base_scenario, spec))
     n, size = spec.replications, sweep.block_size
-    processes = min(jobs, -(-n // size))
+    processes = min(jobs, -(-n // size), os.cpu_count() or 1)
     # as many blocks for each worker, of lengths that differ by at most one
     n_blocks = min(n, -(-n // (size * processes)) * processes)
     bounds = [n * k // n_blocks for k in range(n_blocks + 1)]

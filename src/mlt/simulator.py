@@ -54,11 +54,11 @@ table at once, each with its own honesty gap, scenario seed and rosters:
   that draws its reports; every roster reads the same draws.
 - Arrays.  Each slot's events sit once on the event axis.  Truth, the
   finiteness check, clamping and instantaneous trust run once over
-  (replication x event) and are broadcast over the rosters.  Reports are
-  (replication x roster x event), one row per session: observe() runs once
-  per distinct profile, over the events whose slot the roster gives it, and
-  the EWMA folds in place on the event axis, one update_accumulated call
-  per step over the consumer slots that have that step.
+  (replication x event), broadcast over the rosters; each array is freed
+  once read.  Reports are (replication x roster x event), one row per
+  session: observe() runs once per profile, over the events whose slot the
+  roster gives it, and the EWMA folds in place, one update_accumulated call
+  per step over the consumer slots that have it, indexed from their spans.
 
 The ground truth is each replication's provider truth with no jitter and,
 at offset 0, no drift, scored once per replication.  run_scenario is a block
@@ -250,9 +250,9 @@ def _probe_count(schedule: ProbeSchedule, limit: float) -> int:
     return lo
 
 
-def _probe_times(schedule: ProbeSchedule, limit: float) -> tuple[float, ...]:
-    first, interval = schedule.first_offset, schedule.interval
-    return tuple(first + k * interval for k in range(_probe_count(schedule, limit)))
+def _probe_times(schedule: ProbeSchedule, limit: float) -> np.ndarray:
+    k = np.arange(_probe_count(schedule, limit))
+    return float(schedule.first_offset) + k * float(schedule.interval)
 
 
 def _sample_count(usage: ConsumerUsage, limit: float) -> int | float:
@@ -264,9 +264,9 @@ def _sample_count(usage: ConsumerUsage, limit: float) -> int | float:
     return math.floor(quotient + _TIME_EPS) + 1 if math.isfinite(quotient) else math.inf
 
 
-def _sample_times(usage: ConsumerUsage, limit: float) -> tuple[float, ...]:
-    return tuple(usage.usage_start + m * usage.sample_interval
-                 for m in range(_sample_count(usage, limit)))
+def _sample_times(usage: ConsumerUsage, limit: float) -> np.ndarray:
+    m = np.arange(_sample_count(usage, limit))
+    return float(usage.usage_start) + m * float(usage.sample_interval)
 
 
 def _hasher(const: int, mult: int):
@@ -368,14 +368,14 @@ class SlotTable:
         self.session = session
         self.params = params
         self.consumer = [isinstance(a, Consumer) for a in self.agents]
-        self.times = [_sample_times(a.usage, query_time) if c
-                      else _probe_times(a.schedule, query_time)
-                      for a, c in zip(self.agents, self.consumer)]
-        self.reporting = [j for j, times in enumerate(self.times) if times]
-        self.offsets = [t for times in self.times for t in times]  # the event axis
-        counts = [len(times) for times in self.times]
+        times = [_sample_times(a.usage, query_time) if c else _probe_times(a.schedule, query_time)
+                 for a, c in zip(self.agents, self.consumer)]
+        counts = [len(t) for t in times]
+        self.reporting = [j for j, count in enumerate(counts) if count]
         stops = np.cumsum(counts, dtype=np.intp).tolist()
         self.spans = [(stop - count, stop) for stop, count in zip(stops, counts)]
+        self.offsets = np.concatenate([np.empty(0), *times])  # the event axis
+        self.times = [self.offsets[start:stop] for start, stop in self.spans]  # views of it
         self.slot_of = np.repeat(np.arange(len(self.agents), dtype=np.intp), counts)
 
         # each slot's (truth, own) stream counters, keyed by its index within
@@ -390,14 +390,11 @@ class SlotTable:
                 coverage = min(query_time, agent.usage.usage_end) - agent.usage.usage_start
                 self.report.append((AccumulatedReport, agent.id, (coverage, len(times))))
             else:
-                self.report.append((InstantaneousReport, agent.id, times[-1:]))
+                self.report.append((InstantaneousReport, agent.id, tuple(times[-1:].tolist())))
 
-        # the EWMA's steps: steps[e - 1] holds the event start + e of every
-        # consumer slot with more than e events
-        spans = [span for span, c in zip(self.spans, self.consumer) if c]
-        longest = max((stop - start for start, stop in spans), default=0)
-        self.steps = [np.array([start + e for start, stop in spans if stop - start > e], np.intp)
-                      for e in range(1, longest)]
+        # the EWMA's consumer slots, longest first: (event count, first event)
+        self.folds = sorted(((stop - start, start) for (start, stop), c
+                             in zip(self.spans, self.consumer) if c), reverse=True)
         # each reporting slot's last event
         self.last = np.array([self.spans[j][1] - 1 for j in self.reporting], np.intp)
 
@@ -461,23 +458,31 @@ class SlotTable:
 
         promise = self.session.promise
         truth = sample_true_performance(provider, promise.schema, gaps, self.offsets, noise)
+        del noise  # each array is dropped once read: a block holds only what it still needs
         true_trust = instantaneous_trust(truth.reshape(-1, k), promise).reshape(n, 1, -1)
+        del truth
         ground_truth = instantaneous_trust(noise_free_performance(provider, promise.schema, gaps),
                                            promise).tolist()
-        profile = chosen[..., self.slot_of]  # [r, f, event] -> profile
-        true_trust = np.broadcast_to(true_trust, profile.shape)
-        own = np.broadcast_to(own[:, np.newaxis], profile.shape)
-        reported = np.empty(profile.shape)
+        reported = np.empty(chosen.shape[:2] + self.slot_of.shape)  # [r, f, event]
+        true_trust = np.broadcast_to(true_trust, reported.shape)
+        own = np.broadcast_to(own[:, np.newaxis], reported.shape)
         for p, reporter in enumerate(self.profiles):
-            at = profile == p
+            at = (chosen == p)[..., self.slot_of]  # the events whose slot the roster gives p
             reported[at] = observe(reporter, true_trust[at],
                                    own[at] if reporter.draws_reports else None)
+        del true_trust, own
         # the first sample seeds each consumer's EWMA, later ones fold into it;
-        # a bystander's accumulated values are its reports
+        # a bystander's accumulated values are its reports.  Step e folds the
+        # event start + e of the first m folds, those with more than e events
         accumulated = reported.copy()
-        for at in self.steps:
-            accumulated[..., at] = update_accumulated(accumulated[..., at - 1],
+        previous, m = np.array([start for _, start in self.folds], np.intp), len(self.folds)
+        for e in range(1, self.folds[0][0] if m else 0):
+            while self.folds[m - 1][0] <= e:
+                m -= 1
+            at = previous[:m] + 1
+            accumulated[..., at] = update_accumulated(accumulated[..., previous[:m]],
                                                       reported[..., at], self.params.alpha)
+            previous = at
         return Block(self, ground_truth, reported, accumulated)
 
 
@@ -503,7 +508,8 @@ class Block:
         for j in sorted(range(len(table.agents)), key=table.consumer.__getitem__):
             start, stop = table.spans[j]
             series.append(AgentSeries(
-                table.agents[j].id, table.times[j], tuple(self.reported[r, f, start:stop].tolist()),
+                table.agents[j].id, tuple(table.times[j].tolist()),
+                tuple(self.reported[r, f, start:stop].tolist()),
                 tuple(self.accumulated[r, f, start:stop].tolist()) if table.consumer[j] else None))
         return SessionTrace(
             final_breakdown=aggregate(consumer_reports, bystander_reports, table.params),

@@ -274,8 +274,9 @@ def update_accumulated(previous: float | np.ndarray, instantaneous: float | np.n
     the three may be an array, which folds elementwise; every element is
     held to the same bounds.
     """
-    for label, x in (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha)):
-        require_unit_array(label, x)
+    checked = [require_unit_array(label, x) for label, x in
+               (("previous", previous), ("instantaneous", instantaneous), ("alpha", alpha))]
+    previous, instantaneous, alpha = (x if x.ndim else float(x) for x in checked)
     return alpha * previous + (1.0 - alpha) * instantaneous
 
 

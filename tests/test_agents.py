@@ -216,6 +216,16 @@ class TestSampling:
             alone = sample(replace(provider, honesty_gap=gap), promise.schema, offsets, draws[0])
             assert rows.tolist() == alone.tolist()
 
+    def test_the_draws_are_read_not_written(self, promise):
+        # both forms of noise, (gap x event x attribute) and one shared
+        # (event x attribute) array, are left as they were handed in
+        provider = make_provider(promise, honesty_gap=0.1, jitter_rel=0.1, drift_rel=0.05)
+        gaps, offsets = [0.0, 0.3], [0.0, 600.0, 5400.0]
+        for draws in (noise(6, 3, seed=3).reshape(2, 3, 3), noise(3, 3, seed=4)):
+            kept = draws.copy()
+            sample_true_performance(provider, promise.schema, gaps, offsets, draws)
+            assert draws.tolist() == kept.tolist()
+
     @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan], ids=["above", "below", "nan"])
     def test_a_gap_outside_the_unit_interval_is_rejected(self, promise, bad):
         provider = make_provider(promise, honesty_gap=0.1)

@@ -2,8 +2,10 @@
 
 import functools
 import multiprocessing
+import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
@@ -350,8 +352,28 @@ class TestSuite:
 
         monkeypatch.setattr(mlt.experiments, "Pool", recording_pool)
         monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", block)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than jobs asks for
         spec = ExperimentSpec(COUNT_SWEEP, replications=replications, reporters=2)
         run_experiment_suite(base, spec, jobs=jobs)
+        assert sizes == started
+
+    @pytest.mark.parametrize("cpus, jobs, started",
+                             [(3, 100_000, [3]), (8, 2, [2]), (1, 4, []), (None, 4, [])])
+    def test_pool_is_never_larger_than_the_cpus(self, base, monkeypatch, cpus, jobs, started):
+        # a fake pool maps in process, so no worker starts whatever jobs asks for;
+        # os.cpu_count() gives None where the count is unknown
+        sizes = []
+        inline = SimpleNamespace(map=lambda fn, args: [fn(a) for a in args])
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return nullcontext(inline)
+
+        monkeypatch.setattr(mlt.experiments, "Pool", recording_pool)
+        monkeypatch.setattr(mlt.experiments, "_BLOCK_SIZE", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = ExperimentSpec(COUNT_SWEEP, replications=12, reporters=2)
+        assert run_experiment_suite(base, spec, jobs=jobs) == run_experiment_suite(base, spec)
         assert sizes == started
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -365,6 +387,7 @@ class TestSuite:
 
         monkeypatch.setattr(mlt.experiments, "Pool", lambda processes: nullcontext(inline))
         monkeypatch.setattr(mlt.experiments, "_block_outcomes", recording_outcomes)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than jobs asks for
         scenario, _ = load_scenario_file(SCENARIO_DIR / "acceptance_countsweep.json")
         run_experiment_suite(scenario, ExperimentSpec(COUNT_SWEEP, replications=1000), jobs=jobs)
         if jobs == 1:  # as few blocks as _BLOCK_SIZE allows
@@ -553,6 +576,7 @@ def test_output_does_not_depend_on_jobs_under_every_start_method(kind, method, m
         return multiprocessing.get_context(method).Pool(processes)
 
     monkeypatch.setattr(mlt.experiments, "Pool", pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than jobs asks for
     parallel = run_experiment_suite(scenario, spec, jobs=2)
     assert started == [2]
     assert parallel == run_experiment_suite(scenario, spec, jobs=1)
@@ -628,6 +652,27 @@ def test_a_ragged_consumer_roster_is_not_padded(base, honest, monkeypatch):
     monkeypatch.setattr(mlt.experiments, "_BLOCK_CELLS", 4 * 2_019 * 3)
     assert_blocks_fit_the_cells(scenario, 2_019, [3, 3, 4], monkeypatch)
     assert_matches_the_per_sample_oracle(scenario)
+
+
+def test_a_long_consumer_runs_in_memory_proportional_to_its_cells():
+    # one "full" replication with 10,001 samples on c00: each block array is
+    # held only while it is needed and the EWMA keeps no per-step index
+    # arrays, so the traced peak stays under 60 bytes per truth value
+    scenario, _ = load_scenario_file(SCENARIO_DIR / "wifi_cafe.json")
+    spec = ExperimentSpec(FULL, replications=1)
+    run_experiment_suite(scenario, spec)  # loads what a first run loads
+    c00, *others = scenario.consumers
+    scenario = replace(scenario, consumers=(replace(c00, usage=ConsumerUsage(0.0, 4500.0, 0.45)),
+                                            *others))
+    cells = _Sweep(scenario, spec, _sweep_points(scenario, spec)).table.cells
+    assert cells == 30_105
+    tracemalloc.start()
+    try:
+        run_experiment_suite(scenario, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * cells
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

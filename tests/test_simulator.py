@@ -226,6 +226,33 @@ class TestEventStream:
             assert acc == expected
         assert trace.consumer_reports[0].trust == acc
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0, 0.123456789])
+    def test_ragged_consumers_fold_like_update_accumulated(self, session, promise, honest, alpha):
+        # consumers of 1, 2, 4 and 86 samples fold together in a block of three
+        # replications and two rosters; each session's EWMA equals
+        # update_accumulated applied to its own samples, one at a time
+        provider = make_provider(promise, honesty_gap=0.1, jitter_rel=0.2)
+        noisy = ReporterProfile("malicious", malicious_strategy="random")
+        agents = (Bystander("b00", honest, ProbeSchedule(600.0, 600.0, 3)),
+                  Consumer("c00", honest, ConsumerUsage(0.0, 100.0, 300.0)),
+                  Consumer("c01", honest, ConsumerUsage(600.0, 900.0, 300.0)),
+                  Consumer("c02", honest, ConsumerUsage(300.0, 5400.0, 60.0)),
+                  Consumer("c03", honest, ConsumerUsage(0.0, 1800.0, 600.0)))
+        params = AggregationParams(alpha=alpha, mode="normalized")
+        table = SlotTable(agents, (honest, noisy), session, 5400.0, params)
+        picks = [[[0, 0, 0, 0, 0], [1, 0, 1, 1, 0]]] * 3
+        block = table.simulate(provider, [0.1, 0.3, 0.0], [7, 2**40, 0], picks)
+        consumers = [span for span, c in zip(table.spans, table.consumer) if c]
+        assert [stop - start for start, stop in consumers] == [1, 2, 86, 4]
+        for r in range(3):
+            for f in range(2):
+                for start, stop in consumers:
+                    reported = block.reported[r, f, start:stop].tolist()
+                    expected = [acc := reported[0]]
+                    for value in reported[1:]:
+                        expected.append(acc := update_accumulated(acc, value, alpha))
+                    assert block.accumulated[r, f, start:stop].tolist() == expected
+
     def test_shrinking_query_time_only_truncates(self, session, promise, honest):
         full = noisy_scenario(session, promise, honest)
         short = replace(full, query_time=1800.0)

@@ -113,6 +113,17 @@ class TestAccumulated:
                     for rows in zip(previous.tolist(), instantaneous.tolist())]
         assert folded.tolist() == expected
 
+    @pytest.mark.parametrize("args", [(0.5, 0.5, [0.2, 0.3]), ([0.2, 0.3], 0.5, 0.7),
+                                      (0.5, [0.2, 0.3], 0.7), ([0.2, 0.3], [0.9, 0.1], [0.0, 1.0])],
+                             ids=["alpha", "previous", "instantaneous", "all"])
+    def test_lists_fold_as_the_arrays_they_hold(self, args):
+        folded = update_accumulated(*args)
+        assert folded.tolist() == update_accumulated(*map(np.array, args)).tolist()
+
+    def test_scalars_fold_to_a_python_float(self):
+        folded = update_accumulated(0.4, np.float64(0.8), 0.7)
+        assert type(folded) is float and folded == 0.7 * 0.4 + (1.0 - 0.7) * 0.8
+
     @pytest.mark.parametrize(
         "args, message",
         [
